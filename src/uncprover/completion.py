@@ -19,7 +19,7 @@ from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
     Term,
     Var,
-    canonical_renaming,
+    canonical_key,
     fn_subterms,
     fresh_name,
     match,
@@ -70,10 +70,6 @@ class Verdict:
     added_traces: tuple[Trace, ...] = ()
     rounds: int = 0
 
-    @property
-    def decided(self) -> bool:
-        return self.status in ("UNC", "NOT_UNC")
-
 
 @dataclass(frozen=True)
 class ConfluencePredicate:
@@ -113,15 +109,6 @@ STRONGLY_CLOSED = ConfluencePredicate(
 
 DEVELOPMENT_CLOSED = ConfluencePredicate(
     "development-closed", lambda S: S.left_linear, _development_closed_pair)
-
-
-def _term_key(t: Term) -> str:
-    return repr(substitute(t, canonical_renaming([t], prefix="\x00v")))
-
-
-def _rule_key(rule: RewriteRule) -> tuple[str, str]:
-    ren = canonical_renaming([rule.lhs, rule.rhs], prefix="\x00v")
-    return (repr(substitute(rule.lhs, ren)), repr(substitute(rule.rhs, ren)))
 
 
 def _expand_trace(steps: Iterable[ConvStep], n_original: int,
@@ -291,7 +278,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                            added_traces=tuple(added_traces))
         new_rules: list[tuple[RewriteRule, Trace]] = []
         handled_overlays: set[frozenset[str]] = set()
-        known = {_rule_key(r) for r in current.rules}
+        known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
         for cp in cps:
             if deadline is not None and time.monotonic() > deadline:
                 return Verdict("MAYBE", "timeout", rounds=round_no - 1,
@@ -300,7 +287,8 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             if closed[cp] or cp.left == cp.right:
                 continue
             if cp.overlay:
-                key = frozenset((_term_key(cp.left), _term_key(cp.right)))
+                key = frozenset((canonical_key((cp.left,)),
+                                 canonical_key((cp.right,))))
                 if key in handled_overlays:
                     continue
                 handled_overlays.add(key)
@@ -366,7 +354,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
 
 
 def _add_rule(new_rules, known, rule: RewriteRule, trace: Trace) -> None:
-    key = _rule_key(rule)
+    key = canonical_key((rule.lhs, rule.rhs))
     if key in known:
         return
     known.add(key)
@@ -474,7 +462,9 @@ def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
     Seeds are critical-pair sides and rule right-hand sides.  Each class
     is scanned first for a normal form carrying a variable absent from a
     convertible term (a second witness then arises by renaming), then for
-    two distinct normal forms in the class.
+    two distinct normal forms in the class.  The deadline is checked per
+    seed, inside the class search and per normal form in the first scan;
+    past it the search returns None.
     """
     seeds: list[Term] = []
     for cp in critical_pairs(R):
@@ -484,21 +474,31 @@ def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
     for seed in seeds:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        k = _term_key(seed)
+        k = canonical_key((seed,))
         if k in seen_keys:
             continue
         seen_keys.add(k)
         cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                               budgets.max_class)
+                               budgets.max_class, deadline=deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         members = sorted(cls.members, key=repr)
-        nfs = [t for t in members if is_normal_form(R, t)]
-        for t in nfs:
-            for s in members:
-                if s == t or not variables(t) - variables(s):
+        # one variable set per member, equal sets shared to keep memory flat
+        shared: dict[frozenset[str], frozenset[str]] = {}
+        var_sets = [shared.setdefault(vs, vs)
+                    for vs in (frozenset(variables(m)) for m in members)]
+        nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
+        for i in nf_at:
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            t, t_vars = members[i], var_sets[i]
+            for j, s in enumerate(members):
+                if j == i or t_vars <= var_sets[j]:
                     continue
                 w = _escape_witness(_connect(cls, s, t), s, t)
                 if validate_witness(R, w):
                     return w
+        nfs = [members[i] for i in nf_at]
         for i, t1 in enumerate(nfs):
             for t2 in nfs[i + 1:]:
                 w = Witness(t1, t2, _connect(cls, t1, t2))

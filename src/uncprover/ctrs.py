@@ -31,7 +31,7 @@ from .terms import (
     var_occurrences,
     variables,
 )
-from .trs import TRS, RewriteRule
+from .trs import TRS
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,6 @@ class CTRS:
     @property
     def non_duplicating(self) -> bool:
         return all(r.non_duplicating for r in self.rules)
-
-
-def plain_rules(C: CTRS) -> TRS:
-    """The unconditional projection: conditions dropped."""
-    return TRS.of([RewriteRule(r.lhs, r.rhs) for r in C.rules], C.signature)
 
 
 def lift_trs(R: TRS) -> CTRS:

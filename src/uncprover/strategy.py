@@ -67,6 +67,8 @@ class StrategyConfig:
 @dataclass(frozen=True)
 class ProofResult:
     answer: str  # "YES" | "NO" | "MAYBE"
+    #: for NO the disproving component's method, for YES the distinct
+    #: methods of the components in order, comma-separated; else None
     method: Optional[str]
     certificate: str
 
@@ -185,7 +187,7 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     if len(components) > 1:
         lines.append(f"direct-sum decomposition into {len(components)} components")
     answers: list[str] = []
-    methods_used: list[str] = []
+    tags: list[Optional[str]] = []
     for ci, comp in enumerate(components, 1):
         answer, tag = "MAYBE", None
         for m in config.methods:
@@ -204,17 +206,15 @@ def prove_unc(problem: Union[ProblemFile, TRS],
         else:
             lines.append(f"component {ci}: no method applied")
         answers.append(answer)
-        if tag:
-            methods_used.append(m)
+        tags.append(tag)
         if answer == "NO":
             break
-    if "NO" in answers:
-        final = "NO"
+    if answers[-1] == "NO":
+        final, method = "NO", tags[-1]
     elif all(a == "YES" for a in answers):
-        final = "YES"
+        final, method = "YES", ",".join(dict.fromkeys(tags))
     else:
-        final = "MAYBE"
+        final, method = "MAYBE", None
         if time.monotonic() > deadline:
             lines.append("reason: timeout")
-    method = ",".join(methods_used) if methods_used else None
     return ProofResult(final, method, "\n".join(lines) + "\n")

@@ -76,13 +76,6 @@ class Signature:
         keep = set(syms)
         return Signature(tuple((s, a) for s, a in sorted(self._table.items()) if s in keep))
 
-    def merge(self, other: "Signature") -> "Signature":
-        table = self.as_dict()
-        for sym, ar in other.entries:
-            if table.setdefault(sym, ar) != ar:
-                raise ValueError(f"conflicting arities for {sym}")
-        return Signature.of(table)
-
 
 def well_formed(t: Term, sig: Signature) -> bool:
     """True iff every symbol of `t` is declared with matching arity."""
@@ -317,6 +310,49 @@ def canonical_renaming(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
                 k += 1
             out[name] = Var(f"{prefix}{k}")
     return out
+
+
+def canonical_key(ts: Iterable[Term], keep: frozenset[str] = frozenset()) -> str:
+    """String identifying the sequence `ts` up to renaming of non-kept variables.
+
+    Equals the comma-joined reprs of `ts` under `canonical_renaming(ts,
+    keep, prefix="\x00v")`, written in one pass; the \x00 prefix keeps
+    canonical names clear of symbol and variable names.
+    """
+    names: dict[str, str] = {}
+    k = 0
+    out: list[str] = []
+    emit = out.append
+
+    def write(t: Term) -> None:
+        nonlocal k
+        if isinstance(t, Var):
+            name = t.name
+            if name in keep:
+                emit(name)
+                return
+            alias = names.get(name)
+            if alias is None:
+                k += 1
+                while f"\x00v{k}" in keep:
+                    k += 1
+                alias = names[name] = f"\x00v{k}"
+            emit(alias)
+        elif t.args:
+            emit(t.sym + "(")
+            write(t.args[0])
+            for a in t.args[1:]:
+                emit(",")
+                write(a)
+            emit(")")
+        else:
+            emit(t.sym)
+
+    for i, t in enumerate(ts):
+        if i:
+            emit(",")
+        write(t)
+    return "".join(out)
 
 
 def canonical_term(t: Term, keep: frozenset[str] = frozenset()) -> Term:

@@ -6,6 +6,7 @@ renaming.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Optional
@@ -16,7 +17,7 @@ from .terms import (
     Signature,
     Term,
     Var,
-    canonical_renaming,
+    canonical_key,
     count_var,
     fn_subterms,
     infer_signature,
@@ -319,11 +320,6 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3,
     return seen, truncated
 
 
-def _pair_key(left: Term, right: Term, overlay: bool) -> tuple:
-    ren = canonical_renaming([left, right])
-    return (overlay, repr(substitute(left, ren)), repr(substitute(right, ren)))
-
-
 def critical_pairs(R: TRS) -> tuple[CriticalPair, ...]:
     """All critical pairs of `R`, deduplicated up to renaming.
 
@@ -346,7 +342,7 @@ def critical_pairs(R: TRS) -> tuple[CriticalPair, ...]:
                     continue
                 left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
                 right = substitute(outer.rhs, sigma)
-                key = _pair_key(left, right, pos == ())
+                key = (pos == (), canonical_key((left, right)))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -397,23 +393,24 @@ def expansion_steps(R: TRS, t: Term, used_names: set[str],
                     size_cap: int = 0) -> Iterator[tuple[Position, int, Term]]:
     """Predecessors of `t`: terms u with u -> t in one step.
 
-    Rule variables absent from the rhs are instantiated with fresh
-    variables, giving the most general predecessor at each position.
+    Rule variables absent from the rhs are instantiated with the first
+    fresh variables w1, w2, ... outside `used_names` and the matched
+    subterm, giving the most general predecessor at each position.
     """
+    dropped = [sorted(variables(r.lhs) - variables(r.rhs)) for r in R.rules]
     for pos, sub in subterms(t):
         for i, rule in enumerate(R.rules):
             sigma = match(rule.rhs, sub)
             if sigma is None:
                 continue
-            sigma = dict(sigma)
-            pool = set(used_names)
-            for x in sorted(variables(rule.lhs) - set(sigma) - variables(rule.rhs)):
-                holes = pool | {n for u in sigma.values() for n in variables(u)}
-                k = 1
-                while f"w{k}" in holes:
+            if dropped[i]:
+                taken = {n for u in sigma.values() for n in variables(u)}
+                k = 0
+                for x in dropped[i]:
                     k += 1
-                sigma[x] = Var(f"w{k}")
-                pool.add(f"w{k}")
+                    while f"w{k}" in used_names or f"w{k}" in taken:
+                        k += 1
+                    sigma[x] = Var(f"w{k}")
             u = replace_at(t, pos, substitute(rule.lhs, sigma))
             if size_cap and term_size(u) > size_cap:
                 continue
@@ -439,39 +436,43 @@ class ConversionClass:
 
 
 def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
-                     max_class: int = 2000) -> ConversionClass:
+                     max_class: int = 2000,
+                     deadline: Optional[float] = None) -> ConversionClass:
     """BFS over the symmetric rewrite relation, both directions bounded.
 
     Fresh variables introduced by reverse steps are deduplicated up to
-    renaming (variables of the seed are kept fixed).
+    renaming (variables of the seed are kept fixed) and are chosen away
+    from every variable of the class.  Past `deadline` (a `time.monotonic`
+    value) the search stops before the next frontier node and returns the
+    class built so far.
     """
     keep = frozenset(variables(seed))
-
-    def key(t: Term) -> str:
-        return repr(substitute(t, canonical_renaming([t], keep, prefix="@")))
-
     cls = ConversionClass(seed, [seed])
-    seen = {key(seed)}
+    seen = {canonical_key((seed,), keep)}
+    # variables of all members, grown as members are added
+    names = set(keep)
     frontier = [seed]
     for _ in range(depth):
         nxt: list[Term] = []
         for u in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                return cls
             candidates: list[ConvStep] = []
             for pos, i, v in rewrite_steps(R, u):
                 candidates.append(ConvStep(u, v, i, pos, True))
-            names = keep | {n for m in cls.members for n in variables(m)}
-            for pos, i, v in expansion_steps(R, u, set(names), size_cap):
+            for pos, i, v in expansion_steps(R, u, names, size_cap):
                 candidates.append(ConvStep(u, v, i, pos, False))
             for step in candidates:
                 v = step.dst
                 if size_cap and term_size(v) > size_cap:
                     continue
-                k = key(v)
+                k = canonical_key((v,), keep)
                 if k in seen:
                     continue
                 seen.add(k)
                 cls.members.append(v)
                 cls.parent[v] = step
+                names |= variables(v)
                 nxt.append(v)
                 if len(cls.members) >= max_class:
                     return cls

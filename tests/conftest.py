@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from uncprover.terms import App, Term, Var
+from uncprover.trs import TRS, RewriteRule
 
 settings.register_profile(
     "det", derandomize=True, max_examples=60, deadline=None,
@@ -31,6 +32,16 @@ def c1(*args):
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c, d = App("a"), App("b"), App("c"), App("d")
+
+
+def ap(*args):
+    return App("ap", args)
+
+
+# combinatory logic: orthogonal, with conversion classes that hit every cap
+S, K, I = App("S"), App("K"), App("I")
+CL = TRS.of([RewriteRule(ap(ap(ap(S, x), y), z), ap(ap(x, z), ap(y, z))),
+             RewriteRule(ap(ap(K, x), y), x), RewriteRule(ap(I, x), x)])
 
 
 @pytest.fixture

@@ -110,6 +110,25 @@ def test_decomposition_across_components(run):
     assert "2 components" in out
 
 
+AC_G = "(VAR x y z)\n(RULES f(f(x,y),z) -> f(x,f(y,z))  f(x,y) -> f(y,x)  g(x) -> g(g(x)))\n"
+
+
+def test_method_names_only_a_decided_answer():
+    pf = parse_cops(AC_G)
+    maybe = prove_unc(pf, StrategyConfig(methods=("sno",)))
+    assert (maybe.answer, maybe.method) == ("MAYBE", None)
+    yes = prove_unc(pf, StrategyConfig(methods=("rr",)))
+    assert (yes.answer, yes.method) == ("YES", "rr")
+    mixed = prove_unc(pf, StrategyConfig(methods=("omega", "rr")))
+    assert (mixed.answer, mixed.method) == ("YES", "rr,omega")
+
+
+def test_method_of_no_is_the_disproving_component():
+    pf = parse_cops("(VAR x)\n(RULES g(x) -> g(g(x))  a -> b  a -> c)\n")
+    res = prove_unc(pf, StrategyConfig(methods=("rr", "cp")))
+    assert (res.answer, res.method) == ("NO", "cp")
+
+
 def test_component_no_decides_whole(run):
     text = "(VAR x)\n(RULES g(x) -> g(g(x))  a -> b  a -> c)\n"
     code, out, _ = run(text, "--certificate")

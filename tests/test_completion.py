@@ -1,3 +1,6 @@
+import time
+
+from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, variables, substitute, canonical_renaming
 from uncprover.trs import (
     TRS,
@@ -19,7 +22,7 @@ from uncprover.completion import (
 )
 from uncprover.config import Budgets
 
-from conftest import a, b, c, d, f, g, h, random_term, x
+from conftest import CL, a, b, c, d, f, g, h, random_term, x
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -198,6 +201,14 @@ def test_disprove_variable_escape():
 
 def test_disprove_orthogonal_silent():
     assert disprove_search(TRS.of([RewriteRule(f(x), x)])) is None
+
+
+def test_cp_stops_at_the_deadline():
+    timeout = 0.05
+    start = time.monotonic()
+    res = prove_unc(CL, StrategyConfig(methods=("cp",), timeout=timeout))
+    assert res.answer == "MAYBE"
+    assert time.monotonic() - start < timeout + 0.1
 
 
 def test_disprove_witnesses_always_validate(rng):

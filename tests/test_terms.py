@@ -1,7 +1,11 @@
 from hypothesis import given
+from hypothesis import strategies as st
 
 from uncprover.terms import (
     Signature,
+    Var,
+    canonical_key,
+    canonical_renaming,
     canonical_term,
     match,
     mgu,
@@ -94,6 +98,48 @@ def test_substitution_preserves_well_formedness(t):
 def test_canonical_term_identifies_renamings():
     assert canonical_term(f(x, g(y))) == canonical_term(f(z, g(x)))
     assert canonical_term(f(x, x)) != canonical_term(f(x, y))
+
+
+# the string keys that canonical_key replaced, as the callers built them
+def _old_class_key(t, keep):
+    return repr(substitute(t, canonical_renaming([t], keep, prefix="@")))
+
+
+def _old_term_key(t):
+    return repr(substitute(t, canonical_renaming([t], prefix="\x00v")))
+
+
+def _old_pair_key(left, right):
+    ren = canonical_renaming([left, right])
+    return (repr(substitute(left, ren)), repr(substitute(right, ren)))
+
+
+XYZ = ("x", "y", "z")
+RENAMINGS = st.sampled_from([
+    {}, {"x": Var("y"), "y": Var("x")}, {"x": Var("z")}, {"y": Var("x")},
+    {"x": Var("y"), "y": Var("z"), "z": Var("x")}])
+
+
+@given(term_strategy(XYZ), term_strategy(XYZ), RENAMINGS,
+       st.sampled_from([frozenset(), frozenset({"x"}), frozenset({"x", "z"})]))
+def test_canonical_key_agrees_with_repr_keys(t1, t2, ren, keep):
+    for u in (t2, substitute(t1, ren)):
+        new_eq = canonical_key((t1,), keep) == canonical_key((u,), keep)
+        assert new_eq == (_old_class_key(t1, keep) == _old_class_key(u, keep))
+        if not keep:
+            assert new_eq == (_old_term_key(t1) == _old_term_key(u))
+    ts = (t1, t2)
+    for other in ((t2, t1), (substitute(t1, ren), substitute(t2, ren))):
+        assert (canonical_key(ts) == canonical_key(other)) \
+            == (_old_pair_key(*ts) == _old_pair_key(*other))
+    image = canonical_renaming(ts, keep, prefix="\x00v")
+    assert canonical_key(ts, keep) == ",".join(repr(substitute(t, image)) for t in ts)
+
+
+def test_canonical_key_keeps_kept_names():
+    assert canonical_key((f(x, y),), frozenset({"x"})) == "f(x,\x00v1)"
+    assert canonical_key((f(x, y), g(y))) == canonical_key((f(y, z), g(z)))
+    assert canonical_key((f(x, y), g(y))) != canonical_key((f(x, y), g(x)))
 
 
 def test_signature_rejects_conflicts():

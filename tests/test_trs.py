@@ -2,15 +2,31 @@ from itertools import product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from uncprover.terms import App, Var, match, substitute, subterms, variables
+import uncprover.trs
+from uncprover.terms import (
+    App,
+    Var,
+    canonical_renaming,
+    match,
+    replace_at,
+    substitute,
+    subterms,
+    term_size,
+    variables,
+)
 from uncprover.trs import (
     TRS,
+    ConversionClass,
+    ConvStep,
     RewriteRule,
     bounded_conversions,
+    conversion_class,
     critical_pairs,
     development_reducts_with_paths,
     development_step_reducts,
+    expansion_steps,
     is_normal_form,
     parallel_step_reducts,
     replay_path,
@@ -18,11 +34,13 @@ from uncprover.trs import (
     trace_valid,
 )
 
-from conftest import a, b, c, f, g, h, random_term, term_strategy, x, y, z
+from conftest import CL, a, b, c, f, g, h, random_term, term_strategy, x, y, z
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
+
+AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
 
 
 def test_rule_validation():
@@ -236,3 +254,128 @@ def test_bounded_conversions_monotone(rng):
         bigger = bounded_conversions(COPS_254, t, 3)
         assert t in smaller
         assert smaller <= bigger
+
+
+# --- conversion classes: the quadratic search as an oracle -------------------
+
+
+def _oracle_expansion_steps(R, t, used_names, size_cap=0):
+    for pos, sub in subterms(t):
+        for i, rule in enumerate(R.rules):
+            sigma = match(rule.rhs, sub)
+            if sigma is None:
+                continue
+            sigma = dict(sigma)
+            pool = set(used_names)
+            for x_ in sorted(variables(rule.lhs) - set(sigma) - variables(rule.rhs)):
+                holes = pool | {n for u in sigma.values() for n in variables(u)}
+                k = 1
+                while f"w{k}" in holes:
+                    k += 1
+                sigma[x_] = Var(f"w{k}")
+                pool.add(f"w{k}")
+            u = replace_at(t, pos, substitute(rule.lhs, sigma))
+            if size_cap and term_size(u) > size_cap:
+                continue
+            yield pos, i, u
+
+
+def _oracle_conversion_class(R, seed, depth, size_cap=40, max_class=2000):
+    """The search before the fresh-name pool was kept incrementally: the
+    pool is rebuilt from every member for each frontier node."""
+    keep = frozenset(variables(seed))
+
+    def key(t):
+        return repr(substitute(t, canonical_renaming([t], keep, prefix="@")))
+
+    cls = ConversionClass(seed, [seed])
+    seen = {key(seed)}
+    frontier = [seed]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            candidates = []
+            for pos, i, v in rewrite_steps(R, u):
+                candidates.append(ConvStep(u, v, i, pos, True))
+            names = keep | {n for m in cls.members for n in variables(m)}
+            for pos, i, v in _oracle_expansion_steps(R, u, set(names), size_cap):
+                candidates.append(ConvStep(u, v, i, pos, False))
+            for step in candidates:
+                v = step.dst
+                if size_cap and term_size(v) > size_cap:
+                    continue
+                k = key(v)
+                if k in seen:
+                    continue
+                seen.add(k)
+                cls.members.append(v)
+                cls.parent[v] = step
+                nxt.append(v)
+                if len(cls.members) >= max_class:
+                    return cls
+        if not nxt:
+            break
+        frontier = nxt
+    return cls
+
+
+def test_expansion_fresh_names_avoid_the_matched_subterm():
+    R = TRS.of([RewriteRule(f(x, y), x)])
+    w1 = Var("w1")
+    assert [u for _, _, u in expansion_steps(R, w1, set())] == [f(w1, Var("w2"))]
+    assert [u for _, _, u in expansion_steps(R, w1, {"w2"})] == [f(w1, Var("w3"))]
+
+
+def _seeds(R):
+    return [t for cp in critical_pairs(R) for t in (cp.left, cp.right)] \
+        + [r.rhs for r in R.rules]
+
+
+def _assert_same_class(R, seed, depth, size_cap, max_class):
+    got = conversion_class(R, seed, depth, size_cap, max_class)
+    want = _oracle_conversion_class(R, seed, depth, size_cap, max_class)
+    assert got.members == want.members
+    assert got.parent == want.parent
+
+
+@pytest.mark.parametrize("R", [CL, AC, COPS_254], ids=["CL", "AC", "COPS_254"])
+def test_conversion_class_matches_quadratic_oracle(R):
+    for seed in _seeds(R)[:4]:
+        _assert_same_class(R, seed, 4, 30, 400)
+
+
+@st.composite
+def small_systems(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(term_strategy(max_leaves=4).filter(lambda t: isinstance(t, App)))
+        rhs = draw(term_strategy(tuple(sorted(variables(lhs))), max_leaves=4))
+        rules.append(RewriteRule(lhs, rhs))
+    return TRS.of(rules)
+
+
+@given(small_systems())
+def test_conversion_class_matches_quadratic_oracle_random(R):
+    for seed in _seeds(R)[:3]:
+        _assert_same_class(R, seed, 3, 20, 150)
+
+
+def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
+    calls = 0
+    real = uncprover.trs.variables
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(uncprover.trs, "variables", counting)
+    seed = CL.rules[0].rhs
+    counts = []
+    for max_class in (500, 2000):
+        calls = 0
+        cls = conversion_class(CL, seed, 5, 40, max_class)
+        assert len(cls.members) == max_class
+        counts.append(calls)
+    # a pool rebuilt from every member per frontier node gives about 16
+    assert counts[1] / counts[0] < 6
