@@ -76,31 +76,35 @@ class ConfluencePredicate:
     """Rule-shape guard plus critical-pair closure test.
 
     Contract: if the guard holds for a TRS and the pair test holds for all
-    its critical pairs, the TRS is confluent.
+    its critical pairs, the TRS is confluent.  The pair test takes an
+    optional `time.monotonic` deadline; past it the searches are cut, which
+    can only make a pair look unclosed.
     """
 
     name: str
     guard: Callable[[TRS], bool]
-    pair_closed: Callable[[TRS, CriticalPair, Budgets], bool]
+    pair_closed: Callable[..., bool]
 
 
-def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
+def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets,
+                          deadline: Optional[float] = None) -> bool:
     u, v = cp.left, cp.right
     reach_u = bounded_reducts(S, u, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class)
+                              budgets.max_class, deadline)
     reach_v = bounded_reducts(S, v, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class)
+                              budgets.max_class, deadline)
     one_u = {u} | reducts(S, u)
     one_v = {v} | reducts(S, v)
     return bool(reach_u & one_v) and bool(one_u & reach_v)
 
 
-def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
-    devs, _ = development_step_reducts(S, cp.left, budgets.dev_cap)
+def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets,
+                             deadline: Optional[float] = None) -> bool:
+    devs, _ = development_step_reducts(S, cp.left, budgets.dev_cap, deadline=deadline)
     if not cp.overlay:
         return cp.right in devs
     reach_v = bounded_reducts(S, cp.right, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class)
+                              budgets.max_class, deadline)
     return bool(devs & reach_v)
 
 
@@ -254,36 +258,48 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     Addition invariant: each added rule l -> r has l convertible to r over
     the *original* system (a trace is kept) and l was reducible when
     added, so the normal forms never change.
+
+    Past `deadline` (a `time.monotonic` value) the answer is MAYBE
+    "timeout".  The deadline reaches the critical pairs, which are then
+    cut whole rather than returned in part, and the closure searches, whose
+    cuts only make pairs look unclosed; so no UNC rests on a truncated
+    search.
     """
     n_original = len(R.rules)
     current = R
     rule_traces: dict[int, Trace] = {}
     added: list[RewriteRule] = []
     added_traces: list[Trace] = []
+
+    def verdict(status: str, reason: str, rounds: int,
+                witness: Optional[Witness] = None) -> Verdict:
+        return Verdict(status, reason, witness, tuple(added), tuple(added_traces),
+                       rounds)
+
+    def timed_out() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     for round_no in range(1, max_rounds + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            return Verdict("MAYBE", "timeout", rounds=round_no - 1,
-                           added_rules=tuple(added), added_traces=tuple(added_traces))
-        cps = critical_pairs(current)
+        if timed_out():
+            return verdict("MAYBE", "timeout", round_no - 1)
+        try:
+            cps = critical_pairs(current, deadline)
+        except TimeoutError:
+            return verdict("MAYBE", "timeout", round_no - 1)
         closed = {}
         for cp in cps:
-            if deadline is not None and time.monotonic() > deadline:
-                return Verdict("MAYBE", "timeout", rounds=round_no - 1,
-                               added_rules=tuple(added),
-                               added_traces=tuple(added_traces))
-            closed[cp] = pred.pair_closed(current, cp, budgets)
+            if timed_out():
+                return verdict("MAYBE", "timeout", round_no - 1)
+            closed[cp] = pred.pair_closed(current, cp, budgets, deadline)
         if pred.guard(current) and all(closed.values()):
-            return Verdict("UNC", f"completion success with {pred.name} predicate",
-                           rounds=round_no, added_rules=tuple(added),
-                           added_traces=tuple(added_traces))
+            return verdict("UNC", f"completion success with {pred.name} predicate",
+                           round_no)
         new_rules: list[tuple[RewriteRule, Trace]] = []
         handled_overlays: set[frozenset[str]] = set()
         known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
         for cp in cps:
-            if deadline is not None and time.monotonic() > deadline:
-                return Verdict("MAYBE", "timeout", rounds=round_no - 1,
-                               added_rules=tuple(added),
-                               added_traces=tuple(added_traces))
+            if timed_out():
+                return verdict("MAYBE", "timeout", round_no - 1)
             if closed[cp] or cp.left == cp.right:
                 continue
             if cp.overlay:
@@ -299,30 +315,21 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
             if u_nf and v_nf:
                 trace = _expand_trace(base, n_original, rule_traces)
-                return Verdict("NOT_UNC", "two distinct convertible normal forms",
-                               witness=Witness(u, v, trace), rounds=round_no,
-                               added_rules=tuple(added),
-                               added_traces=tuple(added_traces))
+                return verdict("NOT_UNC", "two distinct convertible normal forms",
+                               round_no, Witness(u, v, trace))
             if v_nf and not u_nf:
                 if variables(v) - variables(u):
                     expanded = _expand_trace(base, n_original, rule_traces)
-                    w = _escape_witness(expanded, u, v)
-                    return Verdict("NOT_UNC", "normal form drops a variable",
-                                   witness=w, rounds=round_no,
-                                   added_rules=tuple(added),
-                                   added_traces=tuple(added_traces))
+                    return verdict("NOT_UNC", "normal form drops a variable", round_no,
+                                   _escape_witness(expanded, u, v))
                 _add_rule(new_rules, known, RewriteRule(u, v), base)
                 continue
             if u_nf and not v_nf:
-                if variables(u) - variables(v):
-                    rev = tuple(s.reversed_() for s in reversed(base))
-                    expanded = _expand_trace(rev, n_original, rule_traces)
-                    w = _escape_witness(expanded, v, u)
-                    return Verdict("NOT_UNC", "normal form drops a variable",
-                                   witness=w, rounds=round_no,
-                                   added_rules=tuple(added),
-                                   added_traces=tuple(added_traces))
                 rev = tuple(s.reversed_() for s in reversed(base))
+                if variables(u) - variables(v):
+                    expanded = _expand_trace(rev, n_original, rule_traces)
+                    return verdict("NOT_UNC", "normal form drops a variable", round_no,
+                                   _escape_witness(expanded, v, u))
                 _add_rule(new_rules, known, RewriteRule(v, u), rev)
                 continue
             choice = _pick_join(current, u, v, budgets)
@@ -338,9 +345,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                 trace = tuple(base) + fwd
             _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
         if not new_rules:
-            return Verdict("MAYBE", "completion failed: no progress possible",
-                           rounds=round_no, added_rules=tuple(added),
-                           added_traces=tuple(added_traces))
+            return verdict("MAYBE", "completion failed: no progress possible", round_no)
         for rule, trace in new_rules:
             expanded = _expand_trace(trace, n_original, rule_traces)
             idx = len(current.rules)
@@ -348,9 +353,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             rule_traces[idx] = expanded
             added.append(rule)
             added_traces.append(expanded)
-    return Verdict("MAYBE", f"round budget of {max_rounds} exhausted",
-                   rounds=max_rounds, added_rules=tuple(added),
-                   added_traces=tuple(added_traces))
+    return verdict("MAYBE", f"round budget of {max_rounds} exhausted", max_rounds)
 
 
 def _add_rule(new_rules, known, rule: RewriteRule, trace: Trace) -> None:

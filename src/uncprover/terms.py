@@ -6,6 +6,7 @@ indices, the empty tuple being the root.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -101,17 +102,19 @@ def infer_signature(terms: Iterable[Term]) -> Signature:
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
     """All (position, subterm) pairs of `t`, root first, left to right."""
-    yield (), t
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, 1):
-            for p, s in subterms(a):
-                yield (i,) + p, s
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        p, s = stack.pop()
+        yield p, s
+        if type(s) is App:
+            for i in range(len(s.args), 0, -1):
+                stack.append((p + (i,), s.args[i - 1]))
 
 
 def fn_subterms(t: Term) -> Iterator[tuple[Position, Term]]:
     """Like `subterms` but restricted to non-variable subterms."""
     for p, s in subterms(t):
-        if isinstance(s, App):
+        if type(s) is App:
             yield p, s
 
 
@@ -167,28 +170,22 @@ def is_linear(t: Term) -> bool:
 
 def term_size(t: Term) -> int:
     """Number of symbol and variable occurrences."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    n = 0
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        n += 1
+        if type(u) is App:
+            stack.extend(u.args)
+    return n
 
 
 def substitute(t: Term, sigma: Subst) -> Term:
-    if isinstance(t, Var):
+    if type(t) is Var:
         return sigma.get(t.name, t)
-    return App(t.sym, tuple(substitute(a, sigma) for a in t.args))
-
-
-def compose(first: Subst, second: Subst) -> dict[str, Term]:
-    """Substitution equal to applying `first` then `second`."""
-    out: dict[str, Term] = {}
-    for x, t in first.items():
-        u = substitute(t, second)
-        if u != Var(x):
-            out[x] = u
-    for x, t in second.items():
-        if x not in first and t != Var(x):
-            out[x] = t
-    return out
+    if not t.args:
+        return t
+    return App(t.sym, tuple([substitute(a, sigma) for a in t.args]))
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
@@ -197,44 +194,74 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     stack = [(pattern, subject)]
     while stack:
         p, s = stack.pop()
-        if isinstance(p, Var):
+        if type(p) is Var:
             seen = binding.setdefault(p.name, s)
-            if seen != s:
+            if seen is not s and seen != s:
                 return None
-        elif isinstance(s, Var) or p.sym != s.sym or len(p.args) != len(s.args):
+        elif type(s) is Var or p.sym != s.sym or len(p.args) != len(s.args):
             return None
         else:
             stack.extend(zip(p.args, s.args))
-    return {x: t for x, t in binding.items() if t != Var(x)}
+    return {x: t for x, t in binding.items() if type(t) is not Var or t.name != x}
 
 
 def mgu(s: Term, t: Term) -> Optional[dict[str, Term]]:
     """Idempotent most general unifier of `s` and `t`, or None.
 
     Occurs check included; on a variable/variable equation the left
-    variable is eliminated.
+    variable is eliminated.  Bindings are kept in triangular form (a value
+    may mention variables bound later) and resolved once at the end;
+    equations are solved first in, first out, so the unifier and the order
+    of its keys are those of substituting every binding eagerly.
     """
-    subst: dict[str, Term] = {}
-    queue = [(s, t)]
+    bound: dict[str, Term] = {}
+    queue = deque([(s, t)])
     while queue:
-        a, b = queue.pop(0)
-        a, b = substitute(a, subst), substitute(b, subst)
-        if a == b:
-            continue
-        if isinstance(b, Var) and not isinstance(a, Var):
+        a, b = queue.popleft()
+        while type(a) is Var and a.name in bound:
+            a = bound[a.name]
+        while type(b) is Var and b.name in bound:
+            b = bound[b.name]
+        if type(b) is Var and type(a) is not Var:
             a, b = b, a
-        if isinstance(a, Var):
-            if a.name in variables(b):
+        if type(a) is Var:
+            if a == b:
+                continue
+            if _occurs(a.name, b, bound):
                 return None
-            one = {a.name: b}
-            subst = compose(subst, one)
-            subst[a.name] = b
+            bound[a.name] = b
+        elif a.sym != b.sym or len(a.args) != len(b.args):
+            return None
         else:
-            assert isinstance(b, App)
-            if a.sym != b.sym or len(a.args) != len(b.args):
-                return None
             queue.extend(zip(a.args, b.args))
-    return subst
+    resolved: dict[str, Term] = {}
+
+    def resolve(u: Term) -> Term:
+        if type(u) is Var:
+            if u.name not in bound:
+                return u
+            if u.name not in resolved:
+                resolved[u.name] = resolve(bound[u.name])
+            return resolved[u.name]
+        return App(u.sym, tuple(map(resolve, u.args))) if u.args else u
+
+    return {x: resolve(Var(x)) for x in bound}
+
+
+def _occurs(name: str, t: Term, bound: Mapping[str, Term]) -> bool:
+    """Whether variable `name` occurs in `t` with the bindings applied."""
+    stack = [t]
+    followed: set[str] = set()
+    while stack:
+        u = stack.pop()
+        if type(u) is not Var:
+            stack.extend(u.args)
+        elif u.name == name:
+            return True
+        elif u.name in bound and u.name not in followed:
+            followed.add(u.name)
+            stack.append(bound[u.name])
+    return False
 
 
 def unifiable_rational(s: Term, t: Term) -> bool:

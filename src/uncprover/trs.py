@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
@@ -106,6 +107,14 @@ class TRS:
     def non_duplicating(self) -> bool:
         return all(r.non_duplicating for r in self.rules)
 
+    @cached_property
+    def rules_by_root(self) -> dict[str, tuple[tuple[int, RewriteRule], ...]]:
+        """(rule index, rule) pairs by lhs root symbol, in rule order."""
+        index: dict[str, list[tuple[int, RewriteRule]]] = {}
+        for i, r in enumerate(self.rules):
+            index.setdefault(r.lhs.sym, []).append((i, r))
+        return {sym: tuple(rs) for sym, rs in index.items()}
+
     def symbols(self) -> set[str]:
         out: set[str] = set()
         for r in self.rules:
@@ -140,10 +149,12 @@ class CriticalPair:
 
 
 def rewrite_steps(R: TRS, t: Term) -> list[tuple[Position, int, Term]]:
-    """All one-step reducts of `t` with redex position and rule index."""
+    """All one-step reducts of `t` with redex position and rule index,
+    ordered by position (root first, left to right), then rule index."""
+    by_root = R.rules_by_root
     out = []
-    for pos, sub in subterms(t):
-        for i, rule in enumerate(R.rules):
+    for pos, sub in fn_subterms(t):
+        for i, rule in by_root.get(sub.sym, ()):
             sigma = match(rule.lhs, sub)
             if sigma is not None:
                 out.append((pos, i, replace_at(t, pos, substitute(rule.rhs, sigma))))
@@ -155,32 +166,35 @@ def reducts(R: TRS, t: Term) -> set[Term]:
 
 
 def is_normal_form(R: TRS, t: Term) -> bool:
-    for _, sub in subterms(t):
-        for rule in R.rules:
+    by_root = R.rules_by_root
+    for _, sub in fn_subterms(t):
+        for _, rule in by_root.get(sub.sym, ()):
             if match(rule.lhs, sub) is not None:
                 return False
     return True
 
 
 def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
-                    max_terms: int = 0) -> set[Term]:
+                    max_terms: int = 0, deadline: Optional[float] = None) -> set[Term]:
     """Terms reachable from `t` in at most `depth` rewrite steps.
 
     `size_cap` drops oversized reducts, `max_terms` stops the exploration
-    once that many terms were found; both keep the result a sound subset
-    of the reachable terms.
+    once that many terms were found, and past `deadline` (a
+    `time.monotonic` value) it stops before the next frontier term; all
+    three keep the result a sound subset of the reachable terms.
     """
     seen = {t}
     frontier = [t]
     for _ in range(depth):
         nxt = []
         for u in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                return seen
             for v in reducts(R, u):
-                if size_cap and term_size(v) > size_cap:
+                if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
+                seen.add(v)
+                nxt.append(v)
                 if max_terms and len(seen) >= max_terms:
                     return seen
         if not nxt:
@@ -199,9 +213,10 @@ def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
 
     The empty redex set is allowed, so `t` itself is always included.
     """
+    by_root = R.rules_by_root
     by_pos: dict[Position, list[Term]] = {}
-    for pos, sub in subterms(t):
-        for rule in R.rules:
+    for pos, sub in fn_subterms(t):
+        for _, rule in by_root.get(sub.sym, ()):
             sigma = match(rule.lhs, sub)
             if sigma is not None:
                 by_pos.setdefault(pos, []).append(substitute(rule.rhs, sigma))
@@ -246,7 +261,7 @@ def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
         for i, new_arg in enumerate(combo):
             path.extend(((i + 1,) + p, ri) for p, ri in arg_maps[i][new_arg])
         out.setdefault(u, tuple(path))
-    for ri, rule in enumerate(R.rules):
+    for ri, rule in R.rules_by_root.get(t.sym, ()):
         sigma = match(rule.lhs, t)
         if sigma is None:
             continue
@@ -289,13 +304,15 @@ def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
     return steps
 
 
-def development_step_reducts(R: TRS, t: Term, cap: int = 3,
-                             max_terms: int = 4096) -> tuple[set[Term], bool]:
+def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 4096,
+                             deadline: Optional[float] = None,
+                             ) -> tuple[set[Term], bool]:
     """Multistep reducts of `t`, with a truncation flag.
 
     For left-linear systems this is one exact multistep.  Otherwise the
     multistep is over-approximated by up to `cap` iterated parallel steps,
-    still a sound subset of many-step rewriting.
+    still a sound subset of many-step rewriting; past `deadline` that
+    iteration stops before the next frontier term and reports truncation.
     """
     if R.left_linear:
         out = set(development_reducts_with_paths(R, t))
@@ -306,6 +323,8 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3,
     for _ in range(cap):
         nxt = []
         for u in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                return seen, True
             for v in parallel_step_reducts(R, u):
                 if v not in seen:
                     seen.add(v)
@@ -320,23 +339,33 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3,
     return seen, truncated
 
 
-def critical_pairs(R: TRS) -> tuple[CriticalPair, ...]:
+def critical_pairs(R: TRS, deadline: Optional[float] = None,
+                   ) -> tuple[CriticalPair, ...]:
     """All critical pairs of `R`, deduplicated up to renaming.
 
     Every ordered rule pair is overlapped, including a rule with its own
     renamed copy; the root overlap of a rule with itself is excluded.
+    Past `deadline` (a `time.monotonic` value, checked once per ordered
+    rule pair) it raises `TimeoutError`, so no caller sees a partial list.
     """
     out: list[CriticalPair] = []
     seen: set[tuple] = set()
     for oi, outer in enumerate(R.rules):
         used = variables(outer.lhs) | variables(outer.rhs)
+        sites = list(fn_subterms(outer.lhs))
         for ii, inner0 in enumerate(R.rules):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("critical pairs cut at the deadline")
+            root = inner0.lhs.sym
+            # only a site with the inner lhs's root symbol can unify
+            overlaps = [(pos, sub) for pos, sub in sites
+                        if sub.sym == root and (pos or ii != oi)]
+            if not overlaps:
+                continue
             ren = renaming_apart(
                 sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
             inner = inner0.rename(ren)
-            for pos, sub in fn_subterms(outer.lhs):
-                if pos == () and ii == oi:
-                    continue
+            for pos, sub in overlaps:
                 sigma = mgu(inner.lhs, sub)
                 if sigma is None:
                     continue

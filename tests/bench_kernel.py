@@ -1,0 +1,46 @@
+"""Microbenchmarks of the rewrite and unification kernel under completion.
+
+Run with `pytest tests/bench_kernel.py`; the file name is outside the
+`test_*.py` pattern, so the test suite does not collect it.
+"""
+import pytest
+
+from uncprover.completion import DEVELOPMENT_CLOSED, rule_reverse, unc_complete
+from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
+from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
+
+from conftest import a, b, c, f, x, y, z
+
+COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
+
+
+def test_rewrite_steps_multistep_family(benchmark):
+    # a -> b, a -> c, g(a,...,a) -> d: every argument is a redex
+    n = 8
+    t = App("g", (a,) * n)
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c), RewriteRule(t, App("d"))])
+    steps = benchmark(rewrite_steps, R, t)
+    assert len(steps) == 1 + 2 * n
+
+
+def test_mgu_cops126_overlap(benchmark):
+    # the rule's lhs against its renamed copy's lhs at position 1
+    rule = COPS_126.rules[0]
+    ren = renaming_apart(sorted(variables(rule.lhs)), set(variables(rule.lhs)))
+    inner = rule.rename(ren)
+    sigma = benchmark(mgu, inner.lhs, subterm_at(rule.lhs, (1,)))
+    assert sigma == {"x": f(Var("x1"), Var("y1")), "z1": y}
+
+
+@pytest.fixture(scope="module")
+def cops126_round3():
+    """The system the third completion round of rev+dc sees on COPS_126."""
+    R = rule_reverse(COPS_126)
+    verdict = unc_complete(R, DEVELOPMENT_CLOSED, max_rounds=2)
+    return TRS(R.signature, R.rules + verdict.added_rules)
+
+
+def test_critical_pairs_cops126_round3(benchmark, cops126_round3):
+    cps = benchmark.pedantic(critical_pairs, args=(cops126_round3,), rounds=3,
+                             iterations=1)
+    assert len(cops126_round3.rules) == 42 and len(cps) == 10096

@@ -1,17 +1,26 @@
+import math
 import time
+from types import SimpleNamespace
 
+import pytest
+
+import uncprover.trs
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, variables, substitute, canonical_renaming
 from uncprover.trs import (
     TRS,
     RewriteRule,
     bounded_conversions,
+    bounded_reducts,
+    critical_pairs,
+    development_step_reducts,
     is_normal_form,
     trace_valid,
 )
 from uncprover.completion import (
     DEVELOPMENT_CLOSED,
     STRONGLY_CLOSED,
+    ConfluencePredicate,
     direct_sum_decompose,
     disprove_search,
     rule_reverse,
@@ -20,9 +29,9 @@ from uncprover.completion import (
     unc_complete,
     validate_witness,
 )
-from uncprover.config import Budgets
+from uncprover.config import DEFAULT_BUDGETS, Budgets
 
-from conftest import CL, a, b, c, d, f, g, h, random_term, x
+from conftest import CL, a, b, c, d, f, g, h, random_term, x, y, z
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -106,6 +115,70 @@ def test_completion_respects_deadline():
     import time
     verdict = unc_complete(COPS_254, STRONGLY_CLOSED, deadline=time.monotonic() - 1)
     assert verdict.status == "MAYBE" and "timeout" in verdict.reason
+
+
+COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
+
+
+def test_completion_stops_at_the_deadline():
+    timeout = 1.0
+    start = time.monotonic()
+    res = prove_unc(COPS_126, StrategyConfig(methods=("rev+dc",), timeout=timeout))
+    assert res.answer == "MAYBE"
+    assert time.monotonic() - start < timeout + 0.3
+
+
+def test_critical_pairs_past_the_deadline_give_no_partial_list():
+    with pytest.raises(TimeoutError):
+        critical_pairs(COPS_254, deadline=time.monotonic() - 1)
+    for R in (COPS_254, COPS_126, TRS.of([RewriteRule(f(x), x)])):
+        for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+            verdict = unc_complete(R, pred, deadline=time.monotonic() - 1)
+            assert verdict.status == "MAYBE" and verdict.reason == "timeout"
+
+
+def test_deadline_inside_critical_pairs_never_gives_unc(monkeypatch):
+    # a linear NOT-UNC system: an empty or partial pair list would pass
+    # the strongly-closed test; the deadline passes only inside trs
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
+    monkeypatch.setattr(uncprover.trs, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+        verdict = unc_complete(R, pred, deadline=time.monotonic() + 60)
+        assert verdict.status == "MAYBE" and verdict.reason == "timeout"
+
+
+def test_completion_passes_its_deadline_to_the_pair_test():
+    received = []
+
+    def pair_closed(S, cp, budgets, deadline=None):
+        received.append(deadline)
+        return True
+
+    deadline = time.monotonic() + 60
+    verdict = unc_complete(COPS_254, ConfluencePredicate("any", lambda S: True, pair_closed),
+                           deadline=deadline)
+    assert verdict.status == "UNC"
+    assert received and set(received) == {deadline}
+
+
+def test_closure_searches_cut_at_the_deadline_only_shrink():
+    past = time.monotonic() - 1
+    S = TRS.of([RewriteRule(f(x, x), a), RewriteRule(g(x), f(x, x)), RewriteRule(b, a)])
+    assert bounded_reducts(S, g(b), 5, deadline=past) == {g(b)}
+    assert bounded_reducts(S, g(b), 5) == {g(b), f(b, b), g(a), a, f(a, b), f(b, a),
+                                            f(a, a)}
+    assert development_step_reducts(S, g(b), deadline=past) == ({g(b)}, True)
+    # pairs <g(b), b> and <b, g(b)>: closed, but past the deadline the reach
+    # and development sets shrink to the pair's own sides (h keeps the
+    # system non-left-linear, so dc iterates parallel steps)
+    S = TRS.of([RewriteRule(a, b), RewriteRule(a, g(b)), RewriteRule(g(x), x),
+                RewriteRule(h(x, x), x)])
+    cps = critical_pairs(S)
+    assert [(cp.left, cp.right) for cp in cps] == [(g(b), b), (b, g(b))]
+    for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+        assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS) for cp in cps] == [True, True]
+        assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS, past)
+                for cp in cps] == [False, False]
 
 
 # --- rule reversing --------------------------------------------------------------

@@ -20,6 +20,8 @@ from uncprover.terms import (
 
 from conftest import a, b, f, g, term_strategy, x, y, z
 
+XYZ = ("x", "y", "z")
+
 
 def test_match_basics():
     assert match(f(x, x), f(a, a)) == {"x": a}
@@ -58,6 +60,75 @@ def test_mgu_sound_idempotent_symmetric(s, t):
     assert substitute(s, sigma) == substitute(t, sigma)
     for val in sigma.values():
         assert substitute(val, sigma) == val  # idempotence
+
+
+# oracle: eager-substitution unification, whose unifiers and key order the
+# triangular `mgu` must reproduce exactly
+def _compose(first, second):
+    out = {}
+    for x_, t in first.items():
+        u = substitute(t, second)
+        if u != Var(x_):
+            out[x_] = u
+    for x_, t in second.items():
+        if x_ not in first and t != Var(x_):
+            out[x_] = t
+    return out
+
+
+def _oracle_mgu(s, t):
+    subst = {}
+    queue = [(s, t)]
+    while queue:
+        a_, b_ = queue.pop(0)
+        a_, b_ = substitute(a_, subst), substitute(b_, subst)
+        if a_ == b_:
+            continue
+        if isinstance(b_, Var) and not isinstance(a_, Var):
+            a_, b_ = b_, a_
+        if isinstance(a_, Var):
+            if a_.name in variables(b_):
+                return None
+            subst = _compose(subst, {a_.name: b_})
+            subst[a_.name] = b_
+        else:
+            if a_.sym != b_.sym or len(a_.args) != len(b_.args):
+                return None
+            queue.extend(zip(a_.args, b_.args))
+    return subst
+
+
+def _assert_same_unifier(s, t):
+    got, want = mgu(s, t), _oracle_mgu(s, t)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want
+        assert list(got) == list(want)
+
+
+@given(term_strategy(XYZ, max_leaves=8), term_strategy(XYZ, max_leaves=8))
+def test_mgu_matches_eager_oracle(s, t):
+    _assert_same_unifier(s, t)
+    _assert_same_unifier(t, s)
+    _assert_same_unifier(f(s, t), f(t, s))
+
+
+def test_mgu_matches_eager_oracle_on_edge_cases():
+    cases = [
+        (x, x), (x, y), (y, x), (f(x, y), f(y, x)), (f(x, y), f(y, z)),
+        (x, g(x)), (f(x, g(x)), f(y, y)), (f(x, y), f(g(y), g(x))),
+        (f(x, f(y, z)), f(g(y), f(g(z), a))),
+        (f(f(x, y), z), f(f(z, x), g(y))),
+        (f(x, x), f(y, g(y))), (g(x), f(x, y)), (f(x, a), f(b, y)),
+    ]
+    for s, t in cases:
+        _assert_same_unifier(s, t)
+        _assert_same_unifier(t, s)
+    # the left variable of a variable/variable equation is eliminated
+    assert list(mgu(f(x, y), f(y, z)).items()) == [("x", z), ("y", z)]
+    # the occurs check looks through earlier bindings
+    assert mgu(f(x, y), f(g(y), g(x))) is None
 
 
 def test_rational_unification_examples():
@@ -114,7 +185,6 @@ def _old_pair_key(left, right):
     return (repr(substitute(left, ren)), repr(substitute(right, ren)))
 
 
-XYZ = ("x", "y", "z")
 RENAMINGS = st.sampled_from([
     {}, {"x": Var("y"), "y": Var("x")}, {"x": Var("z")}, {"y": Var("x")},
     {"x": Var("y"), "y": Var("z"), "z": Var("x")}])

@@ -379,3 +379,163 @@ def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
         counts.append(calls)
     # a pool rebuilt from every member per frontier node gives about 16
     assert counts[1] / counts[0] < 6
+
+
+# --- the root-symbol rule index: unindexed copies as oracles -----------------
+
+
+def _subterms_rec(t, pos=()):
+    yield pos, t
+    if isinstance(t, App):
+        for i, arg in enumerate(t.args, 1):
+            yield from _subterms_rec(arg, pos + (i,))
+
+
+def _unindexed_rewrite_steps(R, t):
+    out = []
+    for pos, sub in _subterms_rec(t):
+        for i, rule in enumerate(R.rules):
+            sigma = match(rule.lhs, sub)
+            if sigma is not None:
+                out.append((pos, i, replace_at(t, pos, substitute(rule.rhs, sigma))))
+    return out
+
+
+def _unindexed_is_normal_form(R, t):
+    return all(match(rule.lhs, sub) is None
+               for _, sub in _subterms_rec(t) for rule in R.rules)
+
+
+def _unindexed_parallel_step_reducts(R, t):
+    by_pos = {}
+    for pos, sub in _subterms_rec(t):
+        for rule in R.rules:
+            sigma = match(rule.lhs, sub)
+            if sigma is not None:
+                by_pos.setdefault(pos, []).append(substitute(rule.rhs, sigma))
+    positions = sorted(by_pos)
+    out = set()
+
+    def go(i, chosen):
+        if i == len(positions):
+            for combo in product(*[by_pos[p] for p in chosen]):
+                u = t
+                for p, s in zip(chosen, combo):
+                    u = replace_at(u, p, s)
+                out.add(u)
+            return
+        go(i + 1, chosen)
+        p = positions[i]
+        if all(p[:len(q)] != q and q[:len(p)] != p for q in chosen):
+            go(i + 1, chosen + [p])
+
+    go(0, [])
+    return out
+
+
+def _unindexed_multistep(R, t, memo):
+    if t in memo:
+        return memo[t]
+    if isinstance(t, Var):
+        memo[t] = {t: ()}
+        return memo[t]
+    out = {}
+    arg_maps = [_unindexed_multistep(R, a_, memo) for a_ in t.args]
+    for combo in product(*[sorted(m, key=repr) for m in arg_maps]):
+        path = []
+        for i, new_arg in enumerate(combo):
+            path.extend(((i + 1,) + p, ri) for p, ri in arg_maps[i][new_arg])
+        out.setdefault(App(t.sym, combo), tuple(path))
+    for ri, rule in enumerate(R.rules):
+        sigma = match(rule.lhs, t)
+        if sigma is None:
+            continue
+        names = sorted(variables(rule.rhs))
+        value_maps = {n: _unindexed_multistep(R, sigma.get(n, Var(n)), memo)
+                      for n in names}
+        var_slots = [(p, s.name) for p, s in _subterms_rec(rule.rhs) if isinstance(s, Var)]
+        for values in product(*[sorted(value_maps[n], key=repr) for n in names]):
+            tau = dict(zip(names, values))
+            path = [((), ri)]
+            for p, name in var_slots:
+                path.extend((p + q, rj) for q, rj in value_maps[name][tau[name]])
+            out.setdefault(substitute(rule.rhs, tau), tuple(path))
+    memo[t] = out
+    return out
+
+
+def _random_system(rnd):
+    rules = []
+    for _ in range(rnd.randint(1, 3)):
+        lhs = random_term(rnd, depth=2)
+        while isinstance(lhs, Var):
+            lhs = random_term(rnd, depth=2)
+        rhs = random_term(rnd, depth=1)
+        if variables(rhs) - variables(lhs):
+            rhs = a
+        rules.append(RewriteRule(lhs, rhs))
+    return TRS.of(rules)
+
+
+def _multistep_family(n):
+    """a -> b, a -> c, g(a,...,a) -> d with n arguments."""
+    return (TRS.of([RewriteRule(a, b), RewriteRule(a, c),
+                    RewriteRule(App("g", (a,) * n), App("d"))]),
+            App("g", (a,) * n))
+
+
+def _assert_index_agrees(R, t):
+    assert rewrite_steps(R, t) == _unindexed_rewrite_steps(R, t)
+    assert is_normal_form(R, t) == _unindexed_is_normal_form(R, t)
+    assert parallel_step_reducts(R, t) == _unindexed_parallel_step_reducts(R, t)
+    got = development_reducts_with_paths(R, t)
+    want = _unindexed_multistep(R, t, {})
+    assert list(got.items()) == list(want.items())
+
+
+def test_rule_index_agrees_with_unindexed_search_on_random_systems(rng):
+    for _ in range(150):
+        R = _random_system(rng)
+        for _ in range(4):
+            t = random_term(rng, depth=3)
+            _assert_index_agrees(R, t)
+            for _, _, u in rewrite_steps(R, t)[:3]:
+                _assert_index_agrees(R, u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rule_index_agrees_with_unindexed_search_on_multistep_family(n):
+    R, t = _multistep_family(n)
+    for s in [t, App("g", (b,) + (a,) * (n - 1)), App("d"), f(t, a), g(t)]:
+        _assert_index_agrees(R, s)
+
+
+def test_rule_index_keeps_rule_order_per_root():
+    R = TRS.of([RewriteRule(f(x, a), x), RewriteRule(a, b), RewriteRule(f(a, x), x),
+                RewriteRule(g(x), x), RewriteRule(a, c)])
+    assert R.rules_by_root == {
+        "f": ((0, R.rules[0]), (2, R.rules[2])),
+        "a": ((1, R.rules[1]), (4, R.rules[4])),
+        "g": ((3, R.rules[3]),),
+    }
+    assert rewrite_steps(R, f(a, a)) == [
+        ((), 0, a), ((), 2, a), ((1,), 1, f(b, a)), ((1,), 4, f(c, a)),
+        ((2,), 1, f(a, b)), ((2,), 4, f(a, c))]
+
+
+def test_rewrite_steps_matches_only_rules_with_the_subterm_root(monkeypatch):
+    calls = []
+    real = uncprover.trs.match
+
+    def counting(pattern, subject):
+        calls.append((pattern.sym, subject))
+        return real(pattern, subject)
+
+    monkeypatch.setattr(uncprover.trs, "match", counting)
+    n = 6
+    R, t = _multistep_family(n)
+    R = TRS.of(R.rules + (RewriteRule(f(x, y), x),))
+    rewrite_steps(R, f(t, x))
+    assert all(isinstance(s, App) and s.sym == root for root, s in calls)
+    # f at the root, g below it, then n times a (two rules each)
+    assert len(calls) == 1 + 1 + 2 * n
