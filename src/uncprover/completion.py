@@ -23,7 +23,6 @@ from .terms import (
     fn_subterms,
     fresh_name,
     match,
-    mgu,
     renaming_apart,
     replace_at,
     substitute,
@@ -149,30 +148,6 @@ def _expand_trace(steps: Iterable[ConvStep], n_original: int,
             expanded = [s.reversed_() for s in reversed(expanded)]
         out.extend(expanded)
     return tuple(out)
-
-
-def _peak_trace(S: TRS, cp: CriticalPair) -> Optional[Trace]:
-    """Conversion left <- peak -> right, reconstructed from the sources.
-
-    Replays the same renaming and unification as the critical pair
-    computation, so the terms line up with the stored pair.
-    """
-    outer = S.rules[cp.outer]
-    inner0 = S.rules[cp.inner]
-    used = variables(outer.lhs) | variables(outer.rhs)
-    ren = renaming_apart(
-        sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
-    inner = inner0.rename(ren)
-    sigma = mgu(inner.lhs, subterm_at(outer.lhs, cp.pos))
-    if sigma is None:
-        return None
-    peak = substitute(outer.lhs, sigma)
-    left = substitute(replace_at(outer.lhs, cp.pos, inner.rhs), sigma)
-    right = substitute(outer.rhs, sigma)
-    if left != cp.left or right != cp.right:
-        return None
-    return (ConvStep(cp.left, peak, cp.inner, cp.pos, False),
-            ConvStep(peak, cp.right, cp.outer, (), True))
 
 
 def _escape_witness(trace_s_to_t: Trace, s: Term, t: Term) -> Witness:
@@ -308,9 +283,9 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                 if key in handled_overlays:
                     continue
                 handled_overlays.add(key)
-            base = _peak_trace(current, cp)
-            if base is None:
-                continue
+            # left <- peak -> right
+            base = (ConvStep(cp.left, cp.peak, cp.inner, cp.pos, False),
+                    ConvStep(cp.peak, cp.right, cp.outer, (), True))
             u, v = cp.left, cp.right
             u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
             if u_nf and v_nf:

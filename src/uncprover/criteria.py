@@ -3,14 +3,17 @@
 Two families:
 
 * overlap tests (strong non-overlap, non-omega-overlap) and right
-  reducibility, which are plain decision procedures on the TRS;
+  reducibility, which are plain decision procedures on the TRS; the omega
+  test unifies the overlap sites of `trs.overlaps` over rational trees;
 
 * closure conditions on conditional critical pairs of a linearization
   (parallel closed, strongly closed, weight-decreasing joinability).
-  Condition entailment is approximated by congruence closure, and the
-  weight-decreasing check works with ranked conversion sets: states pair a
-  multiset of still-usable assumption equations with a term, one rewrite
-  step costs one rank unit, and equations are consumed one use each.
+  Condition entailment is approximated by congruence closure; the closure
+  searches are `trs.reach` and `trs.parallel_steps` over conditional
+  steps.  The weight-decreasing check works with ranked conversion sets:
+  states pair a multiset of still-usable assumption equations with a term,
+  one rewrite step costs one rank unit, and equations are consumed one use
+  each.
 """
 from __future__ import annotations
 
@@ -33,15 +36,15 @@ from .terms import (
     Term,
     Var,
     match,
-    term_size,
     renaming_apart,
     replace_at,
     substitute,
+    subterm_at,
     subterms,
     unifiable_rational,
     variables,
 )
-from .trs import TRS, fn_subterms, is_normal_form
+from .trs import TRS, is_normal_form, overlaps, parallel_steps, reach
 
 Multiset = tuple[Equation, ...]
 
@@ -81,18 +84,8 @@ def strongly_non_overlapping(R: TRS) -> bool:
 
 def non_omega_overlapping(R: TRS) -> bool:
     """No two rule lhs's overlap even over infinite (rational) trees."""
-    for oi, outer in enumerate(R.rules):
-        used = variables(outer.lhs) | variables(outer.rhs)
-        for ii, inner0 in enumerate(R.rules):
-            ren = renaming_apart(
-                sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
-            inner = inner0.rename(ren)
-            for pos, sub in fn_subterms(outer.lhs):
-                if pos == () and ii == oi:
-                    continue
-                if unifiable_rational(inner.lhs, sub):
-                    return False
-    return True
+    return not any(unifiable_rational(inner.lhs, sub)
+                   for _, _, _, inner, sub in overlaps(R.rules))
 
 
 def right_reducible(R: TRS) -> bool:
@@ -120,38 +113,13 @@ def conditional_one_step(C: CTRS, t: Term, holds: Entails,
     return out
 
 
-def _disjoint(p, q) -> bool:
-    n = min(len(p), len(q))
-    return p[:n] != q[:n]
-
-
 def conditional_parallel(C: CTRS, t: Term, holds: Entails,
                          ) -> dict[Term, tuple[tuple[tuple[int, ...], int], ...]]:
     """Parallel-step reducts with one witnessing redex set each."""
     by_pos: dict[tuple[int, ...], list[tuple[int, Term]]] = {}
     for pos, i, u in conditional_one_step(C, t, holds):
-        sub = u
-        for k in pos:
-            sub = sub.args[k - 1]
-        by_pos.setdefault(pos, []).append((i, sub))
-    positions = sorted(by_pos)
-    out: dict[Term, tuple] = {t: ()}
-
-    def go(i: int, chosen: list) -> None:
-        if i == len(positions):
-            for combo in product(*[by_pos[p] for p in chosen]):
-                u = t
-                for p, (ri, s) in zip(chosen, combo):
-                    u = replace_at(u, p, s)
-                out.setdefault(u, tuple((p, ri) for p, (ri, _) in zip(chosen, combo)))
-            return
-        go(i + 1, chosen)
-        p = positions[i]
-        if all(_disjoint(p, q) for q in chosen):
-            go(i + 1, chosen + [p])
-
-    go(0, [])
-    return out
+        by_pos.setdefault(pos, []).append((i, subterm_at(u, pos)))
+    return parallel_steps(t, by_pos)
 
 
 def conditional_reach(C: CTRS, t: Term, holds: Entails, depth: int,
@@ -159,23 +127,8 @@ def conditional_reach(C: CTRS, t: Term, holds: Entails, depth: int,
                       ) -> tuple[set[Term], bool]:
     """Terms reachable in at most `depth` conditional steps, plus a flag
     telling whether the search was cut off with the frontier still open."""
-    seen = {t}
-    frontier = [t]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for _, _, v in conditional_one_step(C, u, holds):
-                if size_cap and term_size(v) > size_cap:
-                    continue
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                if max_terms and len(seen) >= max_terms:
-                    return seen, True
-        if not nxt:
-            return seen, False
-        frontier = nxt
-    return seen, bool(frontier)
+    return reach(lambda u: (v for _, _, v in conditional_one_step(C, u, holds)),
+                 t, depth, size_cap, max_terms)
 
 
 def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:

@@ -1,6 +1,9 @@
 """Conditional rewrite systems, linearizations, conditional critical pairs,
 and congruence closure for condition entailment.
 
+Conditional critical pairs are built from the overlap sites of
+`trs.overlaps`, the same sites that give the plain critical pairs.
+
 Only the semi-equational reading of conditions is relevant here, and it is
 never rewritten with directly: criteria work on conditional critical pairs
 whose condition part is handled by congruence closure or by the ranked
@@ -19,19 +22,17 @@ from .terms import (
     Var,
     canonical_renaming,
     count_var,
-    fn_subterms,
     fresh_name,
     infer_signature,
     is_linear,
     mgu,
-    renaming_apart,
     replace_at,
     substitute,
     subterms,
     var_occurrences,
     variables,
 )
-from .trs import TRS
+from .trs import TRS, overlaps
 
 
 @dataclass(frozen=True)
@@ -284,26 +285,20 @@ def conditional_critical_pairs(C: CTRS) -> tuple[ConditionalCriticalPair, ...]:
     """All conditional critical pairs of `C`, deduplicated up to renaming."""
     out: list[ConditionalCriticalPair] = []
     seen: set[tuple] = set()
-    for oi, outer in enumerate(C.rules):
-        used = outer.all_variables()
-        for ii, inner0 in enumerate(C.rules):
-            ren = renaming_apart(sorted(inner0.all_variables()), set(used))
-            inner = inner0.rename(ren)
-            for pos, sub in fn_subterms(outer.lhs):
-                if pos == () and ii == oi:
-                    continue
-                sigma = mgu(inner.lhs, sub)
-                if sigma is None:
-                    continue
-                left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
-                right = substitute(outer.rhs, sigma)
-                gamma = tuple(c.subst(sigma) for c in inner.conditions + outer.conditions)
-                ccp = ConditionalCriticalPair(gamma, left, right, pos == (), oi, ii, pos)
-                key = _ccp_key(ccp)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(ccp)
+    for oi, ii, pos, inner, sub in overlaps(C.rules):
+        sigma = mgu(inner.lhs, sub)
+        if sigma is None:
+            continue
+        outer = C.rules[oi]
+        left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
+        right = substitute(outer.rhs, sigma)
+        gamma = tuple(c.subst(sigma) for c in inner.conditions + outer.conditions)
+        ccp = ConditionalCriticalPair(gamma, left, right, pos == (), oi, ii, pos)
+        key = _ccp_key(ccp)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(ccp)
     return tuple(out)
 
 

@@ -14,7 +14,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 HOLE = "\x00hole"
 
 
-@dataclass(frozen=True)
+# Slotted: no instance dict per node, since critical pairs and reach sets
+# keep many terms alive at once.
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -22,7 +24,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     sym: str
     args: tuple["Term", ...] = ()

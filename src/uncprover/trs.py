@@ -1,5 +1,11 @@
 """Unconditional rewrite systems: rewriting, closures of steps, critical pairs.
 
+Three searches here serve the conditional systems of `ctrs` and `criteria`
+as well: `overlaps` yields the overlap sites from which critical pairs,
+conditional critical pairs and the omega test are built, `reach` is the
+bounded breadth-first search over any one-step relation, and
+`parallel_steps` combines the redexes at disjoint positions.
+
 All operations are pure; step budgets are per call.  Result sets are
 deduplicated literally except for critical pairs, which are identified up to
 renaming.
@@ -10,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     App,
@@ -28,6 +34,7 @@ from .terms import (
     renaming_apart,
     replace_at,
     substitute,
+    subterm_at,
     subterms,
     term_size,
     variables,
@@ -70,6 +77,9 @@ class RewriteRule:
 
     def rename(self, sigma) -> "RewriteRule":
         return RewriteRule(substitute(self.lhs, sigma), substitute(self.rhs, sigma))
+
+    def all_variables(self) -> set[str]:
+        return variables(self.lhs) | variables(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ class CriticalPair:
     """Pair <outer-lhs-with-inner-reduct, outer-rhs> from a unifiable overlap.
 
     `left` is the result of the inner step, `right` the result of the outer
-    (root) step; `pos` is the overlap position inside the outer lhs.
+    (root) step; `pos` is the overlap position inside the outer lhs, and
+    `peak` the outer lhs under the unifier, from which both steps start.
     """
 
     left: Term
@@ -139,6 +150,7 @@ class CriticalPair:
     outer: int
     inner: int
     pos: Position
+    peak: Term
 
     @property
     def kind(self) -> str:
@@ -174,14 +186,16 @@ def is_normal_form(R: TRS, t: Term) -> bool:
     return True
 
 
-def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
-                    max_terms: int = 0, deadline: Optional[float] = None) -> set[Term]:
-    """Terms reachable from `t` in at most `depth` rewrite steps.
+def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
+          size_cap: int = 0, max_terms: int = 0, deadline: Optional[float] = None,
+          ) -> tuple[set[Term], bool]:
+    """Terms reachable from `t` in at most `depth` applications of `step`,
+    plus a flag telling whether the search was cut with the frontier open.
 
-    `size_cap` drops oversized reducts, `max_terms` stops the exploration
-    once that many terms were found, and past `deadline` (a
-    `time.monotonic` value) it stops before the next frontier term; all
-    three keep the result a sound subset of the reachable terms.
+    `size_cap` drops oversized terms, `max_terms` stops the search once
+    that many terms were found, and past `deadline` (a `time.monotonic`
+    value) it stops before the next frontier term; each cut sets the flag
+    and keeps the result a sound subset of the reachable terms.
     """
     seen = {t}
     frontier = [t]
@@ -189,18 +203,25 @@ def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
         nxt = []
         for u in frontier:
             if deadline is not None and time.monotonic() > deadline:
-                return seen
-            for v in reducts(R, u):
+                return seen, True
+            for v in step(u):
                 if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
                 seen.add(v)
                 nxt.append(v)
                 if max_terms and len(seen) >= max_terms:
-                    return seen
+                    return seen, True
         if not nxt:
-            break
+            return seen, False
         frontier = nxt
-    return seen
+    return seen, bool(frontier)
+
+
+def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
+                    max_terms: int = 0, deadline: Optional[float] = None) -> set[Term]:
+    """Terms reachable from `t` in at most `depth` rewrite steps, cut as
+    `reach` cuts."""
+    return reach(lambda u: reducts(R, u), t, depth, size_cap, max_terms, deadline)[0]
 
 
 def _disjoint(p: Position, q: Position) -> bool:
@@ -208,29 +229,30 @@ def _disjoint(p: Position, q: Position) -> bool:
     return p[:n] != q[:n]
 
 
-def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
-    """Reducts of `t` under one parallel step (any set of disjoint redexes).
+#: A parallel step's redexes: (position, rule index) pairs.
+RedexSet = tuple[tuple[Position, int], ...]
 
-    The empty redex set is allowed, so `t` itself is always included.
+
+def parallel_steps(t: Term, by_pos: dict[Position, Sequence[tuple[int, Term]]],
+                   ) -> dict[Term, RedexSet]:
+    """Reducts of `t` under one parallel step, each with the first redex set
+    that gives it.
+
+    `by_pos` maps each redex position of `t` to its (rule index, contractum)
+    pairs; a step contracts any set of redexes at disjoint positions.  The
+    empty redex set comes first, so `t` itself maps to `()`.
     """
-    by_root = R.rules_by_root
-    by_pos: dict[Position, list[Term]] = {}
-    for pos, sub in fn_subterms(t):
-        for _, rule in by_root.get(sub.sym, ()):
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                by_pos.setdefault(pos, []).append(substitute(rule.rhs, sigma))
     positions = sorted(by_pos)
-    out: set[Term] = set()
+    out: dict[Term, RedexSet] = {}
 
     def go(i: int, chosen: list[Position]) -> None:
         if i == len(positions):
-            options = [by_pos[p] for p in chosen]
-            for combo in product(*options):
+            for combo in product(*[by_pos[p] for p in chosen]):
                 u = t
-                for p, s in zip(chosen, combo):
+                for p, (_, s) in zip(chosen, combo):
                     u = replace_at(u, p, s)
-                out.add(u)
+                if u not in out:
+                    out[u] = tuple((p, ri) for p, (ri, _) in zip(chosen, combo))
             return
         go(i + 1, chosen)
         p = positions[i]
@@ -239,6 +261,21 @@ def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
 
     go(0, [])
     return out
+
+
+def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
+    """Reducts of `t` under one parallel step (any set of disjoint redexes).
+
+    The empty redex set is allowed, so `t` itself is always included.
+    """
+    by_root = R.rules_by_root
+    by_pos: dict[Position, list[tuple[int, Term]]] = {}
+    for pos, sub in fn_subterms(t):
+        for i, rule in by_root.get(sub.sym, ()):
+            sigma = match(rule.lhs, sub)
+            if sigma is not None:
+                by_pos.setdefault(pos, []).append((i, substitute(rule.rhs, sigma)))
+    return set(parallel_steps(t, by_pos))
 
 
 #: Serialisation of a multistep: (redex position, rule index) to apply in order.
@@ -278,12 +315,6 @@ def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
     return out
 
 
-def subterm_at_safe(t: Term, pos: Position) -> Term:
-    for i in pos:
-        t = t.args[i - 1]
-    return t
-
-
 def development_reducts_with_paths(R: TRS, t: Term) -> dict[Term, DevPath]:
     """One multistep from `t`; each reduct carries a single-step path."""
     return dict(_multistep(R, t, {}))
@@ -295,7 +326,7 @@ def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
     cur = start
     for pos, ri in path:
         rule = R.rules[ri]
-        sigma = match(rule.lhs, subterm_at_safe(cur, pos))
+        sigma = match(rule.lhs, subterm_at(cur, pos))
         if sigma is None:
             raise ValueError("path does not replay")
         nxt = replace_at(cur, pos, substitute(rule.rhs, sigma))
@@ -311,71 +342,70 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 409
 
     For left-linear systems this is one exact multistep.  Otherwise the
     multistep is over-approximated by up to `cap` iterated parallel steps,
-    still a sound subset of many-step rewriting; past `deadline` that
-    iteration stops before the next frontier term and reports truncation.
+    still a sound subset of many-step rewriting; that iteration stops and
+    reports truncation once it holds more than `max_terms` terms, or past
+    `deadline` before the next frontier term.
     """
     if R.left_linear:
         out = set(development_reducts_with_paths(R, t))
         return out, len(out) > max_terms
-    seen = {t}
-    frontier = [t]
-    truncated = False
-    for _ in range(cap):
-        nxt = []
-        for u in frontier:
+    return reach(lambda u: parallel_step_reducts(R, u), t, cap,
+                 max_terms=max_terms + 1, deadline=deadline)
+
+
+def overlaps(rules: Sequence, deadline: Optional[float] = None) -> Iterator[tuple]:
+    """Overlap sites of rules with `lhs`, `rename` and `all_variables`:
+    (outer index, inner index, position, inner rule renamed apart,
+    outer-lhs subterm), to be unified as the caller sees fit.
+
+    Every ordered rule pair is overlapped, including a rule with its own
+    renamed copy; the root overlap of a rule with itself is excluded.  Only
+    sites whose symbol is the inner lhs root are yielded, since distinct
+    function symbols unify neither syntactically nor over rational trees,
+    and the inner rule is renamed away from the outer one only when a site
+    is left.  Past `deadline` (a `time.monotonic` value, checked once per
+    ordered rule pair) it raises `TimeoutError`.
+    """
+    for oi, outer in enumerate(rules):
+        used = outer.all_variables()
+        sites = list(fn_subterms(outer.lhs))
+        for ii, inner in enumerate(rules):
             if deadline is not None and time.monotonic() > deadline:
-                return seen, True
-            for v in parallel_step_reducts(R, u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                if len(seen) > max_terms:
-                    return seen, True
-        if not nxt:
-            break
-        frontier = nxt
-    else:
-        truncated = bool(frontier)
-    return seen, truncated
+                raise TimeoutError("overlaps cut at the deadline")
+            root = inner.lhs.sym
+            hits = [(pos, sub) for pos, sub in sites
+                    if sub.sym == root and (pos or ii != oi)]
+            if not hits:
+                continue
+            renamed = inner.rename(
+                renaming_apart(sorted(inner.all_variables()), set(used)))
+            for pos, sub in hits:
+                yield oi, ii, pos, renamed, sub
 
 
 def critical_pairs(R: TRS, deadline: Optional[float] = None,
                    ) -> tuple[CriticalPair, ...]:
     """All critical pairs of `R`, deduplicated up to renaming.
 
-    Every ordered rule pair is overlapped, including a rule with its own
-    renamed copy; the root overlap of a rule with itself is excluded.
-    Past `deadline` (a `time.monotonic` value, checked once per ordered
-    rule pair) it raises `TimeoutError`, so no caller sees a partial list.
+    Past `deadline` `overlaps` raises `TimeoutError`, so no caller sees a
+    partial list.
     """
     out: list[CriticalPair] = []
     seen: set[tuple] = set()
-    for oi, outer in enumerate(R.rules):
-        used = variables(outer.lhs) | variables(outer.rhs)
-        sites = list(fn_subterms(outer.lhs))
-        for ii, inner0 in enumerate(R.rules):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("critical pairs cut at the deadline")
-            root = inner0.lhs.sym
-            # only a site with the inner lhs's root symbol can unify
-            overlaps = [(pos, sub) for pos, sub in sites
-                        if sub.sym == root and (pos or ii != oi)]
-            if not overlaps:
-                continue
-            ren = renaming_apart(
-                sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
-            inner = inner0.rename(ren)
-            for pos, sub in overlaps:
-                sigma = mgu(inner.lhs, sub)
-                if sigma is None:
-                    continue
-                left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
-                right = substitute(outer.rhs, sigma)
-                key = (pos == (), canonical_key((left, right)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(CriticalPair(left, right, pos == (), oi, ii, pos))
+    for oi, ii, pos, inner, sub in overlaps(R.rules, deadline):
+        sigma = mgu(inner.lhs, sub)
+        if sigma is None:
+            continue
+        outer = R.rules[oi]
+        peak = substitute(outer.lhs, sigma)
+        # left shares all of the peak outside `pos`
+        left = replace_at(peak, pos, substitute(inner.rhs, sigma))
+        right = substitute(outer.rhs, sigma)
+        key = (pos == (), canonical_key((left, right)))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(CriticalPair(left, right, pos == (), oi, ii, pos, peak))
     return tuple(out)
 
 
@@ -400,8 +430,8 @@ class ConvStep:
 def step_valid(R: TRS, step: ConvStep) -> bool:
     src, dst = (step.src, step.dst) if step.forward else (step.dst, step.src)
     try:
-        sub = subterm_at_safe(src, step.pos)
-    except (IndexError, AttributeError):
+        sub = subterm_at(src, step.pos)
+    except IndexError:
         return False
     rule = R.rules[step.rule]
     sigma = match(rule.lhs, sub)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from uncprover.terms import App, Term, Var
+from uncprover.terms import App, Term, Var, variables
 from uncprover.trs import TRS, RewriteRule
 
 settings.register_profile(
@@ -70,3 +70,18 @@ def random_term(rnd: random.Random, var_names=("x", "y"), depth=2) -> Term:
         return App(rnd.choice(["a", "b"]))
     sym, ar = rnd.choice(syms)
     return App(sym, tuple(random_term(rnd, var_names, depth - 1) for _ in range(ar)))
+
+
+def random_system(rnd: random.Random) -> TRS:
+    """1-3 rules over f/2, g/1, a, b and x, y; an rhs with a variable
+    outside its lhs becomes `a`."""
+    rules = []
+    for _ in range(rnd.randint(1, 3)):
+        lhs = random_term(rnd, depth=2)
+        while isinstance(lhs, Var):
+            lhs = random_term(rnd, depth=2)
+        rhs = random_term(rnd, depth=1)
+        if variables(rhs) - variables(lhs):
+            rhs = App("a")
+        rules.append(RewriteRule(lhs, rhs))
+    return TRS.of(rules)

@@ -1,21 +1,37 @@
 import random
+from itertools import product
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uncprover.terms import App, Var, replace_at, subterms, variables
+from uncprover.terms import (
+    App,
+    Var,
+    fn_subterms,
+    renaming_apart,
+    replace_at,
+    subterms,
+    term_size,
+    unifiable_rational,
+    variables,
+)
 from uncprover.trs import TRS, RewriteRule, critical_pairs, parallel_step_reducts, \
     bounded_reducts, reducts
 from uncprover.ctrs import (
     CTRS,
     ConditionalRule,
+    CongruenceClosure,
     Equation,
+    conditional_critical_pairs,
     conditional_linearize,
     lift_trs,
     lr_separated_linearize,
 )
 from uncprover.criteria import (
     SimState,
+    conditional_one_step,
+    conditional_parallel,
+    conditional_reach,
     conv1_remainders,
     eq_states,
     multiset,
@@ -30,7 +46,7 @@ from uncprover.criteria import (
     weight_decreasing_unc,
 )
 
-from conftest import a, b, c, f, g, h, c1, random_term, x, y, z
+from conftest import CL, a, b, c, f, g, h, c1, random_system, random_term, x, y, z
 
 
 # --- overlap criteria ---------------------------------------------------------
@@ -61,6 +77,35 @@ def test_omega_vs_syntactic_differential():
     R = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(y, g(y)), b)])
     assert critical_pairs(R) == ()
     assert not non_omega_overlapping(R)
+
+
+def _oracle_non_omega_overlapping(R):
+    """The overlap loop of `non_omega_overlapping` before `trs.overlaps`:
+    every site tested, every ordered pair renamed."""
+    for oi, outer in enumerate(R.rules):
+        used = variables(outer.lhs) | variables(outer.rhs)
+        for ii, inner0 in enumerate(R.rules):
+            ren = renaming_apart(
+                sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
+            inner = inner0.rename(ren)
+            for pos, sub in fn_subterms(outer.lhs):
+                if pos == () and ii == oi:
+                    continue
+                if unifiable_rational(inner.lhs, sub):
+                    return False
+    return True
+
+
+SEC32 = TRS.of([RewriteRule(f(x, x, g(y)), h(y, x)), RewriteRule(g(a), f(a, b, b)),
+                RewriteRule(h(x, y), h(a, y)), RewriteRule(f(x, x, y), h(a, x))])
+
+
+def test_non_omega_overlapping_matches_overlap_loop_oracle(rng):
+    systems = [CL, SEC32, TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(y, g(y)), b)])]
+    systems += [random_system(rng) for _ in range(300)]
+    verdicts = [non_omega_overlapping(R) for R in systems]
+    assert verdicts == [_oracle_non_omega_overlapping(R) for R in systems]
+    assert True in verdicts and False in verdicts
 
 
 def test_right_reducible():
@@ -149,31 +194,91 @@ def plain_strongly_closed(R, depth=5):
     return True
 
 
-def _random_small_trs(rnd):
-    rules = []
-    for _ in range(rnd.randint(1, 3)):
-        lhs = random_term(rnd, depth=2)
-        while isinstance(lhs, Var):
-            lhs = random_term(rnd, depth=2)
-        rhs = random_term(rnd, depth=1)
-        if variables(rhs) - variables(lhs):
-            rhs = a
-        rules.append(RewriteRule(lhs, rhs))
-    return TRS.of(rules)
-
-
 def test_conditional_checks_agree_with_plain_on_lifted_trs(rng):
     # condition-free CTRS: the conditional machinery must coincide with the
     # unconditional closure checks
     disagreements = 0
     for _ in range(220):
-        R = _random_small_trs(rng)
+        R = random_system(rng)
         C = lift_trs(R)
         if parallel_closed_check(C).holds != plain_parallel_closed(R):
             disagreements += 1
         if strongly_closed_check(C).holds != plain_strongly_closed(R):
             disagreements += 1
     assert disagreements == 0
+
+
+# --- conditional searches: the loops before `trs.reach` and
+# `trs.parallel_steps` as oracles
+
+
+def _oracle_conditional_parallel(C, t, holds):
+    by_pos = {}
+    for pos, i, u in conditional_one_step(C, t, holds):
+        sub = u
+        for k in pos:
+            sub = sub.args[k - 1]
+        by_pos.setdefault(pos, []).append((i, sub))
+    positions = sorted(by_pos)
+    out = {t: ()}
+
+    def go(i, chosen):
+        if i == len(positions):
+            for combo in product(*[by_pos[p] for p in chosen]):
+                u = t
+                for p, (ri, s) in zip(chosen, combo):
+                    u = replace_at(u, p, s)
+                out.setdefault(u, tuple((p, ri) for p, (ri, _) in zip(chosen, combo)))
+            return
+        go(i + 1, chosen)
+        p = positions[i]
+        if all(p[:len(q)] != q and q[:len(p)] != p for q in chosen):
+            go(i + 1, chosen + [p])
+
+    go(0, [])
+    return out
+
+
+def _oracle_conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
+    seen = {t}
+    frontier = [t]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for _, _, v in conditional_one_step(C, u, holds):
+                if size_cap and term_size(v) > size_cap:
+                    continue
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                if max_terms and len(seen) >= max_terms:
+                    return seen, True
+        if not nxt:
+            return seen, False
+        frontier = nxt
+    return seen, bool(frontier)
+
+
+def test_conditional_searches_match_loop_oracles_on_random_systems(rng):
+    compared = 0
+    for _ in range(120):
+        R = random_system(rng)
+        for C in (conditional_linearize(R), lr_separated_linearize(R)):
+            for ccp in conditional_critical_pairs(C):
+                def holds(s, t):
+                    return CongruenceClosure(ccp.conditions).entails(s, t)
+
+                for t in (ccp.left, ccp.right):
+                    got = conditional_parallel(C, t, holds)
+                    want = _oracle_conditional_parallel(C, t, holds)
+                    # the redex sets are printed in pcl certificates
+                    assert list(got.items()) == list(want.items())
+                    for depth, size_cap, max_terms in product((1, 3), (0, 7), (0, 2, 5)):
+                        assert conditional_reach(C, t, holds, depth, size_cap, max_terms) \
+                            == _oracle_conditional_reach(C, t, holds, depth, size_cap,
+                                                         max_terms)
+                    compared += 1
+    assert compared > 100
 
 
 # --- ranked conversion sets -----------------------------------------------------
@@ -359,6 +464,6 @@ def test_syntactic_overlap_implies_omega_overlap(rng):
     # a syntactic critical pair forces rational-tree unifiability of the
     # same subterm pair, so the omega test must also report an overlap
     for _ in range(80):
-        R = _random_small_trs(rng)
+        R = random_system(rng)
         if critical_pairs(R):
             assert not non_omega_overlapping(R)

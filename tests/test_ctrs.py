@@ -1,12 +1,24 @@
+import pytest
 from hypothesis import given
 
-from uncprover.terms import App, Var, variables
+from uncprover.terms import (
+    App,
+    Var,
+    fn_subterms,
+    mgu,
+    renaming_apart,
+    replace_at,
+    substitute,
+    variables,
+)
 from uncprover.trs import TRS, RewriteRule, critical_pairs
 from uncprover.ctrs import (
     CTRS,
+    ConditionalCriticalPair,
     ConditionalRule,
     CongruenceClosure,
     Equation,
+    _ccp_key,
     cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
@@ -14,7 +26,9 @@ from uncprover.ctrs import (
     lr_separated_linearize,
 )
 
-from conftest import a, b, c, d, f, g, h, c1, random_term, term_strategy, x, y
+from conftest import (
+    CL, a, b, c, d, f, g, h, c1, random_system, random_term, term_strategy, x, y, z,
+)
 
 
 def eqset(ccp):
@@ -185,6 +199,54 @@ def test_ccp_of_lifted_trs_matches_critical_pairs(lhs, rhs):
             for p in conditional_critical_pairs(lift_trs(R))}
     assert cps == ccps
     assert all(not p.conditions for p in conditional_critical_pairs(lift_trs(R)))
+
+
+def _oracle_conditional_critical_pairs(C):
+    """The overlap loop of `conditional_critical_pairs` before
+    `trs.overlaps`: every site unified, every ordered pair renamed."""
+    out = []
+    seen = set()
+    for oi, outer in enumerate(C.rules):
+        used = outer.all_variables()
+        for ii, inner0 in enumerate(C.rules):
+            ren = renaming_apart(sorted(inner0.all_variables()), set(used))
+            inner = inner0.rename(ren)
+            for pos, sub in fn_subterms(outer.lhs):
+                if pos == () and ii == oi:
+                    continue
+                sigma = mgu(inner.lhs, sub)
+                if sigma is None:
+                    continue
+                left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
+                right = substitute(outer.rhs, sigma)
+                gamma = tuple(c_.subst(sigma) for c_ in inner.conditions + outer.conditions)
+                ccp = ConditionalCriticalPair(gamma, left, right, pos == (), oi, ii, pos)
+                key = _ccp_key(ccp)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(ccp)
+    return tuple(out)
+
+
+def _assert_same_ccps(R):
+    for C in (lift_trs(R), conditional_linearize(R), lr_separated_linearize(R)):
+        assert conditional_critical_pairs(C) == _oracle_conditional_critical_pairs(C)
+
+
+AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
+NON_LINEAR = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(x, g(x)), b),
+                     RewriteRule(c, g(c))])
+
+
+@pytest.mark.parametrize("R", [CL, AC, NON_LINEAR], ids=["CL", "AC", "non-linear"])
+def test_ccps_match_overlap_loop_oracle(R):
+    _assert_same_ccps(R)
+
+
+def test_ccps_match_overlap_loop_oracle_on_random_systems(rng):
+    for _ in range(300):
+        _assert_same_ccps(random_system(rng))
 
 
 # --- congruence closure --------------------------------------------------------

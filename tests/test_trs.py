@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -8,8 +9,12 @@ import uncprover.trs
 from uncprover.terms import (
     App,
     Var,
+    canonical_key,
     canonical_renaming,
+    fn_subterms,
     match,
+    mgu,
+    renaming_apart,
     replace_at,
     substitute,
     subterms,
@@ -22,6 +27,7 @@ from uncprover.trs import (
     ConvStep,
     RewriteRule,
     bounded_conversions,
+    bounded_reducts,
     conversion_class,
     critical_pairs,
     development_reducts_with_paths,
@@ -29,12 +35,16 @@ from uncprover.trs import (
     expansion_steps,
     is_normal_form,
     parallel_step_reducts,
+    reducts,
     replay_path,
     rewrite_steps,
+    step_valid,
     trace_valid,
 )
 
-from conftest import CL, a, b, c, f, g, h, random_term, term_strategy, x, y, z
+from conftest import (
+    CL, a, b, c, f, g, h, random_system, random_term, term_strategy, x, y, z,
+)
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -167,6 +177,7 @@ def test_critical_pairs_rebuild_peak():
         # the pair must arise from a genuine one-step peak
         peaks = [t for _, _, t in rewrite_steps(R, _peak(R, cp))]
         assert cp.left in peaks and cp.right in peaks
+        assert cp.peak == _peak(R, cp)
 
 
 def _peak(R, cp):
@@ -178,6 +189,55 @@ def _peak(R, cp):
                        set(variables(outer.lhs) | variables(outer.rhs))))
     sigma = mgu(inner.lhs, subterm_at(outer.lhs, cp.pos))
     return substitute(outer.lhs, sigma)
+
+
+def _oracle_critical_pairs(R):
+    """The overlap loop of `critical_pairs` before `overlaps`, as
+    (left, right, overlay, outer, inner, pos) tuples."""
+    out = []
+    seen = set()
+    for oi, outer in enumerate(R.rules):
+        used = variables(outer.lhs) | variables(outer.rhs)
+        sites = list(fn_subterms(outer.lhs))
+        for ii, inner0 in enumerate(R.rules):
+            root = inner0.lhs.sym
+            overlaps = [(pos, sub) for pos, sub in sites
+                        if sub.sym == root and (pos or ii != oi)]
+            if not overlaps:
+                continue
+            ren = renaming_apart(
+                sorted(variables(inner0.lhs) | variables(inner0.rhs)), set(used))
+            inner = inner0.rename(ren)
+            for pos, sub in overlaps:
+                sigma = mgu(inner.lhs, sub)
+                if sigma is None:
+                    continue
+                left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
+                right = substitute(outer.rhs, sigma)
+                key = (pos == (), canonical_key((left, right)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append((left, right, pos == (), oi, ii, pos))
+    return out
+
+
+def _assert_same_critical_pairs(R):
+    got = critical_pairs(R)
+    assert [(cp.left, cp.right, cp.overlay, cp.outer, cp.inner, cp.pos)
+            for cp in got] == _oracle_critical_pairs(R)
+    assert [cp.peak for cp in got] == [_peak(R, cp) for cp in got]
+
+
+@pytest.mark.parametrize("R", [CL, AC, COPS_254, COPS_126],
+                         ids=["CL", "AC", "COPS_254", "COPS_126"])
+def test_critical_pairs_match_overlap_loop_oracle(R):
+    _assert_same_critical_pairs(R)
+
+
+def test_critical_pairs_match_overlap_loop_oracle_on_random_systems(rng):
+    for _ in range(300):
+        _assert_same_critical_pairs(random_system(rng))
 
 
 # --- ground peak enumeration oracle -----------------------------------------
@@ -229,6 +289,86 @@ def test_critical_pairs_vs_ground_oracle(rng):
         if got != want:
             mismatches += 1
     assert mismatches == 0
+
+
+# --- conversion steps ------------------------------------------------------------
+
+
+def test_step_valid_rejects_a_position_outside_the_term():
+    R = TRS.of([RewriteRule(b, c)])
+    assert step_valid(R, ConvStep(f(a, b), f(a, c), 0, (2,), True))
+    # positions are 1-based: (0,) must not reach the last argument
+    assert not step_valid(R, ConvStep(f(a, b), f(a, c), 0, (0,), True))
+    assert not step_valid(R, ConvStep(f(a, b), f(a, c), 0, (3,), True))
+    assert not step_valid(R, ConvStep(f(a, c), f(a, b), 0, (0,), False))
+    assert not step_valid(R, ConvStep(f(x, b), f(x, c), 0, (1, 1), True))
+
+
+# --- bounded reach: the loops before `reach` as oracles ------------------------
+
+
+def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0, deadline=None):
+    seen = {t}
+    frontier = [t]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                return seen
+            for v in reducts(R, u):
+                if v in seen or (size_cap and term_size(v) > size_cap):
+                    continue
+                seen.add(v)
+                nxt.append(v)
+                if max_terms and len(seen) >= max_terms:
+                    return seen
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
+def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096, deadline=None):
+    """The non-left-linear branch of `development_step_reducts`."""
+    seen = {t}
+    frontier = [t]
+    truncated = False
+    for _ in range(cap):
+        nxt = []
+        for u in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                return seen, True
+            for v in parallel_step_reducts(R, u):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                if len(seen) > max_terms:
+                    return seen, True
+        if not nxt:
+            break
+        frontier = nxt
+    else:
+        truncated = bool(frontier)
+    return seen, truncated
+
+
+def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
+    past = time.monotonic() - 1
+    for _ in range(150):
+        R = random_system(rng)
+        if R.left_linear:
+            R = TRS.of(R.rules + (RewriteRule(h(x, x), x),))
+        for _ in range(3):
+            t = random_term(rng, depth=3)
+            for depth, size_cap, max_terms in product((1, 3), (0, 7), (0, 2, 5)):
+                assert bounded_reducts(R, t, depth, size_cap, max_terms) \
+                    == _oracle_bounded_reducts(R, t, depth, size_cap, max_terms)
+            assert bounded_reducts(R, t, 3, deadline=past) == {t}
+            for cap, max_terms in product((0, 1, 3), (1, 2, 5, 4096)):
+                assert development_step_reducts(R, t, cap, max_terms) \
+                    == _oracle_iterated_parallel_steps(R, t, cap, max_terms)
+            assert development_step_reducts(R, t, deadline=past) \
+                == _oracle_iterated_parallel_steps(R, t, deadline=past)
 
 
 # --- bounded conversions -----------------------------------------------------
@@ -464,19 +604,6 @@ def _unindexed_multistep(R, t, memo):
     return out
 
 
-def _random_system(rnd):
-    rules = []
-    for _ in range(rnd.randint(1, 3)):
-        lhs = random_term(rnd, depth=2)
-        while isinstance(lhs, Var):
-            lhs = random_term(rnd, depth=2)
-        rhs = random_term(rnd, depth=1)
-        if variables(rhs) - variables(lhs):
-            rhs = a
-        rules.append(RewriteRule(lhs, rhs))
-    return TRS.of(rules)
-
-
 def _multistep_family(n):
     """a -> b, a -> c, g(a,...,a) -> d with n arguments."""
     return (TRS.of([RewriteRule(a, b), RewriteRule(a, c),
@@ -495,7 +622,7 @@ def _assert_index_agrees(R, t):
 
 def test_rule_index_agrees_with_unindexed_search_on_random_systems(rng):
     for _ in range(150):
-        R = _random_system(rng)
+        R = random_system(rng)
         for _ in range(4):
             t = random_term(rng, depth=3)
             _assert_index_agrees(R, t)
