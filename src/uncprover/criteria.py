@@ -13,14 +13,17 @@ Two families:
   steps.  The weight-decreasing check works with ranked conversion sets:
   states pair a multiset of still-usable assumption equations with a term,
   one rewrite step costs one rank unit, and equations are consumed one use
-  each.
+  each.  One check renames the rules once, shares a memo of its rank-1
+  step queries, matches a step constrained by its target only where the
+  two terms share the context, and stops at the deadline.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .ctrs import (
@@ -33,10 +36,10 @@ from .ctrs import (
     lr_separated_linearize,
 )
 from .terms import (
+    App,
     Term,
     Var,
     match,
-    renaming_apart,
     replace_at,
     substitute,
     subterm_at,
@@ -254,55 +257,90 @@ def _subterm_pool(gamma: Multiset, seed: Term) -> set[Term]:
 
 _MAX_ASSIGNMENTS = 4096
 
-_HOLE = Var("\x00ctx")
+#: Prefix of the rule variables in the ranked searches.  The Cops tokenizer
+#: splits names at whitespace, and every derived name is a parsed one with
+#: digits appended, so no query term has a variable in this namespace.
+_RULE_VAR = " "
 
 
-def _maybe_subterm(t: Term, pos) -> Optional[Term]:
-    for i in pos:
-        if isinstance(t, Var) or len(t.args) < i:
-            return None
-        t = t.args[i - 1]
-    return t
+class _RankedSearch:
+    """State of one weight-decreasing check, dropped when the check ends.
+
+    It holds the rules of the LR-separated CTRS renamed once into the
+    `_RULE_VAR` namespace and grouped by lhs root symbol, each with its
+    variable set; a memo of `step1_remainders`; and the deadline, checked
+    on every memo miss.  The ranked-search functions below take one in
+    place of the CTRS, and make a throwaway one when given a CTRS.
+    """
+
+    def __init__(self, C: CTRS, deadline: Optional[float] = None):
+        self.by_root: dict[str, list[tuple[ConditionalRule, frozenset[str]]]] = {}
+        for rule in C.rules:
+            names = rule.all_variables()
+            renamed = rule.rename({n: Var(_RULE_VAR + n) for n in names})
+            self.by_root.setdefault(rule.lhs.sym, []).append(
+                (renamed, frozenset(_RULE_VAR + n for n in names)))
+        self.deadline = deadline
+        self.step1: dict[tuple[Multiset, Term, Term], frozenset[Multiset]] = {}
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutError("weight-decreasing check cut at the deadline")
 
 
-def _rule_matches(C: CTRS, gamma: Multiset, s: Term, t: Optional[Term]):
+_Rules = Union[CTRS, _RankedSearch]
+
+
+def _search(C: _Rules) -> _RankedSearch:
+    return C if isinstance(C, _RankedSearch) else _RankedSearch(C)
+
+
+def _sites(s: Term, t: Optional[Term]):
+    """(p, s|p, t|p) for every position p of `s` at which `s` and `t` share
+    the context (s[□]p == t[□]p); t|p is None when no `t` is given.
+
+    Unless s == t, such positions form one path from the root: it goes on
+    while both terms have the same head and differ in exactly one argument.
+    """
+    if t is None or s == t:
+        for pos, sub in subterms(s):
+            yield pos, sub, (None if t is None else sub)
+        return
+    pos: tuple[int, ...] = ()
+    while True:
+        yield pos, s, t
+        if (type(s) is not App or type(t) is not App or s.sym != t.sym
+                or len(s.args) != len(t.args)):
+            return
+        diff = [i for i, (u, v) in enumerate(zip(s.args, t.args)) if u != v]
+        if len(diff) != 1:
+            return
+        i = diff[0]
+        pos += (i + 1,)
+        s, t = s.args[i], t.args[i]
+
+
+def _rule_matches(W: _RankedSearch, s: Term, t: Optional[Term]):
     """Rule matches of `s` at some position, constrained to share the
     surrounding context with `t` when `t` is given.
 
-    Rules are renamed apart from the query first.  Yields
-    (pos, rule, theta, rule_vars) where `theta` binds the rule lhs (and,
-    for constrained matches, the rhs against `t`), and `rule_vars` is the
-    renamed rule's variable set (so unbound rule variables can be told
-    apart from query variables).
+    Yields (pos, rule, theta, rule_vars) where `theta` binds the renamed
+    rule's lhs (and, for constrained matches, its rhs against `t`), and
+    `rule_vars` is the renamed rule's variable set (so unbound rule
+    variables can be told apart from query variables).
     """
-    used = variables(s) | (variables(t) if t is not None else set())
-    for e in gamma:
-        used |= variables(e.lhs) | variables(e.rhs)
-    for pos, sub in subterms(s):
-        t_sub = None
-        if t is not None:
-            t_sub = _maybe_subterm(t, pos)
-            if t_sub is None or replace_at(s, pos, _HOLE) != replace_at(t, pos, _HOLE):
-                continue
-        for rule0 in C.rules:
-            ren = renaming_apart(sorted(rule0.all_variables()), set(used))
-            rule = rule0.rename(ren)
+    for pos, sub, t_sub in _sites(s, t):
+        if type(sub) is not App:
+            continue
+        for rule, rule_vars in W.by_root.get(sub.sym, ()):
             theta = match(rule.lhs, sub)
             if theta is None:
                 continue
-            theta = dict(theta)
             if t is not None:
                 sr = match(rule.rhs, t_sub)
-                if sr is None:
+                if sr is None or any(theta.setdefault(k, v) != v for k, v in sr.items()):
                     continue
-                consistent = True
-                for k, v in sr.items():
-                    if theta.setdefault(k, v) != v:
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
-            yield pos, rule, theta, rule.all_variables()
+            yield pos, rule, theta, rule_vars
 
 
 def _condition_vectors(rule: ConditionalRule, theta, rule_vars: set[str],
@@ -350,13 +388,22 @@ def _fillings(gamma: Multiset, rule: ConditionalRule, lhs_vec, rhs_vec,
         yield dict(zip(free, values))
 
 
-def step1_remainders(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
-                     ) -> set[Multiset]:
+def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
+                     ) -> frozenset[Multiset]:
     """Remainders after one rewrite step from `s` to `t` whose condition
-    tuple is settled by rank-0 conversions (a rank-1 step)."""
+    tuple is settled by rank-0 conversions (a rank-1 step).
+
+    Memoized per check on (gamma, s, t); the deadline is checked on every
+    miss."""
+    W = _search(C)
     g = multiset(gamma)
+    key = (g, s, t)
+    hit = W.step1.get(key)
+    if hit is not None:
+        return hit
+    W.check()
     out: set[Multiset] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(C, g, s, t):
+    for pos, rule, theta, rule_vars in _rule_matches(W, s, t):
         vecs = _condition_vectors(rule, theta, rule_vars)
         if vecs is None:
             continue
@@ -364,15 +411,17 @@ def step1_remainders(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
         for fill in _fillings(g, rule, lhs_vec, rhs_vec, free):
             ys = [substitute(x, fill) for x in rhs_vec]
             out |= _tuple_remainders(g, lhs_vec, ys)
-    return out
+    W.step1[key] = result = frozenset(out)
+    return result
 
 
-def step1_reducts(C: CTRS, gamma: Iterable[Equation], s: Term,
+def step1_reducts(C: _Rules, gamma: Iterable[Equation], s: Term,
                   ) -> set[tuple[Multiset, Term]]:
     """All (remainder, reduct) pairs of rank-1 steps from `s`."""
+    W = _search(C)
     g = multiset(gamma)
     out: set[tuple[Multiset, Term]] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(C, g, s, None):
+    for pos, rule, theta, rule_vars in _rule_matches(W, s, None):
         vecs = _condition_vectors(rule, theta, rule_vars)
         if vecs is None:
             continue
@@ -389,25 +438,27 @@ def step1_reducts(C: CTRS, gamma: Iterable[Equation], s: Term,
     return out
 
 
-def _step_sandwich(C: CTRS, gamma: Multiset, s: Term, t: Term) -> set[Multiset]:
+def _step_sandwich(W: _RankedSearch, gamma: Multiset, s: Term, t: Term,
+                   ) -> set[Multiset]:
     """Remainders of rank-0 conversion, one rank-1 step, rank-0 conversion
     leading from `s` to `t`."""
     out: set[Multiset] = set()
     for st1 in _eq_states_cached(gamma, s):
         for st2 in _eq_states_cached(st1.remaining, t):
-            out |= step1_remainders(C, st2.remaining, st1.value, st2.value)
+            out |= step1_remainders(W, st2.remaining, st1.value, st2.value)
     return out
 
 
-def conv1_remainders(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
+def conv1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
                      ) -> set[Multiset]:
     """Remainders of rank-1 conversions between `s` and `t` (exactly one
     rewrite step somewhere inside the conversion)."""
+    W = _search(C)
     g = multiset(gamma)
-    return _step_sandwich(C, g, s, t) | _step_sandwich(C, g, t, s)
+    return _step_sandwich(W, g, s, t) | _step_sandwich(W, g, t, s)
 
 
-def _tuple_conv1_remainders(C: CTRS, gamma: Multiset, xs: Sequence[Term],
+def _tuple_conv1_remainders(W: _RankedSearch, gamma: Multiset, xs: Sequence[Term],
                             ys: Sequence[Term]) -> set[Multiset]:
     """Tuple conversion of total rank 1: one designated component converts
     at rank 1, the others at rank 0."""
@@ -418,7 +469,7 @@ def _tuple_conv1_remainders(C: CTRS, gamma: Multiset, xs: Sequence[Term],
             nxt: set[Multiset] = set()
             for rem in rems:
                 if i == j:
-                    nxt |= conv1_remainders(C, rem, x, y)
+                    nxt |= conv1_remainders(W, rem, x, y)
                 else:
                     nxt |= {st.remaining for st in _eq_states_cached(rem, x)
                             if st.value == y}
@@ -430,32 +481,33 @@ def _tuple_conv1_remainders(C: CTRS, gamma: Multiset, xs: Sequence[Term],
     return out
 
 
-def _sim1_pool(C: CTRS, gamma: Multiset) -> Callable[[Term], set[Term]]:
+def _sim1_pool(W: _RankedSearch, gamma: Multiset) -> Callable[[Term], set[Term]]:
     def pool(seed: Term) -> set[Term]:
         out: set[Term] = set()
         for st in _eq_states_cached(gamma, seed):
-            for rem, v in step1_reducts(C, st.remaining, st.value):
+            for rem, v in step1_reducts(W, st.remaining, st.value):
                 for st2 in _eq_states_cached(rem, v):
                     out |= {sub for _, sub in subterms(st2.value)}
         return out
     return pool
 
 
-def step2_remainders(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
+def step2_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
                      ) -> set[Multiset]:
     """Remainders after one rewrite step from `s` to `t` whose condition
     tuple is settled by a rank-1 tuple conversion (a rank-2 step)."""
+    W = _search(C)
     g = multiset(gamma)
     out: set[Multiset] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(C, g, s, t):
+    for pos, rule, theta, rule_vars in _rule_matches(W, s, t):
         vecs = _condition_vectors(rule, theta, rule_vars)
         if vecs is None:
             continue
         lhs_vec, rhs_vec, free = vecs
         for fill in _fillings(g, rule, lhs_vec, rhs_vec, free,
-                              extra_pool=_sim1_pool(C, g)):
+                              extra_pool=_sim1_pool(W, g)):
             ys = [substitute(x, fill) for x in rhs_vec]
-            out |= _tuple_conv1_remainders(C, g, lhs_vec, ys)
+            out |= _tuple_conv1_remainders(W, g, lhs_vec, ys)
     return out
 
 
@@ -463,48 +515,58 @@ def step2_remainders(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
 # weight-decreasing joinability
 
 
-def wd_ccp_satisfied(C: CTRS, gamma: Iterable[Equation], s: Term, t: Term,
+def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
                      ) -> Optional[str]:
     """The satisfied weight-decreasing closure clause for the pair, if any:
     a conversion of rank at most one, a single rank-2 step either way, or a
     step followed by a conversion in both directions (total rank <= 2)."""
+    W = _search(C)
     g = multiset(gamma)
     if any(st.value == t for st in _eq_states_cached(g, s)):
         return "rank-0 conversion"
-    if conv1_remainders(C, g, s, t):
+    if conv1_remainders(W, g, s, t):
         return "rank-1 conversion"
-    if step2_remainders(C, g, s, t) or step2_remainders(C, g, t, s):
+    if step2_remainders(W, g, s, t) or step2_remainders(W, g, t, s):
         return "rank-2 step"
-    if _step_then_conv(C, g, s, t) and _step_then_conv(C, g, t, s):
+    if _step_then_conv(W, g, s, t) and _step_then_conv(W, g, t, s):
         return "step then conversion, both directions"
     return None
 
 
-def _step_then_conv(C: CTRS, g: Multiset, s: Term, t: Term) -> bool:
+def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
     for st in _eq_states_cached(g, t):
-        if step1_remainders(C, st.remaining, s, st.value):
+        if step1_remainders(W, st.remaining, s, st.value):
             return True
-        if step2_remainders(C, st.remaining, s, st.value):
+        if step2_remainders(W, st.remaining, s, st.value):
             return True
-    for rem, s2 in step1_reducts(C, g, s):
-        if conv1_remainders(C, rem, s2, t):
+    for rem, s2 in step1_reducts(W, g, s):
+        if conv1_remainders(W, rem, s2, t):
             return True
     return False
 
 
-def weight_decreasing_unc(R: TRS) -> CriterionReport:
+def weight_decreasing_unc(R: TRS, deadline: Optional[float] = None) -> CriterionReport:
     """UNC via weight-decreasing joinability of the left-right separated
-    linearization; only applicable to non-duplicating systems.  The check
-    is exact (the ranked conversion sets are finite), so no budget."""
+    linearization; only applicable to non-duplicating systems.
+
+    The ranked conversion sets are finite, so the check is exact when it
+    runs to the end.  Past `deadline` it stops and reports a truncated
+    failure ("timeout").  Its search state lives for this call only."""
     name = "weight-decreasing"
     if not R.non_duplicating:
         return CriterionReport(name, False, failure="TRS is duplicating")
     C = lr_separated_linearize(R)
+    W = _RankedSearch(C, deadline)
     details = []
-    for ccp in conditional_critical_pairs(C):
-        clause = wd_ccp_satisfied(C, ccp.conditions, ccp.left, ccp.right)
-        if clause is None:
-            return CriterionReport(name, False, tuple(details),
-                                   failure=f"unclosed critical pair {ccp!r}")
-        details.append(f"{ccp!r}: {clause}")
+    try:
+        for ccp in conditional_critical_pairs(C):
+            W.check()
+            clause = wd_ccp_satisfied(W, ccp.conditions, ccp.left, ccp.right)
+            if clause is None:
+                return CriterionReport(name, False, tuple(details),
+                                       failure=f"unclosed critical pair {ccp!r}")
+            details.append(f"{ccp!r}: {clause}")
+    except TimeoutError:
+        return CriterionReport(name, False, tuple(details), failure="timeout",
+                               truncated=True)
     return CriterionReport(name, True, tuple(details))

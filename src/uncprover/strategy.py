@@ -137,7 +137,7 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
                                           *report.details])
         return _MethodOutcome("MAYBE")
     if base == "wd":
-        report = weight_decreasing_unc(system)
+        report = weight_decreasing_unc(system, deadline)
         if report.holds:
             return _MethodOutcome("YES", ["all critical pairs of the separated "
                                           "linearization are weight-decreasing "

@@ -1,4 +1,5 @@
-"""Microbenchmarks of the rewrite and unification kernel under completion.
+"""Microbenchmarks of the rewrite and unification kernel under completion,
+and of the weight-decreasing check.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -6,12 +7,14 @@ Run with `pytest tests/bench_kernel.py`; the file name is outside the
 import pytest
 
 from uncprover.completion import DEVELOPMENT_CLOSED, rule_reverse, unc_complete
+from uncprover.criteria import _eq_states_cached, weight_decreasing_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
 
 from conftest import a, b, c, f, x, y, z
 
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
+AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
 
 
 def test_rewrite_steps_multistep_family(benchmark):
@@ -44,3 +47,14 @@ def test_critical_pairs_cops126_round3(benchmark, cops126_round3):
     cps = benchmark.pedantic(critical_pairs, args=(cops126_round3,), rounds=3,
                              iterations=1)
     assert len(cops126_round3.rules) == 42 and len(cps) == 10096
+
+
+def test_weight_decreasing_unc_ac(benchmark):
+    # each round starts from an empty rank-0 closure cache, as a fresh check does
+    report = benchmark.pedantic(weight_decreasing_unc, args=(AC,),
+                                setup=_eq_states_cached.cache_clear, rounds=3,
+                                iterations=1)
+    assert report.holds is False
+    assert report.failure == (
+        "unclosed critical pair x11 = x2, y11 = y2, y1 = z2, f(x11,y11) = x, "
+        "y1 = y, z1 = z => <f(f(x2,f(y2,z2)),z1), f(x,f(y,z))> [inner-outer]")

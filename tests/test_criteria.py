@@ -1,15 +1,23 @@
+import gc
 import random
+import time
+import weakref
 from itertools import product
+
+import pytest
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import uncprover.criteria
 from uncprover.terms import (
     App,
     Var,
     fn_subterms,
+    match,
     renaming_apart,
     replace_at,
+    subterm_at,
     subterms,
     term_size,
     unifiable_rational,
@@ -40,13 +48,16 @@ from uncprover.criteria import (
     right_reducible,
     step1_reducts,
     step1_remainders,
+    step2_remainders,
     strongly_closed_check,
     strongly_non_overlapping,
     wd_ccp_satisfied,
     weight_decreasing_unc,
 )
+from uncprover.strategy import StrategyConfig, prove_unc
 
-from conftest import CL, a, b, c, f, g, h, c1, random_system, random_term, x, y, z
+from conftest import CL, a, b, c, f, g, h, c1, random_system, random_term, \
+    term_strategy, x, y, z
 
 
 # --- overlap criteria ---------------------------------------------------------
@@ -426,6 +437,10 @@ def test_step1_with_condition_consumption():
     x1 = Var("x1")
     rems = step1_remainders(C, [Equation(x1, a)], f(x1, x1), b)
     assert rems == {()}
+    # one check's step memo keeps the two assumption sets apart
+    W = uncprover.criteria._RankedSearch(C)
+    assert step1_remainders(W, [], f(x1, x1), b) == set()
+    assert step1_remainders(W, [Equation(x1, a)], f(x1, x1), b) == {()}
 
 
 def test_step1_reducts_enumeration():
@@ -467,3 +482,227 @@ def test_syntactic_overlap_implies_omega_overlap(rng):
         R = random_system(rng)
         if critical_pairs(R):
             assert not non_omega_overlapping(R)
+
+
+# --- the ranked searches against the matching they had before the rules were
+# renamed once per check and the sites restricted to the shared-context path
+
+_HOLE = Var("\x00ctx")
+
+
+def _maybe_subterm(t, pos):
+    for i in pos:
+        if isinstance(t, Var) or len(t.args) < i:
+            return None
+        t = t.args[i - 1]
+    return t
+
+
+def _oracle_rule_matches(C, gamma_vars):
+    """The earlier `_rule_matches`: every rule renamed apart from the query
+    on every call, every position of `s` tested by plugging a hole into
+    both terms.  It renamed apart from the variables of the equations too;
+    `gamma_vars` holds every variable the searched equations can have."""
+    def rule_matches(W, s, t):
+        used = variables(s) | (variables(t) if t is not None else set()) | gamma_vars
+        for pos, sub in subterms(s):
+            t_sub = None
+            if t is not None:
+                t_sub = _maybe_subterm(t, pos)
+                if t_sub is None or replace_at(s, pos, _HOLE) != replace_at(t, pos, _HOLE):
+                    continue
+            for rule0 in C.rules:
+                ren = renaming_apart(sorted(rule0.all_variables()), set(used))
+                rule = rule0.rename(ren)
+                theta = match(rule.lhs, sub)
+                if theta is None:
+                    continue
+                theta = dict(theta)
+                if t is not None:
+                    sr = match(rule.rhs, t_sub)
+                    if sr is None:
+                        continue
+                    consistent = True
+                    for k, v in sr.items():
+                        if theta.setdefault(k, v) != v:
+                            consistent = False
+                            break
+                    if not consistent:
+                        continue
+                yield pos, rule, theta, rule.all_variables()
+    return rule_matches
+
+
+class _NoMemo(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Unmemoized(uncprover.criteria._RankedSearch):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.step1 = _NoMemo()
+
+
+def _ranked_results(C, gamma, s, t, with_wd):
+    out = [step1_remainders(C, gamma, s, t), step1_reducts(C, gamma, s),
+           conv1_remainders(C, gamma, s, t), step2_remainders(C, gamma, s, t)]
+    if with_wd:
+        out.append(wd_ccp_satisfied(C, gamma, s, t))
+    return out
+
+
+def _assert_ranked_searches_match_oracle(monkeypatch, C, queries, with_wd=True):
+    """The public searches give what they gave with the oracle matching
+    and no `step1_remainders` memo."""
+    for gamma, s, t in queries:
+        gamma_vars = set().union(variables(s), variables(t),
+                                 *(variables(e.lhs) | variables(e.rhs) for e in gamma))
+        got = _ranked_results(C, gamma, s, t, with_wd)
+        monkeypatch.setattr(uncprover.criteria, "_rule_matches",
+                            _oracle_rule_matches(C, gamma_vars))
+        monkeypatch.setattr(uncprover.criteria, "_RankedSearch", _Unmemoized)
+        want = _ranked_results(C, gamma, s, t, with_wd)
+        monkeypatch.undo()
+        assert got == want, (gamma, s, t)
+
+
+def _pair_queries(C):
+    """Each conditional critical pair both ways, and its left term against
+    itself."""
+    out = []
+    for ccp in conditional_critical_pairs(C):
+        out += [(ccp.conditions, ccp.left, ccp.right),
+                (ccp.conditions, ccp.right, ccp.left),
+                (ccp.conditions, ccp.left, ccp.left)]
+    return out
+
+
+AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
+AC_G = TRS.of(AC.rules + (RewriteRule(g(x), g(g(x))),))
+
+
+def test_ranked_searches_match_oracle_on_random_systems(monkeypatch, rng):
+    kinds = set()
+    for _ in range(150):
+        C = lr_separated_linearize(random_system(rng))
+        queries = _pair_queries(C)
+        for _, s, t in queries:
+            heads = [u.sym if isinstance(u, App) else None for u in (s, t)]
+            kinds.add("equal" if s == t else
+                      "same head" if heads[0] == heads[1] else "other head")
+        _assert_ranked_searches_match_oracle(monkeypatch, C, queries)
+    assert kinds == {"equal", "same head", "other head"}
+
+
+def test_ranked_searches_match_oracle_on_sec4(monkeypatch):
+    C = lr_separated_linearize(SEC4)
+    queries = _pair_queries(C) + [(SEC4_GAMMA, SEC4_S, SEC4_T), (SEC4_GAMMA, SEC4_T, SEC4_S),
+                                  (SEC4_GAMMA, SEC4_S, SEC4_S)]
+    _assert_ranked_searches_match_oracle(monkeypatch, C, queries)
+
+
+def test_ranked_searches_match_oracle_on_ac(monkeypatch):
+    # the first pair is the one wd fails on; wd on the others costs seconds
+    # under the oracle, so they only compare the single searches
+    C = lr_separated_linearize(AC)
+    queries = _pair_queries(C)
+    _assert_ranked_searches_match_oracle(monkeypatch, C, queries[:3])
+    _assert_ranked_searches_match_oracle(monkeypatch, C, queries[3:], with_wd=False)
+
+
+def _positions(t):
+    return [p for p, _ in subterms(t)]
+
+
+@given(st.data())
+def test_context_sites_are_the_positions_with_a_shared_context(data):
+    s = data.draw(term_strategy(max_leaves=8))
+    # t mostly shares much of its context with s: s with one subterm replaced
+    pos = data.draw(st.sampled_from(_positions(s)))
+    t = data.draw(st.one_of(term_strategy(max_leaves=4).map(lambda u: replace_at(s, pos, u)),
+                            term_strategy(max_leaves=8)))
+    want = [(p, subterm_at(s, p), _maybe_subterm(t, p)) for p in _positions(s)
+            if _maybe_subterm(t, p) is not None
+            and replace_at(s, p, _HOLE) == replace_at(t, p, _HOLE)]
+    got = list(uncprover.criteria._sites(s, t))
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    assert [(p, u, None) for p, u in subterms(s)] == list(uncprover.criteria._sites(s, None))
+
+
+def _g_tower(n, t):
+    for _ in range(n):
+        t = g(t)
+    return t
+
+
+def test_constrained_matches_follow_the_context_path(monkeypatch):
+    calls = []
+    real = uncprover.criteria.match
+
+    def counting(pattern, subject):
+        calls.append(subject)
+        return real(pattern, subject)
+
+    monkeypatch.setattr(uncprover.criteria, "match", counting)
+    C = lr_separated_linearize(TRS.of([RewriteRule(f(x, y), x), RewriteRule(g(x), x)]))
+    counts = {}
+    for depth in (1, 4, 8):
+        for size in (1, 40):
+            big = _g_tower(size, f(a, b))
+            s, t = f(_g_tower(depth, a), big), f(_g_tower(depth, b), big)
+            assert len(list(uncprover.criteria._sites(s, t))) == depth + 2
+            calls.clear()
+            step1_remainders(C, [], s, t)
+            counts[depth, size] = len(calls)
+    # an lhs and an rhs match at the root and at each g of the path; none at a
+    assert counts == {(d, n): 2 * (d + 1) for d in (1, 4, 8) for n in (1, 40)}
+
+
+def _module_level_dicts(module):
+    """Dicts bound at module level, and the attribute dicts of its classes."""
+    for value in vars(module).values():
+        if isinstance(value, dict):
+            yield value
+        elif isinstance(value, type):
+            yield from (v for v in vars(value).values() if isinstance(v, dict))
+
+
+def test_weight_decreasing_check_keeps_no_state_after_it_returns(monkeypatch):
+    alive, keys = [], []
+
+    class Recording(uncprover.criteria._RankedSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive.append(weakref.ref(self))
+
+        def check(self):
+            keys.extend(list(self.step1)[-1:])
+            super().check()
+
+    monkeypatch.setattr(uncprover.criteria, "_RankedSearch", Recording)
+    for budget in (None, 0.03):
+        alive.clear()
+        keys.clear()
+        report = weight_decreasing_unc(AC, budget and time.monotonic() + budget)
+        assert report.truncated == (budget is not None)
+        assert alive and keys
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+        assert not any(keys[-1] in d for d in _module_level_dicts(uncprover.criteria))
+
+
+@pytest.mark.parametrize("R", [AC, AC_G], ids=["AC", "AC_g"])
+def test_wd_stops_at_the_deadline(R):
+    timeout = 0.05
+    start = time.monotonic()
+    res = prove_unc(R, StrategyConfig(methods=("wd",), timeout=timeout))
+    assert res.answer == "MAYBE"
+    assert time.monotonic() - start < timeout + 0.1
+
+
+def test_wd_cut_is_a_truncated_failure():
+    report = weight_decreasing_unc(SEC4, deadline=time.monotonic() - 1)
+    assert (report.holds, report.failure, report.truncated) == (False, "timeout", True)
+    assert weight_decreasing_unc(SEC4, deadline=time.monotonic() + 60) \
+        == weight_decreasing_unc(SEC4)
