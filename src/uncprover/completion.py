@@ -6,11 +6,11 @@ confluence predicate certifies the grown system; every added rule is
 conversion-derivable over the original system and keeps the normal forms
 unchanged, so UNC transfers back.  Disproofs exhibit two distinct
 convertible normal forms together with a replayable conversion trace over
-the original rules.
+the original rules.  A clock cut of the budgets raises `TimeoutError`, which
+`unc_complete` and `disprove_search` each catch once.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -74,36 +74,34 @@ class Verdict:
 class ConfluencePredicate:
     """Rule-shape guard plus critical-pair closure test.
 
-    Contract: if the guard holds for a TRS and the pair test holds for all
-    its critical pairs, the TRS is confluent.  The pair test takes an
-    optional `time.monotonic` deadline; past it the searches are cut, which
-    can only make a pair look unclosed.
+    Contract: if the guard holds for a TRS and `pair_closed(S, cp, budgets)`
+    holds for all its critical pairs, the TRS is confluent.  The pair test
+    bounds its searches by the budgets; their caps can only make a pair look
+    unclosed, and past the deadline it raises `TimeoutError`.
     """
 
     name: str
     guard: Callable[[TRS], bool]
-    pair_closed: Callable[..., bool]
+    pair_closed: Callable[[TRS, CriticalPair, Budgets], bool]
 
 
-def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets,
-                          deadline: Optional[float] = None) -> bool:
+def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
     u, v = cp.left, cp.right
     reach_u = bounded_reducts(S, u, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, deadline)
+                              budgets.max_class, budgets)
     reach_v = bounded_reducts(S, v, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, deadline)
+                              budgets.max_class, budgets)
     one_u = {u} | reducts(S, u)
     one_v = {v} | reducts(S, v)
     return bool(reach_u & one_v) and bool(one_u & reach_v)
 
 
-def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets,
-                             deadline: Optional[float] = None) -> bool:
-    devs, _ = development_step_reducts(S, cp.left, budgets.dev_cap, deadline=deadline)
+def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
+    devs, _ = development_step_reducts(S, cp.left, budgets.dev_cap, budgets=budgets)
     if not cp.overlay:
         return cp.right in devs
     reach_v = bounded_reducts(S, cp.right, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, deadline)
+                              budgets.max_class, budgets)
     return bool(devs & reach_v)
 
 
@@ -175,10 +173,10 @@ def _pick_join(S: TRS, u: Term, v: Term, budgets: Budgets):
     candidates = []
     for branch, (lhs, other) in enumerate(((v, u), (u, v))):
         if S.left_linear:
-            dev = development_reducts_with_paths(S, other)
+            dev = development_reducts_with_paths(S, other, budgets)
         else:
-            dev = {w: None
-                   for w in development_step_reducts(S, other, budgets.dev_cap)[0]}
+            dev = {w: None for w in development_step_reducts(
+                S, other, budgets.dev_cap, budgets=budgets)[0]}
         for w in sorted(dev, key=repr):
             if w == lhs or variables(w) - variables(lhs):
                 continue
@@ -195,7 +193,8 @@ def _pick_join(S: TRS, u: Term, v: Term, budgets: Budgets):
 
 
 def _find_path(S: TRS, start: Term, goal: Term, budgets: Budgets):
-    """BFS for a single-step path start ->* goal (non-left-linear case)."""
+    """BFS for a single-step path start ->* goal (non-left-linear case);
+    the budget is checked once per explored term."""
     parents: dict[Term, tuple[Term, tuple, int]] = {}
     depth = {start: 0}
     q = deque([start])
@@ -215,6 +214,7 @@ def _find_path(S: TRS, start: Term, goal: Term, budgets: Budgets):
         explored += 1
         if explored > budgets.max_class:
             return None
+        budgets.check()
         for pos, i, nxt in rewrite_steps(S, cur):
             if nxt not in depth:
                 depth[nxt] = depth[cur] + 1
@@ -224,8 +224,7 @@ def _find_path(S: TRS, start: Term, goal: Term, budgets: Budgets):
 
 
 def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
-                 budgets: Budgets = DEFAULT_BUDGETS,
-                 deadline: Optional[float] = None) -> Verdict:
+                 budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Grow `R` with conversion-derivable rules until the confluence
     predicate certifies the result, a disproof witness appears, or the
     round budget runs out.
@@ -234,11 +233,10 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     the *original* system (a trace is kept) and l was reducible when
     added, so the normal forms never change.
 
-    Past `deadline` (a `time.monotonic` value) the answer is MAYBE
-    "timeout".  The deadline reaches the critical pairs, which are then
-    cut whole rather than returned in part, and the closure searches, whose
-    cuts only make pairs look unclosed; so no UNC rests on a truncated
-    search.
+    Past the budget's deadline the answer is MAYBE "timeout": every search
+    below raises `TimeoutError` at its clock check and the cut is caught
+    here, so neither a partial pair list nor a cut closure search can give
+    an UNC.
     """
     n_original = len(R.rules)
     current = R
@@ -251,83 +249,78 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
         return Verdict(status, reason, witness, tuple(added), tuple(added_traces),
                        rounds)
 
-    def timed_out() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    for round_no in range(1, max_rounds + 1):
-        if timed_out():
-            return verdict("MAYBE", "timeout", round_no - 1)
-        try:
-            cps = critical_pairs(current, deadline)
-        except TimeoutError:
-            return verdict("MAYBE", "timeout", round_no - 1)
-        closed = {}
-        for cp in cps:
-            if timed_out():
-                return verdict("MAYBE", "timeout", round_no - 1)
-            closed[cp] = pred.pair_closed(current, cp, budgets, deadline)
-        if pred.guard(current) and all(closed.values()):
-            return verdict("UNC", f"completion success with {pred.name} predicate",
-                           round_no)
-        new_rules: list[tuple[RewriteRule, Trace]] = []
-        handled_overlays: set[frozenset[str]] = set()
-        known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
-        for cp in cps:
-            if timed_out():
-                return verdict("MAYBE", "timeout", round_no - 1)
-            if closed[cp] or cp.left == cp.right:
-                continue
-            if cp.overlay:
-                key = frozenset((canonical_key((cp.left,)),
-                                 canonical_key((cp.right,))))
-                if key in handled_overlays:
+    try:
+        for round_no in range(1, max_rounds + 1):
+            budgets.check()
+            cps = critical_pairs(current, budgets)
+            closed = {}
+            for cp in cps:
+                budgets.check()
+                closed[cp] = pred.pair_closed(current, cp, budgets)
+            if pred.guard(current) and all(closed.values()):
+                return verdict("UNC", f"completion success with {pred.name} predicate",
+                               round_no)
+            new_rules: list[tuple[RewriteRule, Trace]] = []
+            handled_overlays: set[frozenset[str]] = set()
+            known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
+            for cp in cps:
+                budgets.check()
+                if closed[cp] or cp.left == cp.right:
                     continue
-                handled_overlays.add(key)
-            # left <- peak -> right
-            base = (ConvStep(cp.left, cp.peak, cp.inner, cp.pos, False),
-                    ConvStep(cp.peak, cp.right, cp.outer, (), True))
-            u, v = cp.left, cp.right
-            u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
-            if u_nf and v_nf:
-                trace = _expand_trace(base, n_original, rule_traces)
-                return verdict("NOT_UNC", "two distinct convertible normal forms",
-                               round_no, Witness(u, v, trace))
-            if v_nf and not u_nf:
-                if variables(v) - variables(u):
-                    expanded = _expand_trace(base, n_original, rule_traces)
-                    return verdict("NOT_UNC", "normal form drops a variable", round_no,
-                                   _escape_witness(expanded, u, v))
-                _add_rule(new_rules, known, RewriteRule(u, v), base)
-                continue
-            if u_nf and not v_nf:
-                rev = tuple(s.reversed_() for s in reversed(base))
-                if variables(u) - variables(v):
-                    expanded = _expand_trace(rev, n_original, rule_traces)
-                    return verdict("NOT_UNC", "normal form drops a variable", round_no,
-                                   _escape_witness(expanded, v, u))
-                _add_rule(new_rules, known, RewriteRule(v, u), rev)
-                continue
-            choice = _pick_join(current, u, v, budgets)
-            if choice is None:
-                continue
-            lhs, w, start, path = choice
-            fwd = tuple(replay_path(current, start, path))
-            if lhs == v:
-                # v <- peak -> u ->* w, oriented v -> w
-                rev = tuple(s.reversed_() for s in reversed(base))
-                trace = rev + fwd
-            else:
-                trace = tuple(base) + fwd
-            _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
-        if not new_rules:
-            return verdict("MAYBE", "completion failed: no progress possible", round_no)
-        for rule, trace in new_rules:
-            expanded = _expand_trace(trace, n_original, rule_traces)
-            idx = len(current.rules)
-            current = TRS(current.signature, current.rules + (rule,))
-            rule_traces[idx] = expanded
-            added.append(rule)
-            added_traces.append(expanded)
+                if cp.overlay:
+                    key = frozenset((canonical_key((cp.left,)),
+                                     canonical_key((cp.right,))))
+                    if key in handled_overlays:
+                        continue
+                    handled_overlays.add(key)
+                # left <- peak -> right
+                base = (ConvStep(cp.left, cp.peak, cp.inner, cp.pos, False),
+                        ConvStep(cp.peak, cp.right, cp.outer, (), True))
+                u, v = cp.left, cp.right
+                u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
+                if u_nf and v_nf:
+                    trace = _expand_trace(base, n_original, rule_traces)
+                    return verdict("NOT_UNC", "two distinct convertible normal forms",
+                                   round_no, Witness(u, v, trace))
+                if v_nf and not u_nf:
+                    if variables(v) - variables(u):
+                        expanded = _expand_trace(base, n_original, rule_traces)
+                        return verdict("NOT_UNC", "normal form drops a variable",
+                                       round_no, _escape_witness(expanded, u, v))
+                    _add_rule(new_rules, known, RewriteRule(u, v), base)
+                    continue
+                if u_nf and not v_nf:
+                    rev = tuple(s.reversed_() for s in reversed(base))
+                    if variables(u) - variables(v):
+                        expanded = _expand_trace(rev, n_original, rule_traces)
+                        return verdict("NOT_UNC", "normal form drops a variable",
+                                       round_no, _escape_witness(expanded, v, u))
+                    _add_rule(new_rules, known, RewriteRule(v, u), rev)
+                    continue
+                choice = _pick_join(current, u, v, budgets)
+                if choice is None:
+                    continue
+                lhs, w, start, path = choice
+                fwd = tuple(replay_path(current, start, path))
+                if lhs == v:
+                    # v <- peak -> u ->* w, oriented v -> w
+                    rev = tuple(s.reversed_() for s in reversed(base))
+                    trace = rev + fwd
+                else:
+                    trace = tuple(base) + fwd
+                _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
+            if not new_rules:
+                return verdict("MAYBE", "completion failed: no progress possible",
+                               round_no)
+            for rule, trace in new_rules:
+                expanded = _expand_trace(trace, n_original, rule_traces)
+                idx = len(current.rules)
+                current = TRS(current.signature, current.rules + (rule,))
+                rule_traces[idx] = expanded
+                added.append(rule)
+                added_traces.append(expanded)
+    except TimeoutError:
+        return verdict("MAYBE", "timeout", round_no - 1)
     return verdict("MAYBE", f"round budget of {max_rounds} exhausted", max_rounds)
 
 
@@ -433,55 +426,54 @@ def validate_witness(R: TRS, w: Witness) -> bool:
     return trace_valid(R, w.trace)
 
 
-def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
-                    deadline: Optional[float] = None) -> Optional[Witness]:
+def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Witness]:
     """Bounded conversion search for a UNC counterexample.
 
     Seeds are critical-pair sides and rule right-hand sides.  Each class
     is scanned first for a normal form carrying a variable absent from a
     convertible term (a second witness then arises by renaming), then for
-    two distinct normal forms in the class.  The deadline is checked per
-    seed, inside the class search and per normal form in the first scan;
-    past it the search returns None.
+    two distinct normal forms in the class.  The budget is checked in the
+    critical pairs, per seed, inside the class search and per normal form
+    in the first scan; past the deadline the search returns None.
     """
-    seeds: list[Term] = []
-    for cp in critical_pairs(R):
-        seeds.extend([cp.left, cp.right])
-    seeds.extend(r.rhs for r in R.rules)
-    seen_keys: set[str] = set()
-    for seed in seeds:
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        k = canonical_key((seed,))
-        if k in seen_keys:
-            continue
-        seen_keys.add(k)
-        cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                               budgets.max_class, deadline=deadline)
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        members = sorted(cls.members, key=repr)
-        # one variable set per member, equal sets shared to keep memory flat
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        var_sets = [shared.setdefault(vs, vs)
-                    for vs in (frozenset(variables(m)) for m in members)]
-        nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
-        for i in nf_at:
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            t, t_vars = members[i], var_sets[i]
-            for j, s in enumerate(members):
-                if j == i or t_vars <= var_sets[j]:
-                    continue
-                w = _escape_witness(_connect(cls, s, t), s, t)
-                if validate_witness(R, w):
-                    return w
-        nfs = [members[i] for i in nf_at]
-        for i, t1 in enumerate(nfs):
-            for t2 in nfs[i + 1:]:
-                w = Witness(t1, t2, _connect(cls, t1, t2))
-                if validate_witness(R, w):
-                    return w
+    try:
+        seeds: list[Term] = []
+        for cp in critical_pairs(R, budgets):
+            seeds.extend([cp.left, cp.right])
+        seeds.extend(r.rhs for r in R.rules)
+        seen_keys: set[str] = set()
+        for seed in seeds:
+            budgets.check()
+            k = canonical_key((seed,))
+            if k in seen_keys:
+                continue
+            seen_keys.add(k)
+            cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
+                                   budgets.max_class, budgets)
+            budgets.check()
+            members = sorted(cls.members, key=repr)
+            # one variable set per member, equal sets shared to keep memory flat
+            shared: dict[frozenset[str], frozenset[str]] = {}
+            var_sets = [shared.setdefault(vs, vs)
+                        for vs in (frozenset(variables(m)) for m in members)]
+            nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
+            for i in nf_at:
+                budgets.check()
+                t, t_vars = members[i], var_sets[i]
+                for j, s in enumerate(members):
+                    if j == i or t_vars <= var_sets[j]:
+                        continue
+                    w = _escape_witness(_connect(cls, s, t), s, t)
+                    if validate_witness(R, w):
+                        return w
+            nfs = [members[i] for i in nf_at]
+            for i, t1 in enumerate(nfs):
+                for t2 in nfs[i + 1:]:
+                    w = Witness(t1, t2, _connect(cls, t1, t2))
+                    if validate_witness(R, w):
+                        return w
+    except TimeoutError:
+        pass
     return None
 
 

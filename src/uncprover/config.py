@@ -2,11 +2,14 @@
 
 The undecidable searches (many-step reachability, conversion search,
 completion) are bounded by these knobs; every bound errs on the side of
-answering "unknown" rather than guessing.
+answering "unknown" rather than guessing.  The integer caps cut with a
+truncation flag; past the deadline `check` raises `TimeoutError`.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -19,6 +22,17 @@ class Budgets:
     size_cap: int = 40
     #: safety valve on the size of one conversion class
     max_class: int = 2000
+    #: `time.monotonic` value past which `check` raises, None for none;
+    #: `prove_unc` sets it from `StrategyConfig.timeout`
+    deadline: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if min(self.conv_depth, self.dev_cap, self.size_cap, self.max_class) < 0:
+            raise ValueError("budgets must not be negative")
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutError("search cut at the deadline")
 
 
 DEFAULT_BUDGETS = Budgets()

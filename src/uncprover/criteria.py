@@ -15,11 +15,11 @@ Two families:
   one rewrite step costs one rank unit, and equations are consumed one use
   each.  One check renames the rules once, shares a memo of its rank-1
   step queries, matches a step constrained by its target only where the
-  two terms share the context, and stops at the deadline.
+  two terms share the context, and checks the `config.Budgets` deadline;
+  it is the only criterion here that reads the clock.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -268,24 +268,23 @@ class _RankedSearch:
 
     It holds the rules of the LR-separated CTRS renamed once into the
     `_RULE_VAR` namespace and grouped by lhs root symbol, each with its
-    variable set; a memo of `step1_remainders`; and the deadline, checked
+    variable set; a memo of `step1_remainders`; and the budgets, checked
     on every memo miss.  The ranked-search functions below take one in
     place of the CTRS, and make a throwaway one when given a CTRS.
     """
 
-    def __init__(self, C: CTRS, deadline: Optional[float] = None):
+    def __init__(self, C: CTRS, budgets: Budgets = DEFAULT_BUDGETS):
         self.by_root: dict[str, list[tuple[ConditionalRule, frozenset[str]]]] = {}
         for rule in C.rules:
             names = rule.all_variables()
             renamed = rule.rename({n: Var(_RULE_VAR + n) for n in names})
             self.by_root.setdefault(rule.lhs.sym, []).append(
                 (renamed, frozenset(_RULE_VAR + n for n in names)))
-        self.deadline = deadline
+        self.budgets = budgets
         self.step1: dict[tuple[Multiset, Term, Term], frozenset[Multiset]] = {}
 
     def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutError("weight-decreasing check cut at the deadline")
+        self.budgets.check()
 
 
 _Rules = Union[CTRS, _RankedSearch]
@@ -393,7 +392,7 @@ def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     """Remainders after one rewrite step from `s` to `t` whose condition
     tuple is settled by rank-0 conversions (a rank-1 step).
 
-    Memoized per check on (gamma, s, t); the deadline is checked on every
+    Memoized per check on (gamma, s, t); the budget is checked on every
     miss."""
     W = _search(C)
     g = multiset(gamma)
@@ -545,18 +544,19 @@ def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
     return False
 
 
-def weight_decreasing_unc(R: TRS, deadline: Optional[float] = None) -> CriterionReport:
+def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
     """UNC via weight-decreasing joinability of the left-right separated
     linearization; only applicable to non-duplicating systems.
 
     The ranked conversion sets are finite, so the check is exact when it
-    runs to the end.  Past `deadline` it stops and reports a truncated
-    failure ("timeout").  Its search state lives for this call only."""
+    runs to the end.  Past the budget's deadline it stops and reports a
+    truncated failure ("timeout").  Its search state lives for this call
+    only."""
     name = "weight-decreasing"
     if not R.non_duplicating:
         return CriterionReport(name, False, failure="TRS is duplicating")
     C = lr_separated_linearize(R)
-    W = _RankedSearch(C, deadline)
+    W = _RankedSearch(C, budgets)
     details = []
     try:
         for ccp in conditional_critical_pairs(C):

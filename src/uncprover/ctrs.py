@@ -28,7 +28,6 @@ from .terms import (
     mgu,
     replace_at,
     substitute,
-    subterms,
     var_occurrences,
     variables,
 )
@@ -167,10 +166,6 @@ class CTRS:
 def lift_trs(R: TRS) -> CTRS:
     """A TRS viewed as a CTRS with empty condition parts."""
     return CTRS(R.signature, tuple(ConditionalRule(r.lhs, r.rhs) for r in R.rules))
-
-
-def _var_positions(t: Term) -> list[Position]:
-    return [p for p, s in subterms(t) if isinstance(s, Var)]
 
 
 def conditional_linearize(R: TRS) -> CTRS:

@@ -3,14 +3,15 @@ verdict with a certificate.
 
 Method tags: sno, omega, pcl, scl, wd, rr, cp, sc, dc; a "rev+" prefix
 runs the method on the rule-reversed system (sound either way, worthwhile
-for the completion methods).  The first definitive answer wins; the
-deadline is shared and checked cooperatively between methods and
-completion rounds.
+for the completion methods).  The first definitive answer wins.  The
+timeout becomes the deadline of the one `config.Budgets` every method
+receives; it is checked here between methods, and inside `cp`, `wd`, `sc`
+and `dc`, whose clock cuts answer MAYBE.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -54,7 +55,7 @@ class StrategyConfig:
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
@@ -100,14 +101,13 @@ class _MethodOutcome:
 
 
 def _run_method(tag: str, R: TRS, config: StrategyConfig,
-                deadline: float) -> _MethodOutcome:
+                budgets: Budgets) -> _MethodOutcome:
     base = tag.removeprefix("rev+")
     reversed_run = tag != base
     system = R
     origin = None
     if reversed_run:
         system, origin = rule_reverse_mapped(R)
-    budgets = config.budgets
     if base == "sno":
         if strongly_non_overlapping(system):
             return _MethodOutcome("YES", ["no critical pair survives linearization"])
@@ -137,14 +137,14 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
                                           *report.details])
         return _MethodOutcome("MAYBE")
     if base == "wd":
-        report = weight_decreasing_unc(system, deadline)
+        report = weight_decreasing_unc(system, budgets)
         if report.holds:
             return _MethodOutcome("YES", ["all critical pairs of the separated "
                                           "linearization are weight-decreasing "
                                           "joinable", *report.details])
         return _MethodOutcome("MAYBE")
     if base == "cp":
-        w = disprove_search(system, budgets, deadline)
+        w = disprove_search(system, budgets)
         if w is None:
             return _MethodOutcome("MAYBE")
         if reversed_run:
@@ -154,7 +154,7 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
         return _MethodOutcome("NO", _witness_lines(w), witness=w)
     if base in ("sc", "dc"):
         pred = STRONGLY_CLOSED if base == "sc" else DEVELOPMENT_CLOSED
-        verdict = unc_complete(system, pred, config.rounds, budgets, deadline)
+        verdict = unc_complete(system, pred, config.rounds, budgets)
         if verdict.status == "UNC":
             lines = [f"completion ({pred.name}) succeeded in "
                      f"{verdict.rounds} round(s)"]
@@ -181,7 +181,7 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     disproves the whole system, and all components must say YES for a YES.
     """
     R = problem.trs if isinstance(problem, ProblemFile) else problem
-    deadline = time.monotonic() + config.timeout
+    budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
     components = direct_sum_decompose(R)
     lines = [f"certificate-format: {CERTIFICATE_FORMAT}"]
     if len(components) > 1:
@@ -191,12 +191,10 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     for ci, comp in enumerate(components, 1):
         answer, tag = "MAYBE", None
         for m in config.methods:
-            if time.monotonic() > deadline:
+            if time.monotonic() > budgets.deadline:
                 lines.append(f"component {ci}: timeout")
-                answer = "MAYBE"
-                tag = None
                 break
-            outcome = _run_method(m, comp, config, deadline)
+            outcome = _run_method(m, comp, config, budgets)
             if outcome.verdict != "MAYBE":
                 answer, tag = outcome.verdict, m
                 lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
@@ -215,6 +213,6 @@ def prove_unc(problem: Union[ProblemFile, TRS],
         final, method = "YES", ",".join(dict.fromkeys(tags))
     else:
         final, method = "MAYBE", None
-        if time.monotonic() > deadline:
+        if time.monotonic() > budgets.deadline:
             lines.append("reason: timeout")
     return ProofResult(final, method, "\n".join(lines) + "\n")

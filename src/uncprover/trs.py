@@ -6,18 +6,19 @@ conditional critical pairs and the omega test are built, `reach` is the
 bounded breadth-first search over any one-step relation, and
 `parallel_steps` combines the redexes at disjoint positions.
 
-All operations are pure; step budgets are per call.  Result sets are
-deduplicated literally except for critical pairs, which are identified up to
-renaming.
+All operations are pure; step budgets are per call, and the long searches
+call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
+returns a partial result.  Result sets are deduplicated literally except for
+critical pairs, which are identified up to renaming.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
     App,
     Position,
@@ -187,23 +188,22 @@ def is_normal_form(R: TRS, t: Term) -> bool:
 
 
 def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
-          size_cap: int = 0, max_terms: int = 0, deadline: Optional[float] = None,
+          size_cap: int = 0, max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS,
           ) -> tuple[set[Term], bool]:
     """Terms reachable from `t` in at most `depth` applications of `step`,
     plus a flag telling whether the search was cut with the frontier open.
 
-    `size_cap` drops oversized terms, `max_terms` stops the search once
-    that many terms were found, and past `deadline` (a `time.monotonic`
-    value) it stops before the next frontier term; each cut sets the flag
-    and keeps the result a sound subset of the reachable terms.
+    `size_cap` drops oversized terms and `max_terms` stops the search once
+    that many terms were found; each cut sets the flag and keeps the result
+    a sound subset of the reachable terms.  The budget is checked before
+    each frontier term.
     """
     seen = {t}
     frontier = [t]
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            if deadline is not None and time.monotonic() > deadline:
-                return seen, True
+            budgets.check()
             for v in step(u):
                 if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
@@ -218,10 +218,10 @@ def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
 
 
 def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
-                    max_terms: int = 0, deadline: Optional[float] = None) -> set[Term]:
+                    max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS) -> set[Term]:
     """Terms reachable from `t` in at most `depth` rewrite steps, cut as
     `reach` cuts."""
-    return reach(lambda u: reducts(R, u), t, depth, size_cap, max_terms, deadline)[0]
+    return reach(lambda u: reducts(R, u), t, depth, size_cap, max_terms, budgets)[0]
 
 
 def _disjoint(p: Position, q: Position) -> bool:
@@ -283,16 +283,18 @@ DevPath = tuple[tuple[Position, int], ...]
 
 
 def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
-               ) -> dict[Term, DevPath]:
-    """Reducts of one multistep from `t`, each with a serialising path."""
+               budgets: Budgets) -> dict[Term, DevPath]:
+    """Reducts of one multistep from `t`, each with a serialising path; the
+    budget is checked once per combination built."""
     if t in memo:
         return memo[t]
     if isinstance(t, Var):
         memo[t] = {t: ()}
         return memo[t]
     out: dict[Term, DevPath] = {}
-    arg_maps = [_multistep(R, a, memo) for a in t.args]
+    arg_maps = [_multistep(R, a, memo, budgets) for a in t.args]
     for combo in product(*[sorted(m, key=repr) for m in arg_maps]):
+        budgets.check()
         u = App(t.sym, combo)
         path: list[tuple[Position, int]] = []
         for i, new_arg in enumerate(combo):
@@ -303,9 +305,11 @@ def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
         if sigma is None:
             continue
         names = sorted(variables(rule.rhs))
-        value_maps = {n: _multistep(R, sigma.get(n, Var(n)), memo) for n in names}
+        value_maps = {n: _multistep(R, sigma.get(n, Var(n)), memo, budgets)
+                      for n in names}
         var_slots = [(p, s.name) for p, s in subterms(rule.rhs) if isinstance(s, Var)]
         for values in product(*[sorted(value_maps[n], key=repr) for n in names]):
+            budgets.check()
             tau = dict(zip(names, values))
             path = [((), ri)]
             for p, name in var_slots:
@@ -315,9 +319,10 @@ def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
     return out
 
 
-def development_reducts_with_paths(R: TRS, t: Term) -> dict[Term, DevPath]:
+def development_reducts_with_paths(R: TRS, t: Term, budgets: Budgets = DEFAULT_BUDGETS,
+                                   ) -> dict[Term, DevPath]:
     """One multistep from `t`; each reduct carries a single-step path."""
-    return dict(_multistep(R, t, {}))
+    return dict(_multistep(R, t, {}, budgets))
 
 
 def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
@@ -336,24 +341,23 @@ def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
 
 
 def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 4096,
-                             deadline: Optional[float] = None,
+                             budgets: Budgets = DEFAULT_BUDGETS,
                              ) -> tuple[set[Term], bool]:
     """Multistep reducts of `t`, with a truncation flag.
 
     For left-linear systems this is one exact multistep.  Otherwise the
     multistep is over-approximated by up to `cap` iterated parallel steps,
     still a sound subset of many-step rewriting; that iteration stops and
-    reports truncation once it holds more than `max_terms` terms, or past
-    `deadline` before the next frontier term.
+    reports truncation once it holds more than `max_terms` terms.
     """
     if R.left_linear:
-        out = set(development_reducts_with_paths(R, t))
+        out = set(development_reducts_with_paths(R, t, budgets))
         return out, len(out) > max_terms
     return reach(lambda u: parallel_step_reducts(R, u), t, cap,
-                 max_terms=max_terms + 1, deadline=deadline)
+                 max_terms=max_terms + 1, budgets=budgets)
 
 
-def overlaps(rules: Sequence, deadline: Optional[float] = None) -> Iterator[tuple]:
+def overlaps(rules: Sequence, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[tuple]:
     """Overlap sites of rules with `lhs`, `rename` and `all_variables`:
     (outer index, inner index, position, inner rule renamed apart,
     outer-lhs subterm), to be unified as the caller sees fit.
@@ -363,15 +367,13 @@ def overlaps(rules: Sequence, deadline: Optional[float] = None) -> Iterator[tupl
     sites whose symbol is the inner lhs root are yielded, since distinct
     function symbols unify neither syntactically nor over rational trees,
     and the inner rule is renamed away from the outer one only when a site
-    is left.  Past `deadline` (a `time.monotonic` value, checked once per
-    ordered rule pair) it raises `TimeoutError`.
+    is left.  The budget is checked once per ordered rule pair.
     """
     for oi, outer in enumerate(rules):
         used = outer.all_variables()
         sites = list(fn_subterms(outer.lhs))
         for ii, inner in enumerate(rules):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("overlaps cut at the deadline")
+            budgets.check()
             root = inner.lhs.sym
             hits = [(pos, sub) for pos, sub in sites
                     if sub.sym == root and (pos or ii != oi)]
@@ -383,16 +385,13 @@ def overlaps(rules: Sequence, deadline: Optional[float] = None) -> Iterator[tupl
                 yield oi, ii, pos, renamed, sub
 
 
-def critical_pairs(R: TRS, deadline: Optional[float] = None,
+def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
                    ) -> tuple[CriticalPair, ...]:
-    """All critical pairs of `R`, deduplicated up to renaming.
-
-    Past `deadline` `overlaps` raises `TimeoutError`, so no caller sees a
-    partial list.
-    """
+    """All critical pairs of `R`, deduplicated up to renaming; a clock cut
+    in `overlaps` raises, so no caller sees a partial list."""
     out: list[CriticalPair] = []
     seen: set[tuple] = set()
-    for oi, ii, pos, inner, sub in overlaps(R.rules, deadline):
+    for oi, ii, pos, inner, sub in overlaps(R.rules, budgets):
         sigma = mgu(inner.lhs, sub)
         if sigma is None:
             continue
@@ -496,14 +495,13 @@ class ConversionClass:
 
 def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
                      max_class: int = 2000,
-                     deadline: Optional[float] = None) -> ConversionClass:
+                     budgets: Budgets = DEFAULT_BUDGETS) -> ConversionClass:
     """BFS over the symmetric rewrite relation, both directions bounded.
 
     Fresh variables introduced by reverse steps are deduplicated up to
     renaming (variables of the seed are kept fixed) and are chosen away
-    from every variable of the class.  Past `deadline` (a `time.monotonic`
-    value) the search stops before the next frontier node and returns the
-    class built so far.
+    from every variable of the class.  The budget is checked before each
+    frontier node.
     """
     keep = frozenset(variables(seed))
     cls = ConversionClass(seed, [seed])
@@ -514,8 +512,7 @@ def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
     for _ in range(depth):
         nxt: list[Term] = []
         for u in frontier:
-            if deadline is not None and time.monotonic() > deadline:
-                return cls
+            budgets.check()
             candidates: list[ConvStep] = []
             for pos, i, v in rewrite_steps(R, u):
                 candidates.append(ConvStep(u, v, i, pos, True))

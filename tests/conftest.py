@@ -43,6 +43,14 @@ S, K, I = App("S"), App("K"), App("I")
 CL = TRS.of([RewriteRule(ap(ap(ap(S, x), y), z), ap(ap(x, z), ap(y, z))),
              RewriteRule(ap(ap(K, x), y), x), RewriteRule(ap(I, x), x)])
 
+# associativity and commutativity: large conversion classes, and AC_G
+# adds a second direct-sum component
+AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
+AC_G = TRS.of(AC.rules + (RewriteRule(g(x), g(g(x))),))
+
+# Cops #126: one duplicating rule whose completion grows fast
+COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
+
 
 @pytest.fixture
 def rng():

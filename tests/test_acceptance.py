@@ -59,7 +59,7 @@ from uncprover.completion import (
 )
 from uncprover.strategy import prove_unc
 
-from conftest import a, b, c, f, g, h, c1, random_term, x, y, z
+from conftest import COPS_126, a, b, c, f, g, h, c1, random_term, x, y
 
 RESULTS = []
 
@@ -116,8 +116,6 @@ SEC4 = TRS.of([
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
-
-COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 
 SEC5 = TRS.of([RewriteRule(a, f(a)), RewriteRule(h(c, a), b),
                RewriteRule(h(a, x), h(x, f(x)))])

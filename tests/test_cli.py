@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from uncprover.cli import main
+from uncprover.config import Budgets
 from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
 
@@ -158,3 +159,17 @@ def test_timeout_yields_maybe(run):
 def test_budget_flags_accepted(run):
     code, out, _ = run(COPS_126, "--budget-conv", "3", "--budget-size", "25")
     assert out.splitlines()[0] == "YES"
+
+
+@pytest.mark.parametrize("args", [("--timeout", "nan"), ("--timeout", "0"),
+                                  ("--budget-size", "-3"), ("--budget-conv", "-2")])
+def test_malformed_limits_rejected(run, args):
+    code, out, err = run(COPS_254, *args)
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("field", ["conv_depth", "dev_cap", "size_cap", "max_class"])
+def test_negative_budget_rejected(field):
+    with pytest.raises(ValueError):
+        Budgets(**{field: -1})
+    assert getattr(Budgets(**{field: 0}), field) == 0

@@ -1,10 +1,8 @@
-import math
+import sys
 import time
-from types import SimpleNamespace
 
 import pytest
 
-import uncprover.trs
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, variables, substitute, canonical_renaming
 from uncprover.trs import (
@@ -21,6 +19,8 @@ from uncprover.completion import (
     DEVELOPMENT_CLOSED,
     STRONGLY_CLOSED,
     ConfluencePredicate,
+    _find_path,
+    _pick_join,
     direct_sum_decompose,
     disprove_search,
     rule_reverse,
@@ -31,7 +31,7 @@ from uncprover.completion import (
 )
 from uncprover.config import DEFAULT_BUDGETS, Budgets
 
-from conftest import CL, a, b, c, d, f, g, h, random_term, x, y, z
+from conftest import COPS_126, CL, a, b, c, d, f, g, h, random_term, x
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -112,12 +112,9 @@ def test_completion_round_budget():
 
 
 def test_completion_respects_deadline():
-    import time
-    verdict = unc_complete(COPS_254, STRONGLY_CLOSED, deadline=time.monotonic() - 1)
+    verdict = unc_complete(COPS_254, STRONGLY_CLOSED,
+                           budgets=Budgets(deadline=time.monotonic() - 1))
     assert verdict.status == "MAYBE" and "timeout" in verdict.reason
-
-
-COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 
 
 def test_completion_stops_at_the_deadline():
@@ -130,55 +127,77 @@ def test_completion_stops_at_the_deadline():
 
 def test_critical_pairs_past_the_deadline_give_no_partial_list():
     with pytest.raises(TimeoutError):
-        critical_pairs(COPS_254, deadline=time.monotonic() - 1)
+        critical_pairs(COPS_254, Budgets(deadline=time.monotonic() - 1))
     for R in (COPS_254, COPS_126, TRS.of([RewriteRule(f(x), x)])):
         for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
-            verdict = unc_complete(R, pred, deadline=time.monotonic() - 1)
+            verdict = unc_complete(R, pred, budgets=Budgets(deadline=time.monotonic() - 1))
             assert verdict.status == "MAYBE" and verdict.reason == "timeout"
 
 
-def test_deadline_inside_critical_pairs_never_gives_unc(monkeypatch):
+def _past_only_in(function_name):
+    """Budgets whose deadline has passed only at the checks made by one
+    function."""
+    class Past(Budgets):
+        def check(self):
+            if sys._getframe(1).f_code.co_name == function_name:
+                raise TimeoutError
+    return Past()
+
+
+def test_deadline_inside_critical_pairs_never_gives_unc():
     # a linear NOT-UNC system: an empty or partial pair list would pass
-    # the strongly-closed test; the deadline passes only inside trs
+    # the strongly-closed test, or leave cp without its seeds; the
+    # deadline passes only inside the overlap search of the critical pairs
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
-    monkeypatch.setattr(uncprover.trs, "time", SimpleNamespace(monotonic=lambda: math.inf))
     for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
-        verdict = unc_complete(R, pred, deadline=time.monotonic() + 60)
+        verdict = unc_complete(R, pred, budgets=_past_only_in("overlaps"))
         assert verdict.status == "MAYBE" and verdict.reason == "timeout"
+    assert disprove_search(R) is not None
+    assert disprove_search(R, _past_only_in("overlaps")) is None
 
 
 def test_completion_passes_its_deadline_to_the_pair_test():
     received = []
 
-    def pair_closed(S, cp, budgets, deadline=None):
-        received.append(deadline)
+    def pair_closed(S, cp, budgets):
+        received.append(budgets)
         return True
 
-    deadline = time.monotonic() + 60
+    budgets = Budgets(deadline=time.monotonic() + 60)
     verdict = unc_complete(COPS_254, ConfluencePredicate("any", lambda S: True, pair_closed),
-                           deadline=deadline)
+                           budgets=budgets)
     assert verdict.status == "UNC"
-    assert received and set(received) == {deadline}
+    assert received and all(r is budgets for r in received)
 
 
-def test_closure_searches_cut_at_the_deadline_only_shrink():
-    past = time.monotonic() - 1
+def test_closure_searches_past_the_deadline_raise():
+    past = Budgets(deadline=time.monotonic() - 1)
     S = TRS.of([RewriteRule(f(x, x), a), RewriteRule(g(x), f(x, x)), RewriteRule(b, a)])
-    assert bounded_reducts(S, g(b), 5, deadline=past) == {g(b)}
+    with pytest.raises(TimeoutError):
+        bounded_reducts(S, g(b), 5, budgets=past)
     assert bounded_reducts(S, g(b), 5) == {g(b), f(b, b), g(a), a, f(a, b), f(b, a),
                                             f(a, a)}
-    assert development_step_reducts(S, g(b), deadline=past) == ({g(b)}, True)
-    # pairs <g(b), b> and <b, g(b)>: closed, but past the deadline the reach
-    # and development sets shrink to the pair's own sides (h keeps the
-    # system non-left-linear, so dc iterates parallel steps)
+    for R in (S, TRS.of([RewriteRule(b, a), RewriteRule(g(x), x)])):
+        with pytest.raises(TimeoutError):
+            development_step_reducts(R, g(b), budgets=past)
+        assert _pick_join(R, g(b), a, DEFAULT_BUDGETS) is not None
+        with pytest.raises(TimeoutError):
+            _pick_join(R, g(b), a, past)
+    assert _find_path(S, g(b), f(a, b), DEFAULT_BUDGETS) is not None
+    with pytest.raises(TimeoutError):
+        _find_path(S, g(b), f(a, b), past)
+    # pairs <g(b), b> and <b, g(b)>: closed, but past the deadline the pair
+    # tests raise rather than call them unclosed (h keeps the system
+    # non-left-linear, so dc iterates parallel steps)
     S = TRS.of([RewriteRule(a, b), RewriteRule(a, g(b)), RewriteRule(g(x), x),
                 RewriteRule(h(x, x), x)])
     cps = critical_pairs(S)
     assert [(cp.left, cp.right) for cp in cps] == [(g(b), b), (b, g(b))]
     for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
         assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS) for cp in cps] == [True, True]
-        assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS, past)
-                for cp in cps] == [False, False]
+        for cp in cps:
+            with pytest.raises(TimeoutError):
+                pred.pair_closed(S, cp, past)
 
 
 # --- rule reversing --------------------------------------------------------------

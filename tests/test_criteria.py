@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import uncprover.criteria
+from uncprover.config import Budgets
 from uncprover.terms import (
     App,
     Var,
@@ -56,7 +57,7 @@ from uncprover.criteria import (
 )
 from uncprover.strategy import StrategyConfig, prove_unc
 
-from conftest import CL, a, b, c, f, g, h, c1, random_system, random_term, \
+from conftest import AC, AC_G, CL, a, b, c, f, g, h, c1, random_system, random_term, \
     term_strategy, x, y, z
 
 
@@ -578,10 +579,6 @@ def _pair_queries(C):
     return out
 
 
-AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
-AC_G = TRS.of(AC.rules + (RewriteRule(g(x), g(g(x))),))
-
-
 def test_ranked_searches_match_oracle_on_random_systems(monkeypatch, rng):
     kinds = set()
     for _ in range(150):
@@ -684,7 +681,8 @@ def test_weight_decreasing_check_keeps_no_state_after_it_returns(monkeypatch):
     for budget in (None, 0.03):
         alive.clear()
         keys.clear()
-        report = weight_decreasing_unc(AC, budget and time.monotonic() + budget)
+        report = weight_decreasing_unc(
+            AC, Budgets(deadline=budget and time.monotonic() + budget))
         assert report.truncated == (budget is not None)
         assert alive and keys
         gc.collect()
@@ -702,7 +700,7 @@ def test_wd_stops_at_the_deadline(R):
 
 
 def test_wd_cut_is_a_truncated_failure():
-    report = weight_decreasing_unc(SEC4, deadline=time.monotonic() - 1)
+    report = weight_decreasing_unc(SEC4, Budgets(deadline=time.monotonic() - 1))
     assert (report.holds, report.failure, report.truncated) == (False, "timeout", True)
-    assert weight_decreasing_unc(SEC4, deadline=time.monotonic() + 60) \
+    assert weight_decreasing_unc(SEC4, Budgets(deadline=time.monotonic() + 60)) \
         == weight_decreasing_unc(SEC4)

@@ -27,7 +27,7 @@ from uncprover.ctrs import (
 )
 
 from conftest import (
-    CL, a, b, c, d, f, g, h, c1, random_system, random_term, term_strategy, x, y, z,
+    AC, CL, a, b, c, d, f, g, h, c1, random_system, random_term, term_strategy, x, y,
 )
 
 
@@ -234,7 +234,6 @@ def _assert_same_ccps(R):
         assert conditional_critical_pairs(C) == _oracle_conditional_critical_pairs(C)
 
 
-AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
 NON_LINEAR = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(x, g(x)), b),
                      RewriteRule(c, g(c))])
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import uncprover.trs
+from uncprover.config import Budgets
 from uncprover.terms import (
     App,
     Var,
@@ -43,14 +44,11 @@ from uncprover.trs import (
 )
 
 from conftest import (
-    CL, a, b, c, f, g, h, random_system, random_term, term_strategy, x, y, z,
+    AC, COPS_126, CL, a, b, c, f, g, h, random_system, random_term, term_strategy, x, y,
 )
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
-COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
-
-AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
 
 
 def test_rule_validation():
@@ -125,6 +123,21 @@ def test_development_contains_rhs_development():
     devs, _ = development_step_reducts(R, h(a, a))
     assert h(a, f(a, a)) in devs
     assert h(b, f(b, b)) in devs
+
+
+def test_multistep_checks_the_budget_once_per_combination():
+    calls = []
+
+    class Counting(Budgets):
+        def check(self):
+            calls.append(None)
+
+    # a: one (empty) argument combination and two contracta; f(a, a): 3 x 3
+    # argument combinations; g(f(a, a)): 9 argument combinations and 3 x 3
+    # instantiations of the rhs f(y, x)
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c), RewriteRule(g(f(x, y)), f(y, x))])
+    development_reducts_with_paths(R, g(f(a, a)), Counting())
+    assert len(calls) == 3 + 9 + 9 + 9
 
 
 @given(term_strategy(max_leaves=5))
@@ -307,14 +320,12 @@ def test_step_valid_rejects_a_position_outside_the_term():
 # --- bounded reach: the loops before `reach` as oracles ------------------------
 
 
-def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0, deadline=None):
+def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0):
     seen = {t}
     frontier = [t]
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            if deadline is not None and time.monotonic() > deadline:
-                return seen
             for v in reducts(R, u):
                 if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
@@ -328,7 +339,7 @@ def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0, deadline=None)
     return seen
 
 
-def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096, deadline=None):
+def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096):
     """The non-left-linear branch of `development_step_reducts`."""
     seen = {t}
     frontier = [t]
@@ -336,8 +347,6 @@ def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096, deadline=None):
     for _ in range(cap):
         nxt = []
         for u in frontier:
-            if deadline is not None and time.monotonic() > deadline:
-                return seen, True
             for v in parallel_step_reducts(R, u):
                 if v not in seen:
                     seen.add(v)
@@ -353,7 +362,7 @@ def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096, deadline=None):
 
 
 def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
-    past = time.monotonic() - 1
+    past = Budgets(deadline=time.monotonic() - 1)
     for _ in range(150):
         R = random_system(rng)
         if R.left_linear:
@@ -363,12 +372,13 @@ def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
             for depth, size_cap, max_terms in product((1, 3), (0, 7), (0, 2, 5)):
                 assert bounded_reducts(R, t, depth, size_cap, max_terms) \
                     == _oracle_bounded_reducts(R, t, depth, size_cap, max_terms)
-            assert bounded_reducts(R, t, 3, deadline=past) == {t}
+            with pytest.raises(TimeoutError):
+                bounded_reducts(R, t, 3, budgets=past)
             for cap, max_terms in product((0, 1, 3), (1, 2, 5, 4096)):
                 assert development_step_reducts(R, t, cap, max_terms) \
                     == _oracle_iterated_parallel_steps(R, t, cap, max_terms)
-            assert development_step_reducts(R, t, deadline=past) \
-                == _oracle_iterated_parallel_steps(R, t, deadline=past)
+            with pytest.raises(TimeoutError):
+                development_step_reducts(R, t, budgets=past)
 
 
 # --- bounded conversions -----------------------------------------------------
