@@ -229,6 +229,10 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     predicate certifies the result, a disproof witness appears, or the
     round budget runs out.
 
+    Each round is one pass over the critical pairs: a trivial or closed
+    pair is passed over, and any other pair decides NOT_UNC or proposes a
+    rule, so a disproving pair answers before later pairs are closed.
+
     Addition invariant: each added rule l -> r has l convertible to r over
     the *original* system (a trace is kept) and l was reducible when
     added, so the normal forms never change.
@@ -252,21 +256,15 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     try:
         for round_no in range(1, max_rounds + 1):
             budgets.check()
-            cps = critical_pairs(current, budgets)
-            closed = {}
-            for cp in cps:
-                budgets.check()
-                closed[cp] = pred.pair_closed(current, cp, budgets)
-            if pred.guard(current) and all(closed.values()):
-                return verdict("UNC", f"completion success with {pred.name} predicate",
-                               round_no)
             new_rules: list[tuple[RewriteRule, Trace]] = []
             handled_overlays: set[frozenset[str]] = set()
             known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
-            for cp in cps:
+            all_closed = True
+            for cp in critical_pairs(current, budgets):
                 budgets.check()
-                if closed[cp] or cp.left == cp.right:
+                if cp.left == cp.right or pred.pair_closed(current, cp, budgets):
                     continue
+                all_closed = False
                 if cp.overlay:
                     key = frozenset((canonical_key((cp.left,)),
                                      canonical_key((cp.right,))))
@@ -309,6 +307,9 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                 else:
                     trace = tuple(base) + fwd
                 _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
+            if all_closed and pred.guard(current):
+                return verdict("UNC", f"completion success with {pred.name} predicate",
+                               round_no)
             if not new_rules:
                 return verdict("MAYBE", "completion failed: no progress possible",
                                round_no)

@@ -45,6 +45,8 @@ def _tokenize(text: str) -> list[_Tok]:
     out = []
     for ln, line in enumerate(text.splitlines(), 1):
         for m in _TOKEN.finditer(line):
+            if "\x00" in m.group():
+                raise CopsParseError("identifier contains NUL", ln, m.start() + 1)
             out.append(_Tok(m.group(), ln, m.start() + 1))
     return out
 

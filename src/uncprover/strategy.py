@@ -1,17 +1,21 @@
 """Method portfolio orchestration: decompose, run methods in order, emit a
 verdict with a certificate.
 
-Method tags: sno, omega, pcl, scl, wd, rr, cp, sc, dc; a "rev+" prefix
-runs the method on the rule-reversed system (sound either way, worthwhile
-for the completion methods).  The first definitive answer wins.  The
-timeout becomes the deadline of the one `config.Budgets` every method
-receives; it is checked here between methods, and inside `cp`, `wd`, `sc`
-and `dc`, whose clock cuts answer MAYBE.
+Method tags are the keys of the table `METHODS`; a "rev+" prefix runs the
+method on the rule-reversed system (sound either way, worthwhile for the
+completion methods).  An entry adapts one prover, looked up as a module
+global when it runs so that a tracer rebinding the global sees the call;
+`_run_method` reverses, translates a reversed witness back and replays
+every witness over the component's own rules, once for all methods.  The
+first definitive answer wins.  The timeout becomes the deadline of the one
+`config.Budgets` every method receives; it is checked here between
+methods, and inside `cp`, `wd`, `sc` and `dc`, whose clock cuts answer
+MAYBE.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -19,7 +23,6 @@ from .cops import ProblemFile
 from .completion import (
     DEVELOPMENT_CLOSED,
     STRONGLY_CLOSED,
-    Trace,
     Witness,
     direct_sum_decompose,
     disprove_search,
@@ -44,8 +47,6 @@ CERTIFICATE_FORMAT = "1"
 DEFAULT_METHODS: tuple[str, ...] = (
     "sno", "omega", "rr", "cp", "pcl", "scl", "wd", "rev+sc", "rev+dc")
 
-_KNOWN = {"sno", "omega", "pcl", "scl", "wd", "rr", "cp", "sc", "dc"}
-
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -60,8 +61,7 @@ class StrategyConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         for m in self.methods:
-            base = m.removeprefix("rev+")
-            if base not in _KNOWN:
+            if m.removeprefix("rev+") not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
 
 
@@ -78,99 +78,71 @@ class ProofResult:
         return 0 if self.answer in ("YES", "NO") else 1
 
 
-def _render_trace(trace: Trace) -> list[str]:
-    out = []
-    for s in trace:
-        arrow = "->" if s.forward else "<-"
-        pos = ".".join(map(str, s.pos)) if s.pos else "root"
-        out.append(f"  {s.src!r} {arrow} {s.dst!r}  (rule {s.rule} at {pos})")
-    return out
-
-
 def _witness_lines(w: Witness) -> list[str]:
     lines = [f"witness normal forms: {w.s!r}  and  {w.t!r}", "conversion trace:"]
-    lines.extend(_render_trace(w.trace))
+    for s in w.trace:
+        arrow = "->" if s.forward else "<-"
+        pos = ".".join(map(str, s.pos)) if s.pos else "root"
+        lines.append(f"  {s.src!r} {arrow} {s.dst!r}  (rule {s.rule} at {pos})")
     return lines
 
 
-@dataclass
-class _MethodOutcome:
-    verdict: str  # "YES" | "NO" | "MAYBE"
-    lines: list[str] = field(default_factory=list)
-    witness: Optional[Witness] = None
+def _report(lead: str, report) -> Optional[list[str]]:
+    return [lead, *report.details] if report.holds else None
+
+
+def _completion(pred):
+    def run(system: TRS, config: StrategyConfig, budgets: Budgets):
+        verdict = unc_complete(system, pred, config.rounds, budgets)
+        if verdict.status == "NOT_UNC":
+            return verdict.witness
+        if verdict.status != "UNC":
+            return None
+        lines = [f"completion ({pred.name}) succeeded in {verdict.rounds} round(s)"]
+        if verdict.added_rules:
+            lines.append("added rules:")
+            lines.extend(f"  {r!r}" for r in verdict.added_rules)
+        return lines
+    return run
+
+
+#: Base tag -> adapter `(system S, config c, budgets b) -> YES lines |
+#: Witness | None`, naming its prover as a module global (see above).
+METHODS = {
+    "sno": lambda S, c, b: (["no critical pair survives linearization"]
+                            if strongly_non_overlapping(S) else None),
+    "omega": lambda S, c, b: (["left-hand sides do not overlap over infinite trees"]
+                              if non_omega_overlapping(S) else None),
+    "rr": lambda S, c, b: (["every right-hand side is reducible"]
+                           if S.rules and right_reducible(S) else None),
+    "pcl": lambda S, c, b: _report("linearization is parallel-closed",
+                                   parallel_closed_check(conditional_linearize(S), b)),
+    "scl": lambda S, c, b: _report(
+        "system is right-linear and its linearization is strongly closed",
+        strongly_closed_check(conditional_linearize(S), b)) if S.right_linear else None,
+    "wd": lambda S, c, b: _report("all critical pairs of the separated linearization "
+                                  "are weight-decreasing joinable",
+                                  weight_decreasing_unc(S, b)),
+    "cp": lambda S, c, b: disprove_search(S, b),
+    "sc": _completion(STRONGLY_CLOSED),
+    "dc": _completion(DEVELOPMENT_CLOSED),
+}
 
 
 def _run_method(tag: str, R: TRS, config: StrategyConfig,
-                budgets: Budgets) -> _MethodOutcome:
+                budgets: Budgets) -> Optional[tuple[str, list[str]]]:
+    """("YES" | "NO", certificate lines) of one method on `R`, or None.
+
+    A witness found on the reversed system is translated back, and every
+    witness is replayed over `R`'s own rules before it counts as a NO."""
     base = tag.removeprefix("rev+")
-    reversed_run = tag != base
-    system = R
-    origin = None
-    if reversed_run:
-        system, origin = rule_reverse_mapped(R)
-    if base == "sno":
-        if strongly_non_overlapping(system):
-            return _MethodOutcome("YES", ["no critical pair survives linearization"])
-        return _MethodOutcome("MAYBE")
-    if base == "omega":
-        if non_omega_overlapping(system):
-            return _MethodOutcome(
-                "YES", ["left-hand sides do not overlap over infinite trees"])
-        return _MethodOutcome("MAYBE")
-    if base == "rr":
-        if system.rules and right_reducible(system):
-            return _MethodOutcome("YES", ["every right-hand side is reducible"])
-        return _MethodOutcome("MAYBE")
-    if base == "pcl":
-        report = parallel_closed_check(conditional_linearize(system), budgets)
-        if report.holds:
-            return _MethodOutcome("YES", ["linearization is parallel-closed",
-                                          *report.details])
-        return _MethodOutcome("MAYBE")
-    if base == "scl":
-        if not system.right_linear:
-            return _MethodOutcome("MAYBE")
-        report = strongly_closed_check(conditional_linearize(system), budgets)
-        if report.holds:
-            return _MethodOutcome("YES", ["system is right-linear and its "
-                                          "linearization is strongly closed",
-                                          *report.details])
-        return _MethodOutcome("MAYBE")
-    if base == "wd":
-        report = weight_decreasing_unc(system, budgets)
-        if report.holds:
-            return _MethodOutcome("YES", ["all critical pairs of the separated "
-                                          "linearization are weight-decreasing "
-                                          "joinable", *report.details])
-        return _MethodOutcome("MAYBE")
-    if base == "cp":
-        w = disprove_search(system, budgets)
-        if w is None:
-            return _MethodOutcome("MAYBE")
-        if reversed_run:
-            w = Witness(w.s, w.t, translate_trace(w.trace, origin))
-        if not validate_witness(R, w):
-            return _MethodOutcome("MAYBE", ["counterexample failed validation"])
-        return _MethodOutcome("NO", _witness_lines(w), witness=w)
-    if base in ("sc", "dc"):
-        pred = STRONGLY_CLOSED if base == "sc" else DEVELOPMENT_CLOSED
-        verdict = unc_complete(system, pred, config.rounds, budgets)
-        if verdict.status == "UNC":
-            lines = [f"completion ({pred.name}) succeeded in "
-                     f"{verdict.rounds} round(s)"]
-            if verdict.added_rules:
-                lines.append("added rules:")
-                lines.extend(f"  {r!r}" for r in verdict.added_rules)
-            return _MethodOutcome("YES", lines)
-        if verdict.status == "NOT_UNC":
-            w = verdict.witness
-            if reversed_run:
-                w = Witness(w.s, w.t, translate_trace(w.trace, origin))
-            if not validate_witness(R, w):
-                return _MethodOutcome("MAYBE", ["counterexample failed validation"])
-            return _MethodOutcome("NO", _witness_lines(w), witness=w)
-        return _MethodOutcome("MAYBE", [verdict.reason])
-    raise ValueError(f"unknown method {tag!r}")
+    system, origin = rule_reverse_mapped(R) if tag != base else (R, None)
+    found = METHODS[base](system, config, budgets)
+    if not isinstance(found, Witness):
+        return None if found is None else ("YES", found)
+    if origin is not None:
+        found = Witness(found.s, found.t, translate_trace(found.trace, origin))
+    return ("NO", _witness_lines(found)) if validate_witness(R, found) else None
 
 
 def prove_unc(problem: Union[ProblemFile, TRS],
@@ -195,11 +167,11 @@ def prove_unc(problem: Union[ProblemFile, TRS],
                 lines.append(f"component {ci}: timeout")
                 break
             outcome = _run_method(m, comp, config, budgets)
-            if outcome.verdict != "MAYBE":
-                answer, tag = outcome.verdict, m
+            if outcome is not None:
+                (answer, found), tag = outcome, m
                 lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
                              f"{answer} via ({m})")
-                lines.extend("  " + ln for ln in outcome.lines)
+                lines.extend("  " + ln for ln in found)
                 break
         else:
             lines.append(f"component {ci}: no method applied")

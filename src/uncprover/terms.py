@@ -10,10 +10,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-#: Reserved hole symbol for contexts; never part of a user signature.
-HOLE = "\x00hole"
-
-
 # Slotted: no instance dict per node, since critical pairs and reach sets
 # keep many terms alive at once.
 @dataclass(frozen=True, slots=True)
@@ -50,8 +46,8 @@ class Signature:
     def __post_init__(self) -> None:
         table = {}
         for sym, ar in self.entries:
-            if sym == HOLE:
-                raise ValueError("hole symbol is reserved")
+            if "\x00" in sym:  # reserved for canonical variable names
+                raise ValueError(f"symbol {sym!r} contains NUL")
             if ar < 0:
                 raise ValueError(f"negative arity for {sym}")
             if sym in table and table[sym] != ar:

@@ -50,6 +50,17 @@ def test_input_error_exit_code(run):
     assert "error" in err
 
 
+def test_nul_in_identifier_exit_code(run):
+    # `\x00v1` is the canonical name of a variable; as a constant it made
+    # critical pairs that are no renaming of each other look alike (a YES)
+    C = "\x00v1"
+    code, out, err = run(f"(VAR x)\n(RULES f({C}) -> k({C})\n f({C}) -> b g(x) -> k(x)"
+                         f" g(x) -> b k({C}) -> b)\n")
+    assert code == 2
+    assert out == ""
+    assert "2:10: identifier contains NUL" in err
+
+
 def test_undeclared_name_is_a_constant(run):
     # without a VAR declaration, x is a nullary function symbol
     code, out, _ = run("(RULES a -> x)")

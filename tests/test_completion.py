@@ -1,24 +1,33 @@
 import sys
 import time
+from typing import Optional
 
 import pytest
 
 from uncprover.strategy import StrategyConfig, prove_unc
-from uncprover.terms import Var, variables, substitute, canonical_renaming
+from uncprover.terms import Var, canonical_key, canonical_renaming, substitute, variables
 from uncprover.trs import (
     TRS,
+    ConvStep,
     RewriteRule,
     bounded_conversions,
     bounded_reducts,
     critical_pairs,
     development_step_reducts,
     is_normal_form,
+    replay_path,
     trace_valid,
 )
 from uncprover.completion import (
     DEVELOPMENT_CLOSED,
     STRONGLY_CLOSED,
     ConfluencePredicate,
+    Trace,
+    Verdict,
+    Witness,
+    _add_rule,
+    _escape_witness,
+    _expand_trace,
     _find_path,
     _pick_join,
     direct_sum_decompose,
@@ -31,7 +40,8 @@ from uncprover.completion import (
 )
 from uncprover.config import DEFAULT_BUDGETS, Budgets
 
-from conftest import COPS_126, CL, a, b, c, d, f, g, h, random_term, x
+from conftest import (AC, AC_G, COPS_126, CL, a, b, c, d, f, g, h, random_system,
+                      random_term, x)
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -198,6 +208,110 @@ def test_closure_searches_past_the_deadline_raise():
         for cp in cps:
             with pytest.raises(TimeoutError):
                 pred.pair_closed(S, cp, past)
+
+
+def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
+                           budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+    """`unc_complete` as it was before each round became one pass: every
+    pair's closure first, then the pass that decides or adds rules."""
+    n_original = len(R.rules)
+    current = R
+    rule_traces: dict[int, Trace] = {}
+    added: list[RewriteRule] = []
+    added_traces: list[Trace] = []
+
+    def verdict(status: str, reason: str, rounds: int,
+                witness: Optional[Witness] = None) -> Verdict:
+        return Verdict(status, reason, witness, tuple(added), tuple(added_traces),
+                       rounds)
+
+    try:
+        for round_no in range(1, max_rounds + 1):
+            budgets.check()
+            cps = critical_pairs(current, budgets)
+            closed = {}
+            for cp in cps:
+                budgets.check()
+                closed[cp] = pred.pair_closed(current, cp, budgets)
+            if pred.guard(current) and all(closed.values()):
+                return verdict("UNC", f"completion success with {pred.name} predicate",
+                               round_no)
+            new_rules: list[tuple[RewriteRule, Trace]] = []
+            handled_overlays: set[frozenset[str]] = set()
+            known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
+            for cp in cps:
+                budgets.check()
+                if closed[cp] or cp.left == cp.right:
+                    continue
+                if cp.overlay:
+                    key = frozenset((canonical_key((cp.left,)),
+                                     canonical_key((cp.right,))))
+                    if key in handled_overlays:
+                        continue
+                    handled_overlays.add(key)
+                # left <- peak -> right
+                base = (ConvStep(cp.left, cp.peak, cp.inner, cp.pos, False),
+                        ConvStep(cp.peak, cp.right, cp.outer, (), True))
+                u, v = cp.left, cp.right
+                u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
+                if u_nf and v_nf:
+                    trace = _expand_trace(base, n_original, rule_traces)
+                    return verdict("NOT_UNC", "two distinct convertible normal forms",
+                                   round_no, Witness(u, v, trace))
+                if v_nf and not u_nf:
+                    if variables(v) - variables(u):
+                        expanded = _expand_trace(base, n_original, rule_traces)
+                        return verdict("NOT_UNC", "normal form drops a variable",
+                                       round_no, _escape_witness(expanded, u, v))
+                    _add_rule(new_rules, known, RewriteRule(u, v), base)
+                    continue
+                if u_nf and not v_nf:
+                    rev = tuple(s.reversed_() for s in reversed(base))
+                    if variables(u) - variables(v):
+                        expanded = _expand_trace(rev, n_original, rule_traces)
+                        return verdict("NOT_UNC", "normal form drops a variable",
+                                       round_no, _escape_witness(expanded, v, u))
+                    _add_rule(new_rules, known, RewriteRule(v, u), rev)
+                    continue
+                choice = _pick_join(current, u, v, budgets)
+                if choice is None:
+                    continue
+                lhs, w, start, path = choice
+                fwd = tuple(replay_path(current, start, path))
+                if lhs == v:
+                    # v <- peak -> u ->* w, oriented v -> w
+                    rev = tuple(s.reversed_() for s in reversed(base))
+                    trace = rev + fwd
+                else:
+                    trace = tuple(base) + fwd
+                _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
+            if not new_rules:
+                return verdict("MAYBE", "completion failed: no progress possible",
+                               round_no)
+            for rule, trace in new_rules:
+                expanded = _expand_trace(trace, n_original, rule_traces)
+                idx = len(current.rules)
+                current = TRS(current.signature, current.rules + (rule,))
+                rule_traces[idx] = expanded
+                added.append(rule)
+                added_traces.append(expanded)
+    except TimeoutError:
+        return verdict("MAYBE", "timeout", round_no - 1)
+    return verdict("MAYBE", f"round budget of {max_rounds} exhausted", max_rounds)
+
+
+def test_one_pass_rounds_agree_with_the_two_loop_oracle(rng):
+    # a trivial pair is closed and a deciding pair is not, so skipping the
+    # closures after a deciding pair changes no field of the verdict
+    escape = TRS.of([RewriteRule(f(x), c), RewriteRule(f(x), g(x))])
+    multistep = TRS.of([RewriteRule(a, b), RewriteRule(a, c), RewriteRule(g(a, a, a), d)])
+    # dc on AC adds hundreds of rules in a third round, and the second
+    # round of COPS_126 takes seconds
+    cases = [(R, 2) for R in (AC, AC_G, CL, COPS_254, escape, multistep)] + [(COPS_126, 1)]
+    cases += [(random_system(rng), 3) for _ in range(60)]
+    for R, rounds in cases:
+        for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+            assert unc_complete(R, pred, rounds) == _two_loop_unc_complete(R, pred, rounds)
 
 
 # --- rule reversing --------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""Smoke tests of `scripts/`: both call `strategy` and print one row per
+problem."""
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_run_worked_examples():
+    proc = _run("run_worked_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1] for line in proc.stdout.splitlines()
+            if line and not line.startswith(" ")}
+    assert rows["not-unc-constants"] == "NO"
+    assert rows["not-unc-escape"] == "NO"
+
+
+def test_method_sweep(tmp_path):
+    for name in ("COPS_254", "not_unc_escape"):
+        shutil.copy(ROOT / "bench" / "corpus" / f"{name}.trs", tmp_path)
+    proc = _run("method_sweep.py", str(tmp_path), "--timeout", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    columns = header.split()
+    row = next(line.split() for line in rows if line.startswith("not_unc_escape.trs"))
+    assert row[columns.index("cp")] == "NO"

@@ -1,19 +1,30 @@
 import time
+from pathlib import Path
 
 import pytest
 
-from uncprover.strategy import StrategyConfig, prove_unc
+import uncprover.strategy
+from uncprover.completion import direct_sum_decompose
+from uncprover.cops import parse_cops
+from uncprover.strategy import METHODS, StrategyConfig, prove_unc
 from uncprover.terms import App
 from uncprover.trs import TRS, RewriteRule
 
 from conftest import AC, AC_G, COPS_126, CL, a, b, c, d
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
+ALL_TAGS = tuple(p + base for base in METHODS for p in ("", "rev+"))
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
-def multistep(n):
-    """a -> b, a -> c, g(a,...,a) -> d: g(a,...,a) has 3^n multistep reducts."""
-    return TRS.of([RewriteRule(a, b), RewriteRule(a, c),
+def multistep(n, b_to_c=False):
+    """a -> b, a -> c, g(a,...,a) -> d: g(a,...,a) has 3^n multistep reducts.
+
+    Without b -> c the critical pair <b, c> disproves UNC at once; with it
+    completion has to look at the multisteps of g(a,...,a)."""
+    extra = [RewriteRule(b, c)] if b_to_c else []
+    return TRS.of([RewriteRule(a, b), RewriteRule(a, c), *extra,
                    RewriteRule(App("g", (a,) * n), d)])
 
 
@@ -24,8 +35,9 @@ def _elapsed(R, method, timeout):
 
 
 @pytest.mark.parametrize("tag", TAGS)
-@pytest.mark.parametrize("R", [AC, AC_G, CL, COPS_126, multistep(8)],
-                         ids=["AC", "AC_g", "CL", "COPS_126", "multistep_8"])
+@pytest.mark.parametrize("R", [AC, AC_G, CL, COPS_126, multistep(8), multistep(8, True)],
+                         ids=["AC", "AC_g", "CL", "COPS_126", "multistep_8",
+                              "multistep_bc_8"])
 def test_every_method_stops_at_the_deadline(R, tag):
     timeout = 0.1
     _, elapsed = _elapsed(R, tag, timeout)
@@ -36,6 +48,51 @@ def test_every_method_stops_at_the_deadline(R, tag):
 def test_multistep_enumeration_stops_at_the_deadline(tag):
     # 3^12 multistep reducts of g(a,...,a): far more than 0.5 s of work
     timeout = 0.5
-    res, elapsed = _elapsed(multistep(12), tag, timeout)
+    res, elapsed = _elapsed(multistep(12, True), tag, timeout)
     assert res.answer == "MAYBE"
     assert elapsed < timeout + 0.3
+
+
+@pytest.mark.parametrize("tag", ["sc", "dc", "rev+dc"])
+def test_completion_answers_a_deciding_pair_before_closing_the_others(tag):
+    # <b, c> disproves UNC; closing the ten pairs of g(a,...,a) -> d first
+    # would enumerate the 3^9 multistep reducts of each
+    res, elapsed = _elapsed(multistep(10), tag, 60)
+    assert res.answer == "NO"
+    assert elapsed < 1
+
+
+def test_config_accepts_exactly_the_table_tags():
+    assert set(METHODS) == {"sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc"}
+    for tag in ALL_TAGS:
+        StrategyConfig(methods=(tag,))
+    for tag in ("rev+rev+sc", "rev+", "SC", "foo", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            StrategyConfig(methods=(tag,))
+
+
+#: The tags that disprove each system; neither is UNC.  On fxx_escape
+#: only the reversed runs find the witness.
+NO_TAGS = {"not_unc_escape": {"cp", "rev+cp", "sc", "rev+sc", "dc", "rev+dc"},
+           "fxx_escape": {"rev+cp", "rev+sc", "rev+dc"}}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+@pytest.mark.parametrize("name", sorted(NO_TAGS))
+def test_every_no_is_replayed_over_the_original_rules(monkeypatch, name, tag):
+    problem = parse_cops((CORPUS / f"{name}.trs").read_text())
+    components = direct_sum_decompose(problem.trs)
+    validate = uncprover.strategy.validate_witness
+    calls = []
+
+    def recording(R, w):
+        calls.append(R)
+        return validate(R, w)
+
+    monkeypatch.setattr(uncprover.strategy, "validate_witness", recording)
+    answer = prove_unc(problem, StrategyConfig(methods=(tag,), timeout=30)).answer
+    assert answer == ("NO" if tag in NO_TAGS[name] else "MAYBE")
+    if answer == "NO":
+        assert calls and calls[-1] in components
+    monkeypatch.setattr(uncprover.strategy, "validate_witness", lambda R, w: False)
+    assert prove_unc(problem, StrategyConfig(methods=(tag,), timeout=30)).answer == "MAYBE"

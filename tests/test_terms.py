@@ -2,6 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uncprover.terms import (
+    App,
     Signature,
     Var,
     canonical_key,
@@ -17,6 +18,7 @@ from uncprover.terms import (
     variables,
     well_formed,
 )
+from uncprover.trs import TRS, RewriteRule
 
 from conftest import a, b, f, g, term_strategy, x, y, z
 
@@ -210,6 +212,12 @@ def test_canonical_key_keeps_kept_names():
     assert canonical_key((f(x, y),), frozenset({"x"})) == "f(x,\x00v1)"
     assert canonical_key((f(x, y), g(y))) == canonical_key((f(y, z), g(z)))
     assert canonical_key((f(x, y), g(y))) != canonical_key((f(x, y), g(x)))
+
+
+def test_signature_rejects_nul_in_symbols():
+    import pytest
+    with pytest.raises(ValueError):
+        TRS.of([RewriteRule(App("\x00v1"), a)])
 
 
 def test_signature_rejects_conflicts():
