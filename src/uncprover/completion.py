@@ -383,13 +383,10 @@ def rule_reverse_mapped(R: TRS) -> tuple[TRS, tuple[tuple[str, int], ...]]:
                 del origin[i]
                 changed = True
                 break
-    deduped: list[RewriteRule] = []
-    deduped_origin: list[tuple[str, int]] = []
+    first_origin: dict[RewriteRule, tuple[str, int]] = {}
     for rule, org in zip(rules, origin):
-        if rule not in deduped:
-            deduped.append(rule)
-            deduped_origin.append(org)
-    return TRS(R.signature, tuple(deduped)), tuple(deduped_origin)
+        first_origin.setdefault(rule, org)
+    return TRS(R.signature, tuple(first_origin)), tuple(first_origin.values())
 
 
 def translate_trace(steps: Iterable[ConvStep], origin: tuple[tuple[str, int], ...],

@@ -9,21 +9,22 @@ Two families:
 * closure conditions on conditional critical pairs of a linearization
   (parallel closed, strongly closed, weight-decreasing joinability).
   Condition entailment is approximated by congruence closure; the closure
-  searches are `trs.reach` and `trs.parallel_steps` over conditional
-  steps.  The weight-decreasing check works with ranked conversion sets:
+  searches are `trs.reach` and `trs.parallel_steps` over the conditional
+  steps of `trs.redexes`, the root-indexed enumerator plain rewriting
+  uses.  The weight-decreasing check works with ranked conversion sets:
   states pair a multiset of still-usable assumption equations with a term,
   one rewrite step costs one rank unit, and equations are consumed one use
   each.  One check renames the rules once, shares a memo of its rank-1
-  step queries, matches a step constrained by its target only where the
-  two terms share the context, and checks the `config.Budgets` deadline;
-  it is the only criterion here that reads the clock.
+  step queries, and matches a step constrained by its target only where
+  the two terms share the context.  These three criteria read the
+  `config.Budgets` deadline and answer a truncated "timeout" report past it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .ctrs import (
@@ -42,12 +43,12 @@ from .terms import (
     match,
     replace_at,
     substitute,
-    subterm_at,
     subterms,
     unifiable_rational,
     variables,
 )
-from .trs import TRS, is_normal_form, overlaps, parallel_steps, reach
+from .trs import (TRS, is_normal_form, overlaps, parallel_steps, reach, reducts,
+                  rewrite_steps)
 
 Multiset = tuple[Equation, ...]
 
@@ -97,41 +98,7 @@ def right_reducible(R: TRS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# conditional rewriting under an entailment oracle (congruence closure)
-
-Entails = Callable[[Term, Term], bool]
-
-
-def conditional_one_step(C: CTRS, t: Term, holds: Entails,
-                         ) -> list[tuple[tuple[int, ...], int, Term]]:
-    out = []
-    for pos, sub in subterms(t):
-        for i, rule in enumerate(C.rules):
-            sigma = match(rule.lhs, sub)
-            if sigma is None:
-                continue
-            if all(holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
-                   for c in rule.conditions):
-                out.append((pos, i, replace_at(t, pos, substitute(rule.rhs, sigma))))
-    return out
-
-
-def conditional_parallel(C: CTRS, t: Term, holds: Entails,
-                         ) -> dict[Term, tuple[tuple[tuple[int, ...], int], ...]]:
-    """Parallel-step reducts with one witnessing redex set each."""
-    by_pos: dict[tuple[int, ...], list[tuple[int, Term]]] = {}
-    for pos, i, u in conditional_one_step(C, t, holds):
-        by_pos.setdefault(pos, []).append((i, subterm_at(u, pos)))
-    return parallel_steps(t, by_pos)
-
-
-def conditional_reach(C: CTRS, t: Term, holds: Entails, depth: int,
-                      size_cap: int = 0, max_terms: int = 0,
-                      ) -> tuple[set[Term], bool]:
-    """Terms reachable in at most `depth` conditional steps, plus a flag
-    telling whether the search was cut off with the frontier still open."""
-    return reach(lambda u: (v for _, _, v in conditional_one_step(C, u, holds)),
-                 t, depth, size_cap, max_terms)
+# closure of conditional critical pairs under congruence-closure entailment
 
 
 def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
@@ -141,62 +108,70 @@ def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criter
     result to the outer result; overlays must meet in a common reduct of a
     parallel step from the left and many steps from the right.  Condition
     entailment is decided by congruence closure of the pair's conditions.
+    Past the budget's deadline it reports a truncated failure ("timeout").
     """
     name = "parallel-closed"
     if not (C.left_linear and C.type1):
         return CriterionReport(name, False, failure="not a left-linear type-1 CTRS")
     details = []
-    truncated = False
-    for ccp in conditional_critical_pairs(C):
-        cc = CongruenceClosure(ccp.conditions)
-        holds = cc.entails
-        par = conditional_parallel(C, ccp.left, holds)
-        if not ccp.overlay:
-            if ccp.right in par:
-                redexes = par[ccp.right]
-                details.append(f"{ccp!r}: parallel step {list(redexes)}")
+    try:
+        for ccp in conditional_critical_pairs(C, budgets):
+            holds = CongruenceClosure(ccp.conditions).entails
+            par = parallel_steps(C, ccp.left, holds)
+            if not ccp.overlay:
+                if ccp.right in par:
+                    details.append(f"{ccp!r}: parallel step {list(par[ccp.right])}")
+                    continue
+                return CriterionReport(name, False, tuple(details),
+                                       failure=f"unclosed critical pair {ccp!r}")
+            joins, trunc = reach(lambda u: (v for _, _, v in rewrite_steps(C, u, holds)),
+                                 ccp.right, budgets.conv_depth, budgets.size_cap,
+                                 budgets.max_class, budgets)
+            meet = sorted((w for w in par if w in joins), key=repr)
+            if meet:
+                details.append(f"{ccp!r}: joined at {meet[0]!r}")
                 continue
             return CriterionReport(name, False, tuple(details),
-                                   failure=f"unclosed critical pair {ccp!r}")
-        reach, trunc = conditional_reach(C, ccp.right, holds, budgets.conv_depth,
-                                         budgets.size_cap, budgets.max_class)
-        meet = sorted((w for w in par if w in reach), key=repr)
-        if meet:
-            details.append(f"{ccp!r}: joined at {meet[0]!r}")
-            continue
-        truncated = truncated or trunc
-        return CriterionReport(name, False, tuple(details),
-                               failure=f"unclosed critical pair {ccp!r}",
-                               truncated=trunc)
-    return CriterionReport(name, True, tuple(details), truncated=truncated)
+                                   failure=f"unclosed critical pair {ccp!r}",
+                                   truncated=trunc)
+    except TimeoutError:
+        return CriterionReport(name, False, tuple(details), failure="timeout",
+                               truncated=True)
+    return CriterionReport(name, True, tuple(details))
 
 
 def strongly_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
     """Both strong-closure joins for every conditional critical pair:
     many steps from the left meeting at most one step from the right, and
-    at most one step from the left meeting many steps from the right."""
+    at most one step from the left meeting many steps from the right.
+    Past the budget's deadline it reports a truncated failure ("timeout")."""
     name = "strongly-closed"
     if not C.linear:
         return CriterionReport(name, False, failure="CTRS is not linear")
     details = []
-    for ccp in conditional_critical_pairs(C):
-        cc = CongruenceClosure(ccp.conditions)
-        holds = cc.entails
-        u, v = ccp.left, ccp.right
-        reach_u, tr1 = conditional_reach(C, u, holds, budgets.conv_depth,
-                                         budgets.size_cap, budgets.max_class)
-        reach_v, tr2 = conditional_reach(C, v, holds, budgets.conv_depth,
-                                         budgets.size_cap, budgets.max_class)
-        one_u = {u} | {w for _, _, w in conditional_one_step(C, u, holds)}
-        one_v = {v} | {w for _, _, w in conditional_one_step(C, v, holds)}
-        a = sorted(reach_u & one_v, key=repr)
-        b = sorted(one_u & reach_v, key=repr)
-        if a and b:
-            details.append(f"{ccp!r}: joins at {a[0]!r} / {b[0]!r}")
-            continue
-        return CriterionReport(name, False, tuple(details),
-                               failure=f"unclosed critical pair {ccp!r}",
-                               truncated=tr1 or tr2)
+    try:
+        for ccp in conditional_critical_pairs(C, budgets):
+            holds = CongruenceClosure(ccp.conditions).entails
+
+            def step(t: Term) -> Iterator[Term]:
+                return (w for _, _, w in rewrite_steps(C, t, holds))
+
+            u, v = ccp.left, ccp.right
+            reach_u, tr1 = reach(step, u, budgets.conv_depth, budgets.size_cap,
+                                 budgets.max_class, budgets)
+            reach_v, tr2 = reach(step, v, budgets.conv_depth, budgets.size_cap,
+                                 budgets.max_class, budgets)
+            a = sorted(reach_u & ({v} | reducts(C, v, holds)), key=repr)
+            b = sorted(({u} | reducts(C, u, holds)) & reach_v, key=repr)
+            if a and b:
+                details.append(f"{ccp!r}: joins at {a[0]!r} / {b[0]!r}")
+                continue
+            return CriterionReport(name, False, tuple(details),
+                                   failure=f"unclosed critical pair {ccp!r}",
+                                   truncated=tr1 or tr2)
+    except TimeoutError:
+        return CriterionReport(name, False, tuple(details), failure="timeout",
+                               truncated=True)
     return CriterionReport(name, True, tuple(details))
 
 

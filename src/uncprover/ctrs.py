@@ -2,7 +2,9 @@
 and congruence closure for condition entailment.
 
 Conditional critical pairs are built from the overlap sites of
-`trs.overlaps`, the same sites that give the plain critical pairs.
+`trs.overlaps`, the same sites that give the plain critical pairs.  A
+`CTRS` has the root index of a `TRS`, so `trs.redexes` rewrites with it
+given an entailment test for the instantiated conditions.
 
 Only the semi-equational reading of conditions is relevant here, and it is
 never rewritten with directly: criteria work on conditional critical pairs
@@ -12,7 +14,10 @@ conversion sets in `criteria`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
+
+from .config import Budgets, DEFAULT_BUDGETS
 
 from .terms import (
     App,
@@ -31,7 +36,7 @@ from .terms import (
     var_occurrences,
     variables,
 )
-from .trs import TRS, overlaps
+from .trs import TRS, index_by_root, overlaps
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,10 @@ class CTRS:
     def non_duplicating(self) -> bool:
         return all(r.non_duplicating for r in self.rules)
 
+    @cached_property
+    def rules_by_root(self) -> dict[str, tuple[tuple[int, ConditionalRule], ...]]:
+        return index_by_root(self.rules)
+
 
 def lift_trs(R: TRS) -> CTRS:
     """A TRS viewed as a CTRS with empty condition parts."""
@@ -276,11 +285,13 @@ def _ccp_key(ccp: ConditionalCriticalPair) -> tuple:
     return (ccp.overlay, repr(left), repr(right), tuple(conds))
 
 
-def conditional_critical_pairs(C: CTRS) -> tuple[ConditionalCriticalPair, ...]:
-    """All conditional critical pairs of `C`, deduplicated up to renaming."""
+def conditional_critical_pairs(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS,
+                               ) -> tuple[ConditionalCriticalPair, ...]:
+    """All conditional critical pairs of `C`, deduplicated up to renaming; a
+    clock cut in `overlaps` raises, so no caller sees a partial list."""
     out: list[ConditionalCriticalPair] = []
     seen: set[tuple] = set()
-    for oi, ii, pos, inner, sub in overlaps(C.rules):
+    for oi, ii, pos, inner, sub in overlaps(C.rules, budgets):
         sigma = mgu(inner.lhs, sub)
         if sigma is None:
             continue

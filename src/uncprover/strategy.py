@@ -9,8 +9,8 @@ global when it runs so that a tracer rebinding the global sees the call;
 every witness over the component's own rules, once for all methods.  The
 first definitive answer wins.  The timeout becomes the deadline of the one
 `config.Budgets` every method receives; it is checked here between
-methods, and inside `cp`, `wd`, `sc` and `dc`, whose clock cuts answer
-MAYBE.
+methods, and inside `cp`, `pcl`, `scl`, `wd`, `sc` and `dc`, whose clock
+cuts answer MAYBE.
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
-"""Unconditional rewrite systems: rewriting, closures of steps, critical pairs.
+"""Rewrite systems: rewriting, closures of steps, critical pairs.
 
-Three searches here serve the conditional systems of `ctrs` and `criteria`
-as well: `overlaps` yields the overlap sites from which critical pairs,
-conditional critical pairs and the omega test are built, `reach` is the
-bounded breadth-first search over any one-step relation, and
-`parallel_steps` combines the redexes at disjoint positions.
+The searches here serve the conditional systems of `ctrs` and `criteria`
+as well: `redexes` is the one root-indexed match loop, conditions included;
+`overlaps` yields the overlap sites of critical pairs, conditional critical
+pairs and the omega test; `reach` is the bounded breadth-first search over
+any one-step relation, and `parallel_steps` combines disjoint redexes.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
@@ -83,6 +83,14 @@ class RewriteRule:
         return variables(self.lhs) | variables(self.rhs)
 
 
+def index_by_root(rules: Sequence) -> dict[str, tuple[tuple[int, Any], ...]]:
+    """(rule index, rule) pairs by lhs root symbol, in rule order."""
+    index: dict[str, list[tuple[int, Any]]] = {}
+    for i, r in enumerate(rules):
+        index.setdefault(r.lhs.sym, []).append((i, r))
+    return {sym: tuple(rs) for sym, rs in index.items()}
+
+
 @dataclass(frozen=True)
 class TRS:
     signature: Signature
@@ -90,17 +98,14 @@ class TRS:
 
     @staticmethod
     def of(rules: Iterable[RewriteRule], signature: Optional[Signature] = None) -> "TRS":
-        deduped: list[RewriteRule] = []
-        for r in rules:
-            if r not in deduped:
-                deduped.append(r)
+        deduped = tuple(dict.fromkeys(rules))
         if signature is None:
             signature = infer_signature(
                 [t for r in deduped for t in (r.lhs, r.rhs)])
         for r in deduped:
             if not (well_formed(r.lhs, signature) and well_formed(r.rhs, signature)):
                 raise ValueError(f"rule {r!r} not well-formed over the signature")
-        return TRS(signature, tuple(deduped))
+        return TRS(signature, deduped)
 
     @property
     def left_linear(self) -> bool:
@@ -120,11 +125,7 @@ class TRS:
 
     @cached_property
     def rules_by_root(self) -> dict[str, tuple[tuple[int, RewriteRule], ...]]:
-        """(rule index, rule) pairs by lhs root symbol, in rule order."""
-        index: dict[str, list[tuple[int, RewriteRule]]] = {}
-        for i, r in enumerate(self.rules):
-            index.setdefault(r.lhs.sym, []).append((i, r))
-        return {sym: tuple(rs) for sym, rs in index.items()}
+        return index_by_root(self.rules)
 
     def symbols(self) -> set[str]:
         out: set[str] = set()
@@ -161,30 +162,42 @@ class CriticalPair:
         return f"<{self.left!r}, {self.right!r}> [{self.kind}]"
 
 
-def rewrite_steps(R: TRS, t: Term) -> list[tuple[Position, int, Term]]:
-    """All one-step reducts of `t` with redex position and rule index,
-    ordered by position (root first, left to right), then rule index."""
+#: Entailment test for an instantiated condition `s = t` of a conditional rule.
+Entails = Callable[[Term, Term], bool]
+
+
+def redexes(R, t: Term, holds: Optional[Entails] = None,
+            ) -> Iterator[tuple[Position, int, Any, dict[str, Term]]]:
+    """Redexes of `t` in a `TRS` or `CTRS` `R`: (position, rule index, rule,
+    matcher) by position (root first, left to right), then rule index.
+
+    Only rules whose lhs root is the subterm's symbol are matched.  Given
+    `holds`, every instantiated condition of the rule must hold; without it
+    conditions are not read, so `R` must be unconditional."""
     by_root = R.rules_by_root
-    out = []
     for pos, sub in fn_subterms(t):
         for i, rule in by_root.get(sub.sym, ()):
             sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                out.append((pos, i, replace_at(t, pos, substitute(rule.rhs, sigma))))
-    return out
+            if sigma is not None and (holds is None or all(
+                    holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
+                    for c in rule.conditions)):
+                yield pos, i, rule, sigma
 
 
-def reducts(R: TRS, t: Term) -> set[Term]:
-    return {u for _, _, u in rewrite_steps(R, t)}
+def rewrite_steps(R, t: Term, holds: Optional[Entails] = None,
+                  ) -> list[tuple[Position, int, Term]]:
+    """All one-step reducts of `t` with redex position and rule index, in
+    the order of `redexes`."""
+    return [(pos, i, replace_at(t, pos, substitute(rule.rhs, sigma)))
+            for pos, i, rule, sigma in redexes(R, t, holds)]
+
+
+def reducts(R, t: Term, holds: Optional[Entails] = None) -> set[Term]:
+    return {u for _, _, u in rewrite_steps(R, t, holds)}
 
 
 def is_normal_form(R: TRS, t: Term) -> bool:
-    by_root = R.rules_by_root
-    for _, sub in fn_subterms(t):
-        for _, rule in by_root.get(sub.sym, ()):
-            if match(rule.lhs, sub) is not None:
-                return False
-    return True
+    return next(redexes(R, t), None) is None
 
 
 def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
@@ -194,9 +207,10 @@ def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
     plus a flag telling whether the search was cut with the frontier open.
 
     `size_cap` drops oversized terms and `max_terms` stops the search once
-    that many terms were found; each cut sets the flag and keeps the result
-    a sound subset of the reachable terms.  The budget is checked before
-    each frontier term.
+    that many terms were found; both keep the result a sound subset of the
+    reachable terms.  A `max_terms` cut sets the flag and a `size_cap` drop
+    does not, and which terms a cut keeps follows the order `step` yields
+    them in.  The budget is checked before each frontier term.
     """
     seen = {t}
     frontier = [t]
@@ -221,7 +235,8 @@ def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
                     max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS) -> set[Term]:
     """Terms reachable from `t` in at most `depth` rewrite steps, cut as
     `reach` cuts."""
-    return reach(lambda u: reducts(R, u), t, depth, size_cap, max_terms, budgets)[0]
+    return reach(lambda u: (v for _, _, v in rewrite_steps(R, u)),
+                 t, depth, size_cap, max_terms, budgets)[0]
 
 
 def _disjoint(p: Position, q: Position) -> bool:
@@ -233,15 +248,18 @@ def _disjoint(p: Position, q: Position) -> bool:
 RedexSet = tuple[tuple[Position, int], ...]
 
 
-def parallel_steps(t: Term, by_pos: dict[Position, Sequence[tuple[int, Term]]],
+def parallel_steps(R, t: Term, holds: Optional[Entails] = None,
                    ) -> dict[Term, RedexSet]:
     """Reducts of `t` under one parallel step, each with the first redex set
     that gives it.
 
-    `by_pos` maps each redex position of `t` to its (rule index, contractum)
-    pairs; a step contracts any set of redexes at disjoint positions.  The
-    empty redex set comes first, so `t` itself maps to `()`.
+    A step contracts any set of the redexes of `redexes(R, t, holds)` at
+    disjoint positions.  The empty redex set comes first, so `t` itself
+    maps to `()`.
     """
+    by_pos: dict[Position, list[tuple[int, Term]]] = {}
+    for pos, i, rule, sigma in redexes(R, t, holds):
+        by_pos.setdefault(pos, []).append((i, substitute(rule.rhs, sigma)))
     positions = sorted(by_pos)
     out: dict[Term, RedexSet] = {}
 
@@ -268,14 +286,7 @@ def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
 
     The empty redex set is allowed, so `t` itself is always included.
     """
-    by_root = R.rules_by_root
-    by_pos: dict[Position, list[tuple[int, Term]]] = {}
-    for pos, sub in fn_subterms(t):
-        for i, rule in by_root.get(sub.sym, ()):
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                by_pos.setdefault(pos, []).append((i, substitute(rule.rhs, sigma)))
-    return set(parallel_steps(t, by_pos))
+    return set(parallel_steps(R, t))
 
 
 #: Serialisation of a multistep: (redex position, rule index) to apply in order.
@@ -353,7 +364,7 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 409
     if R.left_linear:
         out = set(development_reducts_with_paths(R, t, budgets))
         return out, len(out) > max_terms
-    return reach(lambda u: parallel_step_reducts(R, u), t, cap,
+    return reach(lambda u: parallel_steps(R, u), t, cap,
                  max_terms=max_terms + 1, budgets=budgets)
 
 

@@ -25,6 +25,7 @@ from uncprover.trs import (
     bounded_conversions,
     critical_pairs,
     is_normal_form,
+    rewrite_steps,
     trace_valid,
 )
 from uncprover.ctrs import (
@@ -39,7 +40,6 @@ from uncprover.ctrs import (
     lr_separated_linearize,
 )
 from uncprover.criteria import (
-    conditional_one_step,
     eq_states,
     multiset,
     non_omega_overlapping,
@@ -148,7 +148,7 @@ def test_criterion_1_linearization_closure_example():
         inner_ccp = [p for p in ccps if not p.overlay][0]
         cc = CongruenceClosure(inner_ccp.conditions)
         root_steps = [(i, u) for pos, i, u in
-                      conditional_one_step(L, inner_ccp.left, cc.entails)
+                      rewrite_steps(L, inner_ccp.left, cc.entails)
                       if pos == ()]
         assert (3, inner_ccp.right) in root_steps
         # each overlay closes by the h-collapse rule (index 2) from the right
@@ -159,7 +159,7 @@ def test_criterion_1_linearization_closure_example():
             target = p.left if p.left.sym == "h" and p.left.args[0] == a else p.right
             source = p.right if target is p.left else p.left
             closing = [(i, u) for pos, i, u in
-                       conditional_one_step(L, source, cc.entails)]
+                       rewrite_steps(L, source, cc.entails)]
             assert (2, target) in closing
 
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import uncprover.criteria
+import uncprover.trs
 from uncprover.config import Budgets
 from uncprover.terms import (
     App,
@@ -18,6 +19,7 @@ from uncprover.terms import (
     match,
     renaming_apart,
     replace_at,
+    substitute,
     subterm_at,
     subterms,
     term_size,
@@ -25,7 +27,7 @@ from uncprover.terms import (
     variables,
 )
 from uncprover.trs import TRS, RewriteRule, critical_pairs, parallel_step_reducts, \
-    bounded_reducts, reducts
+    bounded_reducts, parallel_steps, reach, reducts, rewrite_steps
 from uncprover.ctrs import (
     CTRS,
     ConditionalRule,
@@ -38,9 +40,6 @@ from uncprover.ctrs import (
 )
 from uncprover.criteria import (
     SimState,
-    conditional_one_step,
-    conditional_parallel,
-    conditional_reach,
     conv1_remainders,
     eq_states,
     multiset,
@@ -149,6 +148,13 @@ def test_strongly_closed_linearization_sec32():
     assert strongly_closed_check(conditional_linearize(SEC32)).holds
 
 
+@pytest.mark.parametrize("check", [parallel_closed_check, strongly_closed_check])
+def test_closure_checks_stop_at_the_deadline(check):
+    C = conditional_linearize(SEC32)
+    report = check(C, Budgets(deadline=time.monotonic() - 1))
+    assert (report.holds, report.failure, report.truncated) == (False, "timeout", True)
+
+
 def test_parallel_closed_semi_equational():
     P = lambda t: App("P", (t,))
     Q = lambda t: App("Q", (t,))
@@ -220,13 +226,27 @@ def test_conditional_checks_agree_with_plain_on_lifted_trs(rng):
     assert disagreements == 0
 
 
-# --- conditional searches: the loops before `trs.reach` and
-# `trs.parallel_steps` as oracles
+# --- conditional searches: the unindexed conditional step and the loops
+# before `trs.reach` and `trs.parallel_steps` as oracles
+
+
+def _oracle_conditional_one_step(C, t, holds):
+    """Every rule matched at every position, variables included."""
+    out = []
+    for pos, sub in subterms(t):
+        for i, rule in enumerate(C.rules):
+            sigma = match(rule.lhs, sub)
+            if sigma is None:
+                continue
+            if all(holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
+                   for c in rule.conditions):
+                out.append((pos, i, replace_at(t, pos, substitute(rule.rhs, sigma))))
+    return out
 
 
 def _oracle_conditional_parallel(C, t, holds):
     by_pos = {}
-    for pos, i, u in conditional_one_step(C, t, holds):
+    for pos, i, u in _oracle_conditional_one_step(C, t, holds):
         sub = u
         for k in pos:
             sub = sub.args[k - 1]
@@ -257,7 +277,7 @@ def _oracle_conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for _, _, v in conditional_one_step(C, u, holds):
+            for _, _, v in _oracle_conditional_one_step(C, u, holds):
                 if size_cap and term_size(v) > size_cap:
                     continue
                 if v not in seen:
@@ -271,6 +291,11 @@ def _oracle_conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
     return seen, bool(frontier)
 
 
+def _conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
+    return reach(lambda u: (v for _, _, v in rewrite_steps(C, u, holds)),
+                 t, depth, size_cap, max_terms)
+
+
 def test_conditional_searches_match_loop_oracles_on_random_systems(rng):
     compared = 0
     for _ in range(120):
@@ -281,16 +306,58 @@ def test_conditional_searches_match_loop_oracles_on_random_systems(rng):
                     return CongruenceClosure(ccp.conditions).entails(s, t)
 
                 for t in (ccp.left, ccp.right):
-                    got = conditional_parallel(C, t, holds)
+                    assert rewrite_steps(C, t, holds) \
+                        == _oracle_conditional_one_step(C, t, holds)
+                    got = parallel_steps(C, t, holds)
                     want = _oracle_conditional_parallel(C, t, holds)
                     # the redex sets are printed in pcl certificates
                     assert list(got.items()) == list(want.items())
                     for depth, size_cap, max_terms in product((1, 3), (0, 7), (0, 2, 5)):
-                        assert conditional_reach(C, t, holds, depth, size_cap, max_terms) \
+                        assert _conditional_reach(C, t, holds, depth, size_cap, max_terms) \
                             == _oracle_conditional_reach(C, t, holds, depth, size_cap,
                                                          max_terms)
                     compared += 1
     assert compared > 100
+
+
+@pytest.mark.parametrize("R", [SEC32, AC], ids=["SEC32", "AC"])
+def test_conditional_step_matches_the_unindexed_oracle(R, rng):
+    for C in (conditional_linearize(R), lr_separated_linearize(R)):
+        for ccp in conditional_critical_pairs(C):
+            holds = CongruenceClosure(ccp.conditions).entails
+            terms = [ccp.left, ccp.right]
+            terms += [u for t in terms for _, _, u in rewrite_steps(C, t, holds)]
+            for t in terms:
+                assert rewrite_steps(C, t, holds) \
+                    == _oracle_conditional_one_step(C, t, holds)
+        # ground terms: no conditions assumed, entailment is syntactic
+        holds = CongruenceClosure().entails
+        for _ in range(30):
+            t = random_term(rng, var_names=(), depth=3)
+            assert rewrite_steps(C, t, holds) == _oracle_conditional_one_step(C, t, holds)
+
+
+def test_conditional_step_matches_only_rules_with_the_subterm_root(monkeypatch):
+    calls = []
+    real = uncprover.trs.match
+
+    def counting(pattern, subject):
+        calls.append((pattern.sym, subject))
+        return real(pattern, subject)
+
+    monkeypatch.setattr(uncprover.trs, "match", counting)
+    n = 4
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c),
+                RewriteRule(App("g", (a,) * n), App("d")),
+                RewriteRule(f(x, y), x), RewriteRule(h(x, x), x)])
+    C = conditional_linearize(R)
+    assert C.rules[4].conditions
+    t = f(App("g", (a,) * n), h(a, a))
+    steps = rewrite_steps(C, t, CongruenceClosure().entails)
+    assert all(isinstance(s, App) and s.sym == root for root, s in calls)
+    # f at the root, g, n times a (two rules each), h, then a and a below it
+    assert len(calls) == 1 + 1 + 2 * n + 1 + 2 * 2
+    assert ((2,), 4, f(App("g", (a,) * n), a)) in steps
 
 
 # --- ranked conversion sets -----------------------------------------------------

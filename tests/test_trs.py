@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -36,7 +40,7 @@ from uncprover.trs import (
     expansion_steps,
     is_normal_form,
     parallel_step_reducts,
-    reducts,
+    parallel_steps,
     replay_path,
     rewrite_steps,
     step_valid,
@@ -49,6 +53,27 @@ from conftest import (
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
+
+
+def test_trs_of_dedups_in_first_occurrence_order():
+    rules = [RewriteRule(f(x, a), x), RewriteRule(a, b), RewriteRule(f(x, a), x),
+             RewriteRule(g(x), x), RewriteRule(a, b)]
+    assert TRS.of(rules).rules == (rules[0], rules[1], rules[3])
+
+
+def test_trs_of_dedups_in_linear_time(monkeypatch):
+    calls = [0]
+    real = RewriteRule.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(RewriteRule, "__eq__", counting)
+    n = 2000
+    rules = [RewriteRule(App(f"k{i}"), a) for i in range(n)]
+    assert TRS.of(rules + rules[:10]).rules == tuple(rules)
+    assert calls[0] <= 2 * n
 
 
 def test_rule_validation():
@@ -317,7 +342,8 @@ def test_step_valid_rejects_a_position_outside_the_term():
     assert not step_valid(R, ConvStep(f(x, b), f(x, c), 0, (1, 1), True))
 
 
-# --- bounded reach: the loops before `reach` as oracles ------------------------
+# --- bounded reach: the loops before `reach` as oracles, fed in the order of
+# the redex enumerator
 
 
 def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0):
@@ -326,7 +352,7 @@ def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0):
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for v in reducts(R, u):
+            for _, _, v in rewrite_steps(R, u):
                 if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
                 seen.add(v)
@@ -347,7 +373,7 @@ def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096):
     for _ in range(cap):
         nxt = []
         for u in frontier:
-            for v in parallel_step_reducts(R, u):
+            for v in parallel_steps(R, u):
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -379,6 +405,31 @@ def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
                     == _oracle_iterated_parallel_steps(R, t, cap, max_terms)
             with pytest.raises(TimeoutError):
                 development_step_reducts(R, t, budgets=past)
+
+
+_SEED_PROBE = """
+from conftest import AC, f, h, x, y, z
+from uncprover.trs import TRS, RewriteRule, bounded_reducts, development_step_reducts
+t = f(f(x, y), z)
+print(sorted(map(repr, bounded_reducts(AC, t, 3, 0, 6))))
+R = TRS.of(AC.rules + (RewriteRule(h(x, x), x),))
+print(sorted(map(repr, development_step_reducts(R, t, 3, 5)[0])))
+"""
+
+
+def test_cut_searches_do_not_depend_on_the_hash_seed():
+    # the terms a `max_terms` cut keeps follow the step order, which must
+    # not be the iteration order of a set of terms
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "2", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        proc = subprocess.run([sys.executable, "-c", _SEED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
 
 
 # --- bounded conversions -----------------------------------------------------
