@@ -16,7 +16,6 @@ from .trs import (
 )
 from .ctrs import (
     CTRS,
-    ConditionalCriticalPair,
     ConditionalRule,
     CongruenceClosure,
     Equation,
@@ -53,7 +52,7 @@ from .cops import CopsParseError, ProblemFile, parse_cops, render_cops
 from .strategy import DEFAULT_METHODS, ProofResult, StrategyConfig, prove_unc
 
 __all__ = [
-    "App", "Budgets", "CTRS", "ConditionalCriticalPair", "ConditionalRule",
+    "App", "Budgets", "CTRS", "ConditionalRule",
     "ConfluencePredicate", "CongruenceClosure", "ConvStep", "CopsParseError",
     "CriterionReport", "CriticalPair", "DEFAULT_BUDGETS", "DEFAULT_METHODS",
     "DEVELOPMENT_CLOSED", "Equation", "ProblemFile", "ProofResult",

@@ -41,9 +41,9 @@ from .trs import (
     development_reducts_with_paths,
     development_step_reducts,
     is_normal_form,
-    reducts,
     replay_path,
     rewrite_steps,
+    strong_joins,
     trace_valid,
 )
 
@@ -86,14 +86,8 @@ class ConfluencePredicate:
 
 
 def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
-    u, v = cp.left, cp.right
-    reach_u = bounded_reducts(S, u, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, budgets)
-    reach_v = bounded_reducts(S, v, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, budgets)
-    one_u = {u} | reducts(S, u)
-    one_v = {v} | reducts(S, v)
-    return bool(reach_u & one_v) and bool(one_u & reach_v)
+    a, b, _ = strong_joins(S, cp.left, cp.right, budgets)
+    return bool(a and b)
 
 
 def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:

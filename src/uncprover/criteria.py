@@ -8,23 +8,26 @@ Two families:
 
 * closure conditions on conditional critical pairs of a linearization
   (parallel closed, strongly closed, weight-decreasing joinability).
+  The pairs come from `trs.critical_pairs`, the builder of the plain ones.
   Condition entailment is approximated by congruence closure; the closure
-  searches are `trs.reach` and `trs.parallel_steps` over the conditional
-  steps of `trs.redexes`, the root-indexed enumerator plain rewriting
-  uses.  The weight-decreasing check works with ranked conversion sets:
-  states pair a multiset of still-usable assumption equations with a term,
-  one rewrite step costs one rank unit, and equations are consumed one use
-  each.  One check renames the rules once, shares a memo of its rank-1
-  step queries, and matches a step constrained by its target only where
-  the two terms share the context.  These three criteria read the
-  `config.Budgets` deadline and answer a truncated "timeout" report past it.
+  searches are `trs.reach`, `trs.strong_joins` and `trs.parallel_steps`
+  over the conditional steps of `trs.redexes`, the root-indexed enumerator
+  plain rewriting uses.  The weight-decreasing check works with ranked
+  conversion sets: states pair a multiset of still-usable assumption
+  equations with a term, one rewrite step costs one rank unit, and
+  equations are consumed one use each.  One check renames the rules once,
+  shares a memo of its rank-1 step queries, and matches a step constrained
+  by its target only where the two terms share the context.  These three
+  criteria read the `config.Budgets` deadline and answer a truncated
+  "timeout" report past it; the two overlap tests read it as well, and
+  past it raise `TimeoutError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .ctrs import (
@@ -32,7 +35,6 @@ from .ctrs import (
     ConditionalRule,
     CongruenceClosure,
     Equation,
-    conditional_critical_pairs,
     conditional_linearize,
     lr_separated_linearize,
 )
@@ -47,8 +49,8 @@ from .terms import (
     unifiable_rational,
     variables,
 )
-from .trs import (TRS, is_normal_form, overlaps, parallel_steps, reach, reducts,
-                  rewrite_steps)
+from .trs import (TRS, critical_pairs, is_normal_form, overlaps, parallel_steps,
+                  reach, rewrite_steps, strong_joins)
 
 Multiset = tuple[Equation, ...]
 
@@ -81,15 +83,15 @@ class CriterionReport:
 # overlap-based criteria
 
 
-def strongly_non_overlapping(R: TRS) -> bool:
+def strongly_non_overlapping(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """No conditional critical pair survives conditional linearization."""
-    return not conditional_critical_pairs(conditional_linearize(R))
+    return not critical_pairs(conditional_linearize(R), budgets)
 
 
-def non_omega_overlapping(R: TRS) -> bool:
+def non_omega_overlapping(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """No two rule lhs's overlap even over infinite (rational) trees."""
     return not any(unifiable_rational(inner.lhs, sub)
-                   for _, _, _, inner, sub in overlaps(R.rules))
+                   for _, _, _, inner, sub in overlaps(R.rules, budgets))
 
 
 def right_reducible(R: TRS) -> bool:
@@ -115,7 +117,7 @@ def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criter
         return CriterionReport(name, False, failure="not a left-linear type-1 CTRS")
     details = []
     try:
-        for ccp in conditional_critical_pairs(C, budgets):
+        for ccp in critical_pairs(C, budgets):
             holds = CongruenceClosure(ccp.conditions).entails
             par = parallel_steps(C, ccp.left, holds)
             if not ccp.overlay:
@@ -150,25 +152,15 @@ def strongly_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criter
         return CriterionReport(name, False, failure="CTRS is not linear")
     details = []
     try:
-        for ccp in conditional_critical_pairs(C, budgets):
-            holds = CongruenceClosure(ccp.conditions).entails
-
-            def step(t: Term) -> Iterator[Term]:
-                return (w for _, _, w in rewrite_steps(C, t, holds))
-
-            u, v = ccp.left, ccp.right
-            reach_u, tr1 = reach(step, u, budgets.conv_depth, budgets.size_cap,
-                                 budgets.max_class, budgets)
-            reach_v, tr2 = reach(step, v, budgets.conv_depth, budgets.size_cap,
-                                 budgets.max_class, budgets)
-            a = sorted(reach_u & ({v} | reducts(C, v, holds)), key=repr)
-            b = sorted(({u} | reducts(C, u, holds)) & reach_v, key=repr)
+        for ccp in critical_pairs(C, budgets):
+            a, b, cut = strong_joins(C, ccp.left, ccp.right, budgets,
+                                     CongruenceClosure(ccp.conditions).entails)
             if a and b:
                 details.append(f"{ccp!r}: joins at {a[0]!r} / {b[0]!r}")
                 continue
             return CriterionReport(name, False, tuple(details),
                                    failure=f"unclosed critical pair {ccp!r}",
-                                   truncated=tr1 or tr2)
+                                   truncated=cut)
     except TimeoutError:
         return CriterionReport(name, False, tuple(details), failure="timeout",
                                truncated=True)
@@ -534,7 +526,7 @@ def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
     W = _RankedSearch(C, budgets)
     details = []
     try:
-        for ccp in conditional_critical_pairs(C):
+        for ccp in critical_pairs(C, budgets):
             W.check()
             clause = wd_ccp_satisfied(W, ccp.conditions, ccp.left, ccp.right)
             if clause is None:

@@ -1,10 +1,10 @@
-"""Conditional rewrite systems, linearizations, conditional critical pairs,
-and congruence closure for condition entailment.
+"""Conditional rewrite systems, linearizations, and congruence closure for
+condition entailment.
 
-Conditional critical pairs are built from the overlap sites of
-`trs.overlaps`, the same sites that give the plain critical pairs.  A
-`CTRS` has the root index of a `TRS`, so `trs.redexes` rewrites with it
-given an entailment test for the instantiated conditions.
+A `CTRS` has the rule interface and the root index of a `TRS`, so
+`trs.critical_pairs` builds its pairs (`conditional_critical_pairs` is
+another name for it) and `trs.redexes` rewrites with it given an
+entailment test for the instantiated conditions.
 
 Only the semi-equational reading of conditions is relevant here, and it is
 never rewritten with directly: criteria work on conditional critical pairs
@@ -17,26 +17,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .config import Budgets, DEFAULT_BUDGETS
-
 from .terms import (
     App,
-    Position,
     Signature,
     Term,
     Var,
-    canonical_renaming,
     count_var,
     fresh_name,
     infer_signature,
     is_linear,
-    mgu,
-    replace_at,
     substitute,
     var_occurrences,
     variables,
 )
-from .trs import TRS, index_by_root, overlaps
+from .trs import TRS, critical_pairs, index_by_root
 
 
 @dataclass(frozen=True)
@@ -49,9 +43,6 @@ class Equation:
 
     def subst(self, sigma) -> "Equation":
         return Equation(substitute(self.lhs, sigma), substitute(self.rhs, sigma))
-
-    def flipped(self) -> "Equation":
-        return Equation(self.rhs, self.lhs)
 
 
 @dataclass(frozen=True)
@@ -245,67 +236,7 @@ def _relabel_occurrences(t: Term, names: list[str]) -> Term:
     return go(t)
 
 
-@dataclass(frozen=True)
-class ConditionalCriticalPair:
-    """Condition multiset plus term pair from overlapping conditional rules.
-
-    `left` is the result of the inner step, `right` of the outer one; the
-    conditions juxtapose the instantiated condition parts of both rules,
-    duplicates kept.
-    """
-
-    conditions: tuple[Equation, ...]
-    left: Term
-    right: Term
-    overlay: bool
-    outer: int
-    inner: int
-    pos: Position
-
-    @property
-    def kind(self) -> str:
-        return "overlay" if self.overlay else "inner-outer"
-
-    def __repr__(self) -> str:
-        conds = ", ".join(map(repr, self.conditions)) if self.conditions else "{}"
-        return f"{conds} => <{self.left!r}, {self.right!r}> [{self.kind}]"
-
-
-def _ccp_key(ccp: ConditionalCriticalPair) -> tuple:
-    # the \x00 prefixes keep canonical names clear of user variable names
-    ren = canonical_renaming([ccp.left, ccp.right], prefix="\x00v")
-    left = substitute(ccp.left, ren)
-    right = substitute(ccp.right, ren)
-    partial = [c.subst(ren) for c in ccp.conditions]
-    image = {v.name for v in ren.values()}
-    rest = {n for c in partial for n in variables(c.lhs) | variables(c.rhs)
-            if n not in image}
-    ren2 = {n: Var(f"\x00w{i}") for i, n in enumerate(sorted(rest), 1)}
-    conds = sorted(repr(c.subst(ren2)) for c in partial)
-    return (ccp.overlay, repr(left), repr(right), tuple(conds))
-
-
-def conditional_critical_pairs(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS,
-                               ) -> tuple[ConditionalCriticalPair, ...]:
-    """All conditional critical pairs of `C`, deduplicated up to renaming; a
-    clock cut in `overlaps` raises, so no caller sees a partial list."""
-    out: list[ConditionalCriticalPair] = []
-    seen: set[tuple] = set()
-    for oi, ii, pos, inner, sub in overlaps(C.rules, budgets):
-        sigma = mgu(inner.lhs, sub)
-        if sigma is None:
-            continue
-        outer = C.rules[oi]
-        left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
-        right = substitute(outer.rhs, sigma)
-        gamma = tuple(c.subst(sigma) for c in inner.conditions + outer.conditions)
-        ccp = ConditionalCriticalPair(gamma, left, right, pos == (), oi, ii, pos)
-        key = _ccp_key(ccp)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(ccp)
-    return tuple(out)
+conditional_critical_pairs = critical_pairs
 
 
 class CongruenceClosure:

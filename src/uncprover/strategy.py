@@ -9,8 +9,9 @@ global when it runs so that a tracer rebinding the global sees the call;
 every witness over the component's own rules, once for all methods.  The
 first definitive answer wins.  The timeout becomes the deadline of the one
 `config.Budgets` every method receives; it is checked here between
-methods, and inside `cp`, `pcl`, `scl`, `wd`, `sc` and `dc`, whose clock
-cuts answer MAYBE.
+methods, and inside every method but `rr`.  `cp`, `pcl`, `scl`, `wd`, `sc`
+and `dc` catch their own clock cuts, and `_run_method` catches those of
+`sno` and `omega`, which have no report to carry one; a cut answers MAYBE.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ def _completion(pred):
 #: Witness | None`, naming its prover as a module global (see above).
 METHODS = {
     "sno": lambda S, c, b: (["no critical pair survives linearization"]
-                            if strongly_non_overlapping(S) else None),
+                            if strongly_non_overlapping(S, b) else None),
     "omega": lambda S, c, b: (["left-hand sides do not overlap over infinite trees"]
-                              if non_omega_overlapping(S) else None),
+                              if non_omega_overlapping(S, b) else None),
     "rr": lambda S, c, b: (["every right-hand side is reducible"]
                            if S.rules and right_reducible(S) else None),
     "pcl": lambda S, c, b: _report("linearization is parallel-closed",
@@ -134,10 +135,14 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     """("YES" | "NO", certificate lines) of one method on `R`, or None.
 
     A witness found on the reversed system is translated back, and every
-    witness is replayed over `R`'s own rules before it counts as a NO."""
+    witness is replayed over `R`'s own rules before it counts as a NO.  A
+    clock cut that a prover does not catch itself gives None."""
     base = tag.removeprefix("rev+")
     system, origin = rule_reverse_mapped(R) if tag != base else (R, None)
-    found = METHODS[base](system, config, budgets)
+    try:
+        found = METHODS[base](system, config, budgets)
+    except TimeoutError:
+        return None
     if not isinstance(found, Witness):
         return None if found is None else ("YES", found)
     if origin is not None:

@@ -378,7 +378,3 @@ def canonical_key(ts: Iterable[Term], keep: frozenset[str] = frozenset()) -> str
             emit(",")
         write(t)
     return "".join(out)
-
-
-def canonical_term(t: Term, keep: frozenset[str] = frozenset()) -> Term:
-    return substitute(t, canonical_renaming([t], keep))

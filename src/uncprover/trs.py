@@ -1,15 +1,17 @@
 """Rewrite systems: rewriting, closures of steps, critical pairs.
 
 The searches here serve the conditional systems of `ctrs` and `criteria`
-as well: `redexes` is the one root-indexed match loop, conditions included;
-`overlaps` yields the overlap sites of critical pairs, conditional critical
-pairs and the omega test; `reach` is the bounded breadth-first search over
-any one-step relation, and `parallel_steps` combines disjoint redexes.
+as well, a plain rule being a conditional rule with no conditions:
+`redexes` is the one root-indexed match loop, conditions included;
+`overlaps` yields the overlap sites of `critical_pairs` and of the omega
+test; `reach` is the bounded breadth-first search over any one-step
+relation, `strong_joins` runs it for both strong-closure joins, and
+`parallel_steps` combines disjoint redexes.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
 returns a partial result.  Result sets are deduplicated literally except for
-critical pairs, which are identified up to renaming.
+critical pairs, which are identified up to renaming and condition order.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .terms import (
     Term,
     Var,
     canonical_key,
+    canonical_renaming,
     count_var,
     fn_subterms,
     infer_signature,
@@ -47,6 +50,8 @@ from .terms import (
 class RewriteRule:
     lhs: Term
     rhs: Term
+    #: a plain rule is a conditional rule with no conditions (not a field)
+    conditions = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
@@ -139,11 +144,14 @@ class TRS:
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """Pair <outer-lhs-with-inner-reduct, outer-rhs> from a unifiable overlap.
+    """Conditions plus pair <inner result, outer result> from a unifiable
+    overlap of two rules of a `TRS` or `CTRS`.
 
     `left` is the result of the inner step, `right` the result of the outer
     (root) step; `pos` is the overlap position inside the outer lhs, and
     `peak` the outer lhs under the unifier, from which both steps start.
+    The conditions juxtapose the instantiated condition parts of the inner
+    and the outer rule, duplicates kept; a plain pair has none.
     """
 
     left: Term
@@ -153,13 +161,15 @@ class CriticalPair:
     inner: int
     pos: Position
     peak: Term
+    conditions: tuple = ()
 
     @property
     def kind(self) -> str:
         return "overlay" if self.overlay else "inner-outer"
 
     def __repr__(self) -> str:
-        return f"<{self.left!r}, {self.right!r}> [{self.kind}]"
+        conds = ", ".join(map(repr, self.conditions)) if self.conditions else "{}"
+        return f"{conds} => <{self.left!r}, {self.right!r}> [{self.kind}]"
 
 
 #: Entailment test for an instantiated condition `s = t` of a conditional rule.
@@ -396,10 +406,24 @@ def overlaps(rules: Sequence, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[tu
                 yield oi, ii, pos, renamed, sub
 
 
-def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
-                   ) -> tuple[CriticalPair, ...]:
-    """All critical pairs of `R`, deduplicated up to renaming; a clock cut
-    in `overlaps` raises, so no caller sees a partial list."""
+def _conditions_key(left: Term, right: Term, conditions: tuple) -> tuple[str, ...]:
+    """Condition part of a pair's identity up to renaming: the sides keep
+    their canonical names, condition-only variables are numbered in name
+    order, and condition order is ignored."""
+    # the \x00 prefixes keep canonical names clear of user variable names
+    ren = canonical_renaming([left, right], prefix="\x00v")
+    partial = [c.subst(ren) for c in conditions]
+    image = {v.name for v in ren.values()}
+    rest = {n for c in partial for n in variables(c.lhs) | variables(c.rhs)
+            if n not in image}
+    ren2 = {n: Var(f"\x00w{i}") for i, n in enumerate(sorted(rest), 1)}
+    return tuple(sorted(repr(c.subst(ren2)) for c in partial))
+
+
+def critical_pairs(R, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
+    """All critical pairs of a `TRS` or `CTRS` `R`, deduplicated up to
+    renaming and condition order; a clock cut in `overlaps` raises, so no
+    caller sees a partial list."""
     out: list[CriticalPair] = []
     seen: set[tuple] = set()
     for oi, ii, pos, inner, sub in overlaps(R.rules, budgets):
@@ -411,12 +435,32 @@ def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
         # left shares all of the peak outside `pos`
         left = replace_at(peak, pos, substitute(inner.rhs, sigma))
         right = substitute(outer.rhs, sigma)
-        key = (pos == (), canonical_key((left, right)))
+        conds = inner.conditions + outer.conditions
+        if conds:
+            conds = tuple(c.subst(sigma) for c in conds)
+        key = (pos == (), canonical_key((left, right)),
+               conds and _conditions_key(left, right, conds))
         if key in seen:
             continue
         seen.add(key)
-        out.append(CriticalPair(left, right, pos == (), oi, ii, pos, peak))
+        out.append(CriticalPair(left, right, pos == (), oi, ii, pos, peak, conds))
     return tuple(out)
+
+
+def strong_joins(R, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
+                 holds: Optional[Entails] = None,
+                 ) -> tuple[list[Term], list[Term], bool]:
+    """Strong-closure joins of <u, v> in a `TRS`, or a `CTRS` given `holds`:
+    the terms within `budgets.conv_depth` steps of `u` that are at most one
+    step from `v`, the same with `u` and `v` swapped, each sorted by `repr`,
+    and whether either search was cut with its frontier open."""
+    (reach_u, cut_u), (reach_v, cut_v) = (
+        reach(lambda t: (w for _, _, w in rewrite_steps(R, t, holds)), s,
+              budgets.conv_depth, budgets.size_cap, budgets.max_class, budgets)
+        for s in (u, v))
+    a = sorted(reach_u & ({v} | reducts(R, v, holds)), key=repr)
+    b = sorted(({u} | reducts(R, u, holds)) & reach_v, key=repr)
+    return a, b, cut_u or cut_v
 
 
 @dataclass(frozen=True)

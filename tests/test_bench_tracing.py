@@ -12,6 +12,9 @@ from pathlib import Path
 
 import uncprover.cops
 import uncprover.strategy
+from uncprover.completion import direct_sum_decompose
+from uncprover.ctrs import conditional_linearize
+from uncprover.trs import critical_pairs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,3 +51,22 @@ def test_tracer_counts_one_attempt_per_method():
     attempts = {tag: metrics.get(f"method.{tracing._metric_tag(tag)}.attempts")
                 for tag in tracing.METHOD_TAGS}
     assert attempts == {tag: 1 for tag in tracing.METHOD_TAGS}
+
+
+def test_tracer_counts_the_critical_pairs_of_pcl():
+    tracing = _load_tracing()
+    problem = uncprover.cops.parse_cops((BENCH / "corpus" / "AC_g.trs").read_text())
+    components = direct_sum_decompose(problem.trs)
+    pairs = sum(len(critical_pairs(conditional_linearize(C))) for C in components)
+    assert len(components) == 2 and pairs > 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        uncprover.strategy.prove_unc(
+            problem, uncprover.strategy.StrategyConfig(methods=("pcl",), timeout=30))
+    finally:
+        tracer.restore()
+    metrics = tracer.metrics()
+    # one builder serves both names, so the calls count under `trs`
+    assert metrics["trs.critical_pairs.calls"] == len(components)
+    assert metrics["trs.critical_pairs.pairs"] == pairs

@@ -4,6 +4,7 @@ from hypothesis import given
 from uncprover.terms import (
     App,
     Var,
+    canonical_renaming,
     fn_subterms,
     mgu,
     renaming_apart,
@@ -14,11 +15,9 @@ from uncprover.terms import (
 from uncprover.trs import TRS, RewriteRule, critical_pairs
 from uncprover.ctrs import (
     CTRS,
-    ConditionalCriticalPair,
     ConditionalRule,
     CongruenceClosure,
     Equation,
-    _ccp_key,
     cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
@@ -189,21 +188,47 @@ def test_ccp_respects_multiset_duplicates():
     assert overlay and all(len(p.conditions) == 2 for p in overlay)
 
 
+def test_ccp_keeps_pairs_that_differ_only_in_conditions():
+    C = CTRS.of([
+        ConditionalRule(f(x), a, (Equation(x, b),)),
+        ConditionalRule(f(x), c),
+        ConditionalRule(f(x), c, (Equation(x, d),)),
+    ])
+    shown = [repr(p) for p in conditional_critical_pairs(C)]
+    assert "x = b => <a, c> [overlay]" in shown
+    assert "x = b, x = d => <a, c> [overlay]" in shown
+
+
 @given(term_strategy(max_leaves=4), term_strategy(max_leaves=3))
 def test_ccp_of_lifted_trs_matches_critical_pairs(lhs, rhs):
     if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
         return
     R = TRS.of([RewriteRule(lhs, rhs), RewriteRule(g(g(x)), x)])
-    cps = {(cp.left, cp.right, cp.overlay) for cp in critical_pairs(R)}
-    ccps = {(p.left, p.right, p.overlay)
-            for p in conditional_critical_pairs(lift_trs(R))}
-    assert cps == ccps
-    assert all(not p.conditions for p in conditional_critical_pairs(lift_trs(R)))
+    assert conditional_critical_pairs(lift_trs(R)) == critical_pairs(R)
+    assert all(not p.conditions for p in critical_pairs(R))
+
+
+def _ccp_key(conditions, left, right, overlay):
+    """The identity of a conditional critical pair up to renaming, written
+    apart from the builder: the sides renamed canonically, condition-only
+    variables numbered in name order, and the conditions sorted."""
+    # the \x00 prefixes keep canonical names clear of user variable names
+    ren = canonical_renaming([left, right], prefix="\x00v")
+    left = substitute(left, ren)
+    right = substitute(right, ren)
+    partial = [c_.subst(ren) for c_ in conditions]
+    image = {v.name for v in ren.values()}
+    rest = {n for c_ in partial for n in variables(c_.lhs) | variables(c_.rhs)
+            if n not in image}
+    ren2 = {n: Var(f"\x00w{i}") for i, n in enumerate(sorted(rest), 1)}
+    conds = sorted(repr(c_.subst(ren2)) for c_ in partial)
+    return (overlay, repr(left), repr(right), tuple(conds))
 
 
 def _oracle_conditional_critical_pairs(C):
-    """The overlap loop of `conditional_critical_pairs` before
-    `trs.overlaps`: every site unified, every ordered pair renamed."""
+    """The overlap loop of the conditional builder before `trs.overlaps`:
+    every site unified, every ordered pair renamed.  Pairs are tuples
+    (conditions, left, right, overlay, outer, inner, pos, repr)."""
     out = []
     seen = set()
     for oi, outer in enumerate(C.rules):
@@ -219,19 +244,24 @@ def _oracle_conditional_critical_pairs(C):
                     continue
                 left = substitute(replace_at(outer.lhs, pos, inner.rhs), sigma)
                 right = substitute(outer.rhs, sigma)
-                gamma = tuple(c_.subst(sigma) for c_ in inner.conditions + outer.conditions)
-                ccp = ConditionalCriticalPair(gamma, left, right, pos == (), oi, ii, pos)
-                key = _ccp_key(ccp)
+                gamma = tuple(c_.subst(sigma)
+                              for c_ in inner.conditions + outer.conditions)
+                key = _ccp_key(gamma, left, right, pos == ())
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(ccp)
-    return tuple(out)
+                conds = ", ".join(map(repr, gamma)) if gamma else "{}"
+                kind = "overlay" if pos == () else "inner-outer"
+                out.append((gamma, left, right, pos == (), oi, ii, pos,
+                            f"{conds} => <{left!r}, {right!r}> [{kind}]"))
+    return out
 
 
 def _assert_same_ccps(R):
     for C in (lift_trs(R), conditional_linearize(R), lr_separated_linearize(R)):
-        assert conditional_critical_pairs(C) == _oracle_conditional_critical_pairs(C)
+        assert [(p.conditions, p.left, p.right, p.overlay, p.outer, p.inner, p.pos,
+                 repr(p)) for p in conditional_critical_pairs(C)] \
+            == _oracle_conditional_critical_pairs(C)
 
 
 NON_LINEAR = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(x, g(x)), b),

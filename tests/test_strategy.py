@@ -7,7 +7,7 @@ import uncprover.strategy
 from uncprover.completion import direct_sum_decompose
 from uncprover.cops import parse_cops
 from uncprover.strategy import METHODS, StrategyConfig, prove_unc
-from uncprover.terms import App
+from uncprover.terms import App, Var
 from uncprover.trs import TRS, RewriteRule
 
 from conftest import AC, AC_G, COPS_126, CL, a, b, c, d
@@ -28,6 +28,15 @@ def multistep(n, b_to_c=False):
                    RewriteRule(App("g", (a,) * n), d)])
 
 
+def unifier_free(n):
+    """f(k_i(x), y) -> g(y, k_i(x)) for i < n: no two lhs's unify, but the
+    overlap loop still meets n^2 ordered rule pairs."""
+    x, y = Var("x"), Var("y")
+    k = [App(f"k{i}", (x,)) for i in range(n)]
+    return TRS.of([RewriteRule(App("f", (k[i], y)), App("g", (y, k[i])))
+                   for i in range(n)])
+
+
 def _elapsed(R, method, timeout):
     start = time.monotonic()
     res = prove_unc(R, StrategyConfig(methods=(method,), timeout=timeout))
@@ -35,9 +44,10 @@ def _elapsed(R, method, timeout):
 
 
 @pytest.mark.parametrize("tag", TAGS)
-@pytest.mark.parametrize("R", [AC, AC_G, CL, COPS_126, multistep(8), multistep(8, True)],
+@pytest.mark.parametrize("R", [AC, AC_G, CL, COPS_126, multistep(8), multistep(8, True),
+                               unifier_free(800)],
                          ids=["AC", "AC_g", "CL", "COPS_126", "multistep_8",
-                              "multistep_bc_8"])
+                              "multistep_bc_8", "unifier_free_800"])
 def test_every_method_stops_at_the_deadline(R, tag):
     timeout = 0.1
     _, elapsed = _elapsed(R, tag, timeout)

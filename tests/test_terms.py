@@ -7,7 +7,6 @@ from uncprover.terms import (
     Var,
     canonical_key,
     canonical_renaming,
-    canonical_term,
     match,
     mgu,
     substitute,
@@ -168,9 +167,9 @@ def test_substitution_preserves_well_formedness(t):
     assert variables(image) <= variables(t) | set()
 
 
-def test_canonical_term_identifies_renamings():
-    assert canonical_term(f(x, g(y))) == canonical_term(f(z, g(x)))
-    assert canonical_term(f(x, x)) != canonical_term(f(x, y))
+def test_canonical_key_identifies_renamings():
+    assert canonical_key((f(x, g(y)),)) == canonical_key((f(z, g(x)),))
+    assert canonical_key((f(x, x),)) != canonical_key((f(x, y),))
 
 
 # the string keys that canonical_key replaced, as the callers built them
