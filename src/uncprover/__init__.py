@@ -6,6 +6,7 @@ from .trs import (
     TRS,
     ConvStep,
     CriticalPair,
+    Equation,
     RewriteRule,
     bounded_conversions,
     critical_pairs,
@@ -15,10 +16,7 @@ from .trs import (
     rewrite_steps,
 )
 from .ctrs import (
-    CTRS,
-    ConditionalRule,
     CongruenceClosure,
-    Equation,
     cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
@@ -52,8 +50,8 @@ from .cops import CopsParseError, ProblemFile, parse_cops, render_cops
 from .strategy import DEFAULT_METHODS, ProofResult, StrategyConfig, prove_unc
 
 __all__ = [
-    "App", "Budgets", "CTRS", "ConditionalRule",
-    "ConfluencePredicate", "CongruenceClosure", "ConvStep", "CopsParseError",
+    "App", "Budgets", "ConfluencePredicate", "CongruenceClosure", "ConvStep",
+    "CopsParseError",
     "CriterionReport", "CriticalPair", "DEFAULT_BUDGETS", "DEFAULT_METHODS",
     "DEVELOPMENT_CLOSED", "Equation", "ProblemFile", "ProofResult",
     "RewriteRule", "STRONGLY_CLOSED", "Signature", "SimState", "StrategyConfig",

@@ -30,14 +30,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
-from .ctrs import (
-    CTRS,
-    ConditionalRule,
-    CongruenceClosure,
-    Equation,
-    conditional_linearize,
-    lr_separated_linearize,
-)
+from .ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
 from .terms import (
     App,
     Term,
@@ -49,8 +42,8 @@ from .terms import (
     unifiable_rational,
     variables,
 )
-from .trs import (TRS, critical_pairs, is_normal_form, overlaps, parallel_steps,
-                  reach, rewrite_steps, strong_joins)
+from .trs import (TRS, Equation, RewriteRule, critical_pairs, is_normal_form, overlaps,
+                  parallel_steps, reach, rewrite_steps, strong_joins)
 
 Multiset = tuple[Equation, ...]
 
@@ -103,7 +96,7 @@ def right_reducible(R: TRS) -> bool:
 # closure of conditional critical pairs under congruence-closure entailment
 
 
-def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
+def parallel_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
     """Closure of every conditional critical pair by a parallel step.
 
     Inner-outer pairs must close by one parallel step from the inner
@@ -142,7 +135,7 @@ def parallel_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criter
     return CriterionReport(name, True, tuple(details))
 
 
-def strongly_closed_check(C: CTRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
+def strongly_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
     """Both strong-closure joins for every conditional critical pair:
     many steps from the left meeting at most one step from the right, and
     at most one step from the left meeting many steps from the right.
@@ -240,8 +233,8 @@ class _RankedSearch:
     place of the CTRS, and make a throwaway one when given a CTRS.
     """
 
-    def __init__(self, C: CTRS, budgets: Budgets = DEFAULT_BUDGETS):
-        self.by_root: dict[str, list[tuple[ConditionalRule, frozenset[str]]]] = {}
+    def __init__(self, C: TRS, budgets: Budgets = DEFAULT_BUDGETS):
+        self.by_root: dict[str, list[tuple[RewriteRule, frozenset[str]]]] = {}
         for rule in C.rules:
             names = rule.all_variables()
             renamed = rule.rename({n: Var(_RULE_VAR + n) for n in names})
@@ -254,7 +247,7 @@ class _RankedSearch:
         self.budgets.check()
 
 
-_Rules = Union[CTRS, _RankedSearch]
+_Rules = Union[TRS, _RankedSearch]
 
 
 def _search(C: _Rules) -> _RankedSearch:
@@ -309,7 +302,7 @@ def _rule_matches(W: _RankedSearch, s: Term, t: Optional[Term]):
             yield pos, rule, theta, rule_vars
 
 
-def _condition_vectors(rule: ConditionalRule, theta, rule_vars: set[str],
+def _condition_vectors(rule: RewriteRule, theta, rule_vars: set[str],
                        ) -> Optional[tuple[list[Term], list[Term], list[str]]]:
     """Instantiated condition sides plus the rule variables still unbound
     in the rhs sides.  None when a condition lhs stays unbound (outside
@@ -325,7 +318,7 @@ def _condition_vectors(rule: ConditionalRule, theta, rule_vars: set[str],
     return lhs_vec, rhs_vec, sorted(free - set(theta))
 
 
-def _fillings(gamma: Multiset, rule: ConditionalRule, lhs_vec, rhs_vec,
+def _fillings(gamma: Multiset, rule: RewriteRule, lhs_vec, rhs_vec,
               free: list[str], extra_pool: Optional[Callable[[Term], set[Term]]] = None):
     """Candidate substitutions for unbound condition rhs variables.
 

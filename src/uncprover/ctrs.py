@@ -1,10 +1,12 @@
-"""Conditional rewrite systems, linearizations, and congruence closure for
-condition entailment.
+"""Conditional rewrite systems: the two linearizations, and congruence
+closure for condition entailment.
 
-A `CTRS` has the rule interface and the root index of a `TRS`, so
-`trs.critical_pairs` builds its pairs (`conditional_critical_pairs` is
-another name for it) and `trs.redexes` rewrites with it given an
-entailment test for the instantiated conditions.
+A conditional rule is a `trs.RewriteRule` with conditions, and a
+conditional system is a `trs.TRS`; `ConditionalRule` and `CTRS` are other
+names for those two types, and `Equation` is re-exported from `trs`.  So
+`trs.critical_pairs` builds the pairs of a conditional system
+(`conditional_critical_pairs` is another name for it) and `trs.redexes`
+rewrites with it given an entailment test for the instantiated conditions.
 
 Only the semi-equational reading of conditions is relevant here, and it is
 never rewritten with directly: criteria work on conditional critical pairs
@@ -13,162 +15,30 @@ conversion sets in `criteria`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .terms import (
     App,
-    Signature,
     Term,
     Var,
-    count_var,
     fresh_name,
-    infer_signature,
-    is_linear,
     substitute,
     var_occurrences,
     variables,
 )
-from .trs import TRS, critical_pairs, index_by_root
+from .trs import TRS, Equation, RewriteRule, critical_pairs
+
+#: Other names of the one rule type and the one system type.
+ConditionalRule = RewriteRule
+CTRS = TRS
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
-
-    def __repr__(self) -> str:
-        return f"{self.lhs!r} = {self.rhs!r}"
-
-    def subst(self, sigma) -> "Equation":
-        return Equation(substitute(self.lhs, sigma), substitute(self.rhs, sigma))
+def lift_trs(R: TRS) -> TRS:
+    """A TRS viewed as a conditional one: `R` itself, with no conditions."""
+    return R
 
 
-@dataclass(frozen=True)
-class ConditionalRule:
-    lhs: Term
-    rhs: Term
-    conditions: tuple[Equation, ...] = ()
-
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError(f"rule lhs is a variable: {self.lhs!r}")
-
-    def __repr__(self) -> str:
-        if not self.conditions:
-            return f"{self.lhs!r} -> {self.rhs!r}"
-        conds = ", ".join(map(repr, self.conditions))
-        return f"{self.lhs!r} -> {self.rhs!r} <= {conds}"
-
-    @property
-    def left_linear(self) -> bool:
-        return is_linear(self.lhs)
-
-    @property
-    def linear(self) -> bool:
-        return is_linear(self.lhs) and is_linear(self.rhs)
-
-    @property
-    def type1(self) -> bool:
-        deps = variables(self.rhs)
-        for c in self.conditions:
-            deps |= variables(c.lhs) | variables(c.rhs)
-        return deps <= variables(self.lhs)
-
-    @property
-    def lr_separated(self) -> bool:
-        """Linear lhs whose variables are exactly the condition lhs
-        variables, pairwise distinct and disjoint from the condition rhs
-        and rule rhs variables."""
-        if not is_linear(self.lhs):
-            return False
-        xs = [c.lhs for c in self.conditions]
-        if not all(isinstance(x, Var) for x in xs):
-            return False
-        names = [x.name for x in xs]
-        if len(names) != len(set(names)):
-            return False
-        if set(names) != variables(self.lhs):
-            return False
-        ys: set[str] = set()
-        for c in self.conditions:
-            ys |= variables(c.rhs)
-        if set(names) & ys:
-            return False
-        return variables(self.rhs) <= ys
-
-    @property
-    def non_duplicating(self) -> bool:
-        """Non-duplication in the LR-separated sense: every rhs variable
-        occurs at most as often as in the condition rhs vector."""
-        cond_rhs = [c.rhs for c in self.conditions]
-        for y in variables(self.rhs):
-            if count_var(self.rhs, y) > sum(count_var(t, y) for t in cond_rhs):
-                return False
-        return True
-
-    def rename(self, sigma) -> "ConditionalRule":
-        return ConditionalRule(
-            substitute(self.lhs, sigma), substitute(self.rhs, sigma),
-            tuple(c.subst(sigma) for c in self.conditions))
-
-    def all_variables(self) -> set[str]:
-        out = variables(self.lhs) | variables(self.rhs)
-        for c in self.conditions:
-            out |= variables(c.lhs) | variables(c.rhs)
-        return out
-
-
-@dataclass(frozen=True)
-class CTRS:
-    signature: Signature
-    rules: tuple[ConditionalRule, ...]
-
-    @staticmethod
-    def of(rules: Iterable[ConditionalRule],
-           signature: Optional[Signature] = None) -> "CTRS":
-        rules = tuple(rules)
-        if signature is None:
-            ts = []
-            for r in rules:
-                ts.extend([r.lhs, r.rhs])
-                for c in r.conditions:
-                    ts.extend([c.lhs, c.rhs])
-            signature = infer_signature(ts)
-        return CTRS(signature, rules)
-
-    @property
-    def left_linear(self) -> bool:
-        return all(r.left_linear for r in self.rules)
-
-    @property
-    def linear(self) -> bool:
-        return all(r.linear for r in self.rules)
-
-    @property
-    def type1(self) -> bool:
-        return all(r.type1 for r in self.rules)
-
-    @property
-    def lr_separated(self) -> bool:
-        return all(r.lr_separated for r in self.rules)
-
-    @property
-    def non_duplicating(self) -> bool:
-        return all(r.non_duplicating for r in self.rules)
-
-    @cached_property
-    def rules_by_root(self) -> dict[str, tuple[tuple[int, ConditionalRule], ...]]:
-        return index_by_root(self.rules)
-
-
-def lift_trs(R: TRS) -> CTRS:
-    """A TRS viewed as a CTRS with empty condition parts."""
-    return CTRS(R.signature, tuple(ConditionalRule(r.lhs, r.rhs) for r in R.rules))
-
-
-def conditional_linearize(R: TRS) -> CTRS:
+def conditional_linearize(R: TRS) -> TRS:
     """Replace non-left-linear rules by left-linear conditional rules.
 
     Repeated variables get fresh distinct copies; the conditions are a
@@ -179,7 +49,7 @@ def conditional_linearize(R: TRS) -> CTRS:
     out = []
     for rule in R.rules:
         if rule.left_linear:
-            out.append(ConditionalRule(rule.lhs, rule.rhs))
+            out.append(rule)
             continue
         used = variables(rule.lhs) | variables(rule.rhs) | set(R.signature.symbols())
         occ_names = var_occurrences(rule.lhs)
@@ -201,11 +71,11 @@ def conditional_linearize(R: TRS) -> CTRS:
         for name in sorted(copies):
             cs = copies[name]
             conds.extend(Equation(Var(a), Var(b)) for a, b in zip(cs, cs[1:]))
-        out.append(ConditionalRule(lhs, rhs, tuple(conds)))
-    return CTRS(R.signature, tuple(out))
+        out.append(RewriteRule(lhs, rhs, tuple(conds)))
+    return TRS(R.signature, tuple(out))
 
 
-def lr_separated_linearize(R: TRS) -> CTRS:
+def lr_separated_linearize(R: TRS) -> TRS:
     """Separate every lhs variable occurrence from the rhs via a fresh
     variable and a condition equating it with the original variable."""
     out = []
@@ -220,8 +90,8 @@ def lr_separated_linearize(R: TRS) -> CTRS:
             new_names.append(fresh)
             conds.append(Equation(Var(fresh), Var(name)))
         lhs = _relabel_occurrences(rule.lhs, new_names)
-        out.append(ConditionalRule(lhs, rule.rhs, tuple(conds)))
-    return CTRS(R.signature, tuple(out))
+        out.append(RewriteRule(lhs, rule.rhs, tuple(conds)))
+    return TRS(R.signature, tuple(out))
 
 
 def _relabel_occurrences(t: Term, names: list[str]) -> Term:

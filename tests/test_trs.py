@@ -13,6 +13,7 @@ import uncprover.trs
 from uncprover.config import Budgets
 from uncprover.terms import (
     App,
+    Signature,
     Var,
     canonical_key,
     canonical_renaming,
@@ -30,6 +31,7 @@ from uncprover.trs import (
     TRS,
     ConversionClass,
     ConvStep,
+    Equation,
     RewriteRule,
     bounded_conversions,
     bounded_reducts,
@@ -81,6 +83,26 @@ def test_rule_validation():
         RewriteRule(x, a)
     with pytest.raises(ValueError):
         RewriteRule(a, x)
+    # an rhs variable that no condition binds either
+    with pytest.raises(ValueError, match="introduces variables"):
+        RewriteRule(f(x), y, (Equation(x, b),))
+
+
+def test_rule_rhs_variable_bound_by_a_condition_is_accepted():
+    rule = RewriteRule(f(x), y, (Equation(x, y),))
+    assert rule.conditions == (Equation(x, y),)
+    assert repr(rule) == "f(x) -> y <= x = y"
+    assert not rule.type1
+
+
+def test_trs_of_checks_the_condition_sides():
+    rule = RewriteRule(f(x), x, (Equation(f(x, x), x),))
+    with pytest.raises(ValueError, match="conflicting arities"):
+        TRS.of([rule])
+    with pytest.raises(ValueError, match="not well-formed"):
+        TRS.of([rule], Signature.of({"f": 1}))
+    assert TRS.of([RewriteRule(f(x), x, (Equation(g(x), a),))]).signature == \
+        Signature.of({"f": 1, "g": 1, "a": 0})
 
 
 def test_rewrite_steps_cops254():
