@@ -274,20 +274,15 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                     trace = _expand_trace(base, n_original, rule_traces)
                     return verdict("NOT_UNC", "two distinct convertible normal forms",
                                    round_no, Witness(u, v, trace))
-                if v_nf and not u_nf:
-                    if variables(v) - variables(u):
-                        expanded = _expand_trace(base, n_original, rule_traces)
+                if u_nf != v_nf:
+                    # orient (source, normal form, trace) towards the normal form
+                    src, nf, trace = (u, v, base) if v_nf else (
+                        v, u, tuple(s.reversed_() for s in reversed(base)))
+                    if variables(nf) - variables(src):
+                        expanded = _expand_trace(trace, n_original, rule_traces)
                         return verdict("NOT_UNC", "normal form drops a variable",
-                                       round_no, _escape_witness(expanded, u, v))
-                    _add_rule(new_rules, known, RewriteRule(u, v), base)
-                    continue
-                if u_nf and not v_nf:
-                    rev = tuple(s.reversed_() for s in reversed(base))
-                    if variables(u) - variables(v):
-                        expanded = _expand_trace(rev, n_original, rule_traces)
-                        return verdict("NOT_UNC", "normal form drops a variable",
-                                       round_no, _escape_witness(expanded, v, u))
-                    _add_rule(new_rules, known, RewriteRule(v, u), rev)
+                                       round_no, _escape_witness(expanded, src, nf))
+                    _add_rule(new_rules, known, RewriteRule(src, nf), trace)
                     continue
                 choice = _pick_join(current, u, v, budgets)
                 if choice is None:

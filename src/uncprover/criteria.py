@@ -16,17 +16,18 @@ Two families:
   conversion sets: states pair a multiset of still-usable assumption
   equations with a term, one rewrite step costs one rank unit, and
   equations are consumed one use each.  One check renames the rules once,
-  shares a memo of its rank-1 step queries, and matches a step constrained
-  by its target only where the two terms share the context.  These three
-  criteria read the `config.Budgets` deadline and answer a truncated
-  "timeout" report past it; the two overlap tests read it as well, and
-  past it raise `TimeoutError`.
+  keeps the memos of its rank-0 closures and rank-1 step queries, and drops
+  them when it returns; one step enumerator serves its rank-1 and rank-2
+  queries, and matches a step constrained by its target only where the two
+  terms share the context.  These three criteria read the `config.Budgets`
+  deadline and answer a truncated "timeout" report past it; the two
+  overlap tests read it as well, and past it raise `TimeoutError`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -164,8 +165,7 @@ def strongly_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
 # ranked conversion sets
 
 
-@lru_cache(maxsize=16384)
-def _eq_states_cached(gamma: Multiset, value: Term) -> frozenset[SimState]:
+def _eq_closure(gamma: Multiset, value: Term) -> frozenset[SimState]:
     start = SimState(gamma, value)
     seen = {start}
     work = [start]
@@ -192,27 +192,7 @@ def eq_states(gamma: Iterable[Equation], value: Term) -> frozenset[SimState]:
     This is the rank-0 conversion set: the reflexive state is always a
     member, each equation is usable once, and no rewrite rule is applied.
     """
-    return _eq_states_cached(multiset(gamma), value)
-
-
-def _tuple_remainders(gamma: Multiset, xs: Sequence[Term], ys: Sequence[Term],
-                      ) -> set[Multiset]:
-    """Remainders of rank-0 conversions relating the tuples componentwise."""
-    rems = {gamma}
-    for x, y in zip(xs, ys):
-        nxt: set[Multiset] = set()
-        for rem in rems:
-            for st in _eq_states_cached(rem, x):
-                if st.value == y:
-                    nxt.add(st.remaining)
-        if not nxt:
-            return set()
-        rems = nxt
-    return rems
-
-
-def _subterm_pool(gamma: Multiset, seed: Term) -> set[Term]:
-    return {s for st in _eq_states_cached(gamma, seed) for _, s in subterms(st.value)}
+    return _eq_closure(multiset(gamma), value)
 
 
 _MAX_ASSIGNMENTS = 4096
@@ -228,9 +208,10 @@ class _RankedSearch:
 
     It holds the rules of the LR-separated CTRS renamed once into the
     `_RULE_VAR` namespace and grouped by lhs root symbol, each with its
-    variable set; a memo of `step1_remainders`; and the budgets, checked
-    on every memo miss.  The ranked-search functions below take one in
-    place of the CTRS, and make a throwaway one when given a CTRS.
+    variable set; the memos of the rank-0 closures (`states`) and of
+    `step1_remainders`; and the budgets, checked on every `step1_remainders`
+    memo miss.  The ranked-search functions below take one in place of the
+    CTRS, and make a throwaway one when given a CTRS.
     """
 
     def __init__(self, C: TRS, budgets: Budgets = DEFAULT_BUDGETS):
@@ -241,10 +222,19 @@ class _RankedSearch:
             self.by_root.setdefault(rule.lhs.sym, []).append(
                 (renamed, frozenset(_RULE_VAR + n for n in names)))
         self.budgets = budgets
+        self.rank0: dict[tuple[Multiset, Term], frozenset[SimState]] = {}
         self.step1: dict[tuple[Multiset, Term, Term], frozenset[Multiset]] = {}
 
     def check(self) -> None:
         self.budgets.check()
+
+    def states(self, gamma: Multiset, value: Term) -> frozenset[SimState]:
+        """`eq_states` of a sorted multiset, memoized for this check."""
+        key = (gamma, value)
+        hit = self.rank0.get(key)
+        if hit is None:
+            self.rank0[key] = hit = _eq_closure(gamma, value)
+        return hit
 
 
 _Rules = Union[TRS, _RankedSearch]
@@ -302,49 +292,63 @@ def _rule_matches(W: _RankedSearch, s: Term, t: Optional[Term]):
             yield pos, rule, theta, rule_vars
 
 
-def _condition_vectors(rule: RewriteRule, theta, rule_vars: set[str],
-                       ) -> Optional[tuple[list[Term], list[Term], list[str]]]:
-    """Instantiated condition sides plus the rule variables still unbound
-    in the rhs sides.  None when a condition lhs stays unbound (outside
-    the LR-separated fragment: handled conservatively by giving up)."""
-    lhs_vec = [substitute(c.lhs, theta) for c in rule.conditions]
-    rhs_vec = [substitute(c.rhs, theta) for c in rule.conditions]
-    for x in lhs_vec:
-        if variables(x) & rule_vars - set(theta):
-            return None
-    free: set[str] = set()
-    for x in rhs_vec:
-        free |= variables(x) & rule_vars
-    return lhs_vec, rhs_vec, sorted(free - set(theta))
+def _steps(W: _RankedSearch, gamma: Multiset, s: Term, t: Optional[Term],
+           extra_pool: Optional[Callable[[Term], set[Term]]] = None):
+    """The rewrite steps from `s` (to `t` when given) with their condition
+    tuples: (pos, rule, sigma, condition lhs instances, condition rhs
+    instances), once per filling of the rule variables the match leaves
+    unbound.
 
-
-def _fillings(gamma: Multiset, rule: RewriteRule, lhs_vec, rhs_vec,
-              free: list[str], extra_pool: Optional[Callable[[Term], set[Term]]] = None):
-    """Candidate substitutions for unbound condition rhs variables.
-
-    Candidates come from the rank-0 conversion closures of the paired
-    condition lhs instances (extended by `extra_pool` for higher ranks);
-    values outside those closures cannot satisfy the condition tuple.
+    A match that leaves a condition lhs variable unbound lies outside the
+    LR-separated fragment and is skipped.  Candidates for an unbound
+    variable are the subterms of the rank-0 conversion closures of the
+    condition lhs instances whose rhs has it (extended by `extra_pool` for
+    higher ranks); values outside those closures cannot satisfy the
+    condition tuple.  A match with more than `_MAX_ASSIGNMENTS` fillings
+    gives none.
     """
-    if not free:
-        yield {}
-        return
-    pools: dict[str, set[Term]] = {w: set() for w in free}
-    for i, c in enumerate(rule.conditions):
-        names = variables(c.rhs)
-        for w in free:
-            if w in names:
-                pools[w] |= _subterm_pool(gamma, lhs_vec[i])
+    for pos, rule, theta, rule_vars in _rule_matches(W, s, t):
+        unbound = rule_vars - theta.keys()
+        xs = [substitute(c.lhs, theta) for c in rule.conditions]
+        if not unbound:
+            yield pos, rule, theta, xs, [substitute(c.rhs, theta) for c in rule.conditions]
+            continue
+        if any(variables(x) & unbound for x in xs):
+            continue
+        free = sorted(unbound)
+        pools: dict[str, set[Term]] = {w: set() for w in free}
+        for c, x in zip(rule.conditions, xs):
+            names = variables(c.rhs) & unbound
+            if names:
+                pool = {sub for st in W.states(gamma, x) for _, sub in subterms(st.value)}
                 if extra_pool is not None:
-                    pools[w] |= extra_pool(lhs_vec[i])
-    ordered = [sorted(pools[w], key=repr) for w in free]
-    total = 1
-    for cand in ordered:
-        total *= max(1, len(cand))
-        if total > _MAX_ASSIGNMENTS:
-            return
-    for values in product(*ordered):
-        yield dict(zip(free, values))
+                    pool |= extra_pool(x)
+                for w in names:
+                    pools[w] |= pool
+        ordered = [sorted(pools[w], key=repr) for w in free]
+        if prod(map(len, ordered)) > _MAX_ASSIGNMENTS:
+            continue
+        for values in product(*ordered):
+            sigma = {**theta, **dict(zip(free, values))}
+            yield pos, rule, sigma, xs, [substitute(c.rhs, sigma) for c in rule.conditions]
+
+
+def _tuple_remainders(W: _RankedSearch, gamma: Multiset, xs: Sequence[Term],
+                      ys: Sequence[Term], rank1: Optional[int] = None) -> set[Multiset]:
+    """Remainders of conversions relating the tuples componentwise: at rank 1
+    for component `rank1`, at rank 0 for the others."""
+    rems = {gamma}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        nxt: set[Multiset] = set()
+        for rem in rems:
+            if i == rank1:
+                nxt |= conv1_remainders(W, rem, x, y)
+            else:
+                nxt |= {st.remaining for st in W.states(rem, x) if st.value == y}
+        if not nxt:
+            return set()
+        rems = nxt
+    return rems
 
 
 def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
@@ -362,14 +366,8 @@ def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
         return hit
     W.check()
     out: set[Multiset] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(W, s, t):
-        vecs = _condition_vectors(rule, theta, rule_vars)
-        if vecs is None:
-            continue
-        lhs_vec, rhs_vec, free = vecs
-        for fill in _fillings(g, rule, lhs_vec, rhs_vec, free):
-            ys = [substitute(x, fill) for x in rhs_vec]
-            out |= _tuple_remainders(g, lhs_vec, ys)
+    for _, _, _, xs, ys in _steps(W, g, s, t):
+        out |= _tuple_remainders(W, g, xs, ys)
     W.step1[key] = result = frozenset(out)
     return result
 
@@ -380,20 +378,9 @@ def step1_reducts(C: _Rules, gamma: Iterable[Equation], s: Term,
     W = _search(C)
     g = multiset(gamma)
     out: set[tuple[Multiset, Term]] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(W, s, None):
-        vecs = _condition_vectors(rule, theta, rule_vars)
-        if vecs is None:
-            continue
-        lhs_vec, rhs_vec, free = vecs
-        rhs_free = sorted((variables(rule.rhs) & rule_vars) - set(theta))
-        free = sorted(set(free) | set(rhs_free))
-        for fill in _fillings(g, rule, lhs_vec, rhs_vec, free):
-            if any(w not in fill for w in rhs_free):
-                continue
-            ys = [substitute(x, fill) for x in rhs_vec]
-            for rem in _tuple_remainders(g, lhs_vec, ys):
-                reduct = replace_at(s, pos, substitute(rule.rhs, {**theta, **fill}))
-                out.add((rem, reduct))
+    for pos, rule, sigma, xs, ys in _steps(W, g, s, None):
+        reduct = replace_at(s, pos, substitute(rule.rhs, sigma))
+        out |= {(rem, reduct) for rem in _tuple_remainders(W, g, xs, ys)}
     return out
 
 
@@ -402,8 +389,8 @@ def _step_sandwich(W: _RankedSearch, gamma: Multiset, s: Term, t: Term,
     """Remainders of rank-0 conversion, one rank-1 step, rank-0 conversion
     leading from `s` to `t`."""
     out: set[Multiset] = set()
-    for st1 in _eq_states_cached(gamma, s):
-        for st2 in _eq_states_cached(st1.remaining, t):
+    for st1 in W.states(gamma, s):
+        for st2 in W.states(st1.remaining, t):
             out |= step1_remainders(W, st2.remaining, st1.value, st2.value)
     return out
 
@@ -417,35 +404,12 @@ def conv1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     return _step_sandwich(W, g, s, t) | _step_sandwich(W, g, t, s)
 
 
-def _tuple_conv1_remainders(W: _RankedSearch, gamma: Multiset, xs: Sequence[Term],
-                            ys: Sequence[Term]) -> set[Multiset]:
-    """Tuple conversion of total rank 1: one designated component converts
-    at rank 1, the others at rank 0."""
-    out: set[Multiset] = set()
-    for j in range(len(xs)):
-        rems = {gamma}
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            nxt: set[Multiset] = set()
-            for rem in rems:
-                if i == j:
-                    nxt |= conv1_remainders(W, rem, x, y)
-                else:
-                    nxt |= {st.remaining for st in _eq_states_cached(rem, x)
-                            if st.value == y}
-            if not nxt:
-                break
-            rems = nxt
-        else:
-            out |= rems
-    return out
-
-
 def _sim1_pool(W: _RankedSearch, gamma: Multiset) -> Callable[[Term], set[Term]]:
     def pool(seed: Term) -> set[Term]:
         out: set[Term] = set()
-        for st in _eq_states_cached(gamma, seed):
+        for st in W.states(gamma, seed):
             for rem, v in step1_reducts(W, st.remaining, st.value):
-                for st2 in _eq_states_cached(rem, v):
+                for st2 in W.states(rem, v):
                     out |= {sub for _, sub in subterms(st2.value)}
         return out
     return pool
@@ -454,19 +418,14 @@ def _sim1_pool(W: _RankedSearch, gamma: Multiset) -> Callable[[Term], set[Term]]
 def step2_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
                      ) -> set[Multiset]:
     """Remainders after one rewrite step from `s` to `t` whose condition
-    tuple is settled by a rank-1 tuple conversion (a rank-2 step)."""
+    tuple is settled by a rank-1 tuple conversion (a rank-2 step): one
+    component converts at rank 1, the others at rank 0."""
     W = _search(C)
     g = multiset(gamma)
     out: set[Multiset] = set()
-    for pos, rule, theta, rule_vars in _rule_matches(W, s, t):
-        vecs = _condition_vectors(rule, theta, rule_vars)
-        if vecs is None:
-            continue
-        lhs_vec, rhs_vec, free = vecs
-        for fill in _fillings(g, rule, lhs_vec, rhs_vec, free,
-                              extra_pool=_sim1_pool(W, g)):
-            ys = [substitute(x, fill) for x in rhs_vec]
-            out |= _tuple_conv1_remainders(W, g, lhs_vec, ys)
+    for _, _, _, xs, ys in _steps(W, g, s, t, _sim1_pool(W, g)):
+        for j in range(len(xs)):
+            out |= _tuple_remainders(W, g, xs, ys, j)
     return out
 
 
@@ -481,7 +440,7 @@ def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     step followed by a conversion in both directions (total rank <= 2)."""
     W = _search(C)
     g = multiset(gamma)
-    if any(st.value == t for st in _eq_states_cached(g, s)):
+    if any(st.value == t for st in W.states(g, s)):
         return "rank-0 conversion"
     if conv1_remainders(W, g, s, t):
         return "rank-1 conversion"
@@ -493,7 +452,7 @@ def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
 
 
 def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
-    for st in _eq_states_cached(g, t):
+    for st in W.states(g, t):
         if step1_remainders(W, st.remaining, s, st.value):
             return True
         if step2_remainders(W, st.remaining, s, st.value):

@@ -152,7 +152,7 @@ class CongruenceClosure:
             changed = False
             canon: dict[tuple, Term] = {}
             for t in self._apps:
-                key = (t.sym, tuple(repr(self._find(a)) for a in t.args))
+                key = (t.sym, tuple(self._find(a) for a in t.args))
                 other = canon.get(key)
                 if other is None:
                     canon[key] = t

@@ -733,7 +733,7 @@ def _module_level_dicts(module):
 
 
 def test_weight_decreasing_check_keeps_no_state_after_it_returns(monkeypatch):
-    alive, keys = [], []
+    alive, step1_keys, rank0_keys = [], [], []
 
     class Recording(uncprover.criteria._RankedSearch):
         def __init__(self, *args):
@@ -741,20 +741,24 @@ def test_weight_decreasing_check_keeps_no_state_after_it_returns(monkeypatch):
             alive.append(weakref.ref(self))
 
         def check(self):
-            keys.extend(list(self.step1)[-1:])
+            step1_keys.extend(list(self.step1)[-1:])
+            rank0_keys.extend(list(self.rank0)[-1:])
             super().check()
 
+    assert not any(hasattr(v, "cache_info") for v in vars(uncprover.criteria).values())
     monkeypatch.setattr(uncprover.criteria, "_RankedSearch", Recording)
     for budget in (None, 0.03):
         alive.clear()
-        keys.clear()
+        step1_keys.clear()
+        rank0_keys.clear()
         report = weight_decreasing_unc(
             AC, Budgets(deadline=budget and time.monotonic() + budget))
         assert report.truncated == (budget is not None)
-        assert alive and keys
+        assert alive and step1_keys and rank0_keys
         gc.collect()
         assert all(ref() is None for ref in alive)
-        assert not any(keys[-1] in d for d in _module_level_dicts(uncprover.criteria))
+        for keys in (step1_keys, rank0_keys):
+            assert not any(keys[-1] in d for d in _module_level_dicts(uncprover.criteria))
 
 
 @pytest.mark.parametrize("R", [AC, AC_G], ids=["AC", "AC_g"])

@@ -343,6 +343,14 @@ def test_cc_negative():
     assert not cc_entails([Equation(g(a), g(b))], a, b)  # no projection
 
 
+def test_cc_tells_a_variable_from_a_constant_of_the_same_name():
+    # both print as x, and renaming a rule apart can make such a variable
+    x_const = App("x")
+    assert not cc_entails([], g(x), g(x_const))
+    assert not cc_entails([Equation(a, x)], g(x_const), g(a))
+    assert cc_entails([Equation(x, x_const)], g(x), g(x_const))
+
+
 def test_cc_lazy_query_extension():
     cc = CongruenceClosure([Equation(a, b)])
     # query terms outside the original universe

@@ -82,6 +82,14 @@ def test_prove_unc_refuses_conditional_rules():
         prove_unc(R)
 
 
+def test_pcl_does_not_take_a_renamed_variable_for_the_constant_of_its_name():
+    # x1 is a constant here, and renaming the rule apart makes a variable x1;
+    # sc, dc and rev+dc disprove UNC with a replayed witness
+    problem = parse_cops("(VAR x y)\n(RULES\n  f(f(a,y),f(x,y)) -> f(g(y),f(x1,y))\n)\n")
+    assert prove_unc(problem, StrategyConfig(methods=("pcl",), timeout=30)).answer == "MAYBE"
+    assert prove_unc(problem, StrategyConfig(timeout=30)).answer == "NO"
+
+
 def test_config_accepts_exactly_the_table_tags():
     assert set(METHODS) == {"sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc"}
     for tag in ALL_TAGS:
