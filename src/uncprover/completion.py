@@ -11,7 +11,6 @@ the original rules.  A clock cut of the budgets raises `TimeoutError`, which
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -38,11 +37,9 @@ from .trs import (
     bounded_reducts,
     conversion_class,
     critical_pairs,
-    development_reducts_with_paths,
     development_step_reducts,
     is_normal_form,
     replay_path,
-    rewrite_steps,
     strong_joins,
     trace_valid,
 )
@@ -96,7 +93,7 @@ def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool
         return cp.right in devs
     reach_v = bounded_reducts(S, cp.right, budgets.conv_depth, budgets.size_cap,
                               budgets.max_class, budgets)
-    return bool(devs & reach_v)
+    return bool(devs.keys() & reach_v)
 
 
 STRONGLY_CLOSED = ConfluencePredicate(
@@ -166,55 +163,14 @@ def _pick_join(S: TRS, u: Term, v: Term, budgets: Budgets):
     """
     candidates = []
     for branch, (lhs, other) in enumerate(((v, u), (u, v))):
-        if S.left_linear:
-            dev = development_reducts_with_paths(S, other, budgets)
-        else:
-            dev = {w: None for w in development_step_reducts(
-                S, other, budgets.dev_cap, budgets=budgets)[0]}
-        for w in sorted(dev, key=repr):
+        dev, _ = development_step_reducts(S, other, budgets.dev_cap, budgets=budgets)
+        for w, path in dev.items():
             if w == lhs or variables(w) - variables(lhs):
                 continue
-            candidates.append((term_size(w), repr(w), branch, lhs, w, other, dev[w]))
+            candidates.append((term_size(w), repr(w), branch, lhs, w, other, path))
     if not candidates:
         return None
-    candidates.sort(key=lambda c: c[:3])
-    _, _, _, lhs, w, start, path = candidates[0]
-    if path is None:
-        path = _find_path(S, start, w, budgets)
-        if path is None:
-            return None
-    return lhs, w, start, path
-
-
-def _find_path(S: TRS, start: Term, goal: Term, budgets: Budgets):
-    """BFS for a single-step path start ->* goal (non-left-linear case);
-    the budget is checked once per explored term."""
-    parents: dict[Term, tuple[Term, tuple, int]] = {}
-    depth = {start: 0}
-    q = deque([start])
-    limit = budgets.dev_cap * 4 + 4
-    explored = 0
-    while q:
-        cur = q.popleft()
-        if cur == goal:
-            path = []
-            while cur != start:
-                prev, pos, ri = parents[cur]
-                path.append((pos, ri))
-                cur = prev
-            return tuple(reversed(path))
-        if depth[cur] >= limit:
-            continue
-        explored += 1
-        if explored > budgets.max_class:
-            return None
-        budgets.check()
-        for pos, i, nxt in rewrite_steps(S, cur):
-            if nxt not in depth:
-                depth[nxt] = depth[cur] + 1
-                parents[nxt] = (cur, pos, i)
-                q.append(nxt)
-    return None
+    return min(candidates, key=lambda c: c[:3])[3:]
 
 
 def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
@@ -498,18 +454,11 @@ def direct_sum_decompose(R: TRS) -> tuple[TRS, ...]:
         rule_syms.append(syms)
         for a, b in zip(syms, syms[1:]):
             parent[find(a)] = find(b)
-    groups: dict[str, list[RewriteRule]] = {}
-    order: list[str] = []
+    # root -> (rules, symbols) of one component, in order of first rule
+    groups: dict[str, tuple[list[RewriteRule], set[str]]] = {}
     for rule, syms in zip(R.rules, rule_syms):
-        root = find(syms[0])
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(rule)
-    out = []
-    for root in order:
-        rules = tuple(groups[root])
-        syms = {s.sym for r in rules for _, s in fn_subterms(r.lhs)}
-        syms |= {s.sym for r in rules for _, s in fn_subterms(r.rhs)}
-        out.append(TRS(R.signature.restrict(syms), rules))
-    return tuple(out)
+        rules, group_syms = groups.setdefault(find(syms[0]), ([], set()))
+        rules.append(rule)
+        group_syms.update(syms)
+    return tuple(TRS(R.signature.restrict(syms), tuple(rules))
+                 for rules, syms in groups.values())

@@ -44,7 +44,7 @@ from .terms import (
     variables,
 )
 from .trs import (TRS, Equation, RewriteRule, critical_pairs, is_normal_form, overlaps,
-                  parallel_steps, reach, rewrite_steps, strong_joins)
+                  parallel_steps, reach, single_steps, strong_joins)
 
 Multiset = tuple[Equation, ...]
 
@@ -120,9 +120,8 @@ def parallel_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
                     continue
                 return CriterionReport(name, False, tuple(details),
                                        failure=f"unclosed critical pair {ccp!r}")
-            joins, trunc = reach(lambda u: (v for _, _, v in rewrite_steps(C, u, holds)),
-                                 ccp.right, budgets.conv_depth, budgets.size_cap,
-                                 budgets.max_class, budgets)
+            joins, trunc = reach(single_steps(C, holds), ccp.right, budgets.conv_depth,
+                                 budgets.size_cap, budgets.max_class, budgets)
             meet = sorted((w for w in par if w in joins), key=repr)
             if meet:
                 details.append(f"{ccp!r}: joined at {meet[0]!r}")

@@ -7,8 +7,10 @@ the conditional systems of `ctrs` and `criteria` as well:
 `redexes` is the one root-indexed match loop, conditions included;
 `overlaps` yields the overlap sites of `critical_pairs` and of the omega
 test; `reach` is the bounded breadth-first search over any one-step
-relation, `strong_joins` runs it for both strong-closure joins, and
-`parallel_steps` combines disjoint redexes.
+relation and keeps the edge by which it first reached each term,
+`strong_joins` runs it for both strong-closure joins, and `parallel_steps`
+combines disjoint redexes.  `development_step_reducts` returns each reduct
+with a path of single steps, which `replay_path` turns into a trace.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
@@ -275,11 +277,17 @@ def is_normal_form(R: TRS, t: Term) -> bool:
     return next(redexes(R, t), None) is None
 
 
-def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
+#: What `reach` found: each term mapped to the term and edge it was first
+#: reached from, or to None for the start.
+Reached = dict[Term, Optional[tuple[Term, object]]]
+
+
+def reach(step: Callable[[Term], Iterable[tuple[object, Term]]], t: Term, depth: int,
           size_cap: int = 0, max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS,
-          ) -> tuple[set[Term], bool]:
-    """Terms reachable from `t` in at most `depth` applications of `step`,
-    plus a flag telling whether the search was cut with the frontier open.
+          ) -> tuple[Reached, bool]:
+    """Terms reachable from `t` in at most `depth` applications of `step`
+    (which yields (edge, successor) pairs) as a `Reached` map, plus a flag
+    telling whether the search was cut with the frontier open.
 
     `size_cap` drops oversized terms and `max_terms` stops the search once
     that many terms were found; both keep the result a sound subset of the
@@ -287,16 +295,16 @@ def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
     does not, and which terms a cut keeps follows the order `step` yields
     them in.  The budget is checked before each frontier term.
     """
-    seen = {t}
+    seen: Reached = {t: None}
     frontier = [t]
     for _ in range(depth):
         nxt = []
         for u in frontier:
             budgets.check()
-            for v in step(u):
+            for edge, v in step(u):
                 if v in seen or (size_cap and term_size(v) > size_cap):
                     continue
-                seen.add(v)
+                seen[v] = (u, edge)
                 nxt.append(v)
                 if max_terms and len(seen) >= max_terms:
                     return seen, True
@@ -306,12 +314,28 @@ def reach(step: Callable[[Term], Iterable[Term]], t: Term, depth: int,
     return seen, bool(frontier)
 
 
+def reach_path(reached: Reached, t: Term) -> list:
+    """The edges from the start of a `reach` search to `t`, in order."""
+    edges = []
+    while reached[t] is not None:
+        t, edge = reached[t]
+        edges.append(edge)
+    edges.reverse()
+    return edges
+
+
+def single_steps(R: TRS, holds: Optional[Entails] = None,
+                 ) -> Callable[[Term], Iterator[tuple[tuple[Position, int], Term]]]:
+    """The rewrite relation of `R` as a `reach` step: ((position, rule
+    index), reduct) pairs in the order of `rewrite_steps`."""
+    return lambda u: (((pos, i), v) for pos, i, v in rewrite_steps(R, u, holds))
+
+
 def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
                     max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS) -> set[Term]:
     """Terms reachable from `t` in at most `depth` rewrite steps, cut as
     `reach` cuts."""
-    return reach(lambda u: (v for _, _, v in rewrite_steps(R, u)),
-                 t, depth, size_cap, max_terms, budgets)[0]
+    return set(reach(single_steps(R), t, depth, size_cap, max_terms, budgets)[0])
 
 
 def _disjoint(p: Position, q: Position) -> bool:
@@ -364,7 +388,7 @@ def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
     return set(parallel_steps(R, t))
 
 
-#: Serialisation of a multistep: (redex position, rule index) to apply in order.
+#: A path of single steps: (redex position, rule index) to apply in order.
 DevPath = tuple[tuple[Position, int], ...]
 
 
@@ -405,12 +429,6 @@ def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
     return out
 
 
-def development_reducts_with_paths(R: TRS, t: Term, budgets: Budgets = DEFAULT_BUDGETS,
-                                   ) -> dict[Term, DevPath]:
-    """One multistep from `t`; each reduct carries a single-step path."""
-    return dict(_multistep(R, t, {}, budgets))
-
-
 def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
     """Turn a (position, rule) path into concrete forward conversion steps."""
     steps: list[ConvStep] = []
@@ -428,19 +446,23 @@ def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
 
 def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 4096,
                              budgets: Budgets = DEFAULT_BUDGETS,
-                             ) -> tuple[set[Term], bool]:
-    """Multistep reducts of `t`, with a truncation flag.
+                             ) -> tuple[dict[Term, DevPath], bool]:
+    """Multistep reducts of `t`, each with a path for `replay_path`, and a
+    truncation flag.
 
     For left-linear systems this is one exact multistep.  Otherwise the
     multistep is over-approximated by up to `cap` iterated parallel steps,
-    still a sound subset of many-step rewriting; that iteration stops and
+    still a sound subset of many-step rewriting, and a path lists the
+    disjoint redexes of each parallel step in turn; that iteration stops and
     reports truncation once it holds more than `max_terms` terms.
     """
     if R.left_linear:
-        out = set(development_reducts_with_paths(R, t, budgets))
+        out = _multistep(R, t, {}, budgets)
         return out, len(out) > max_terms
-    return reach(lambda u: parallel_steps(R, u), t, cap,
-                 max_terms=max_terms + 1, budgets=budgets)
+    reached, cut = reach(lambda u: ((rs, v) for v, rs in parallel_steps(R, u).items()),
+                         t, cap, max_terms=max_terms + 1, budgets=budgets)
+    return {w: tuple(e for rs in reach_path(reached, w) for e in rs)
+            for w in reached}, cut
 
 
 def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
@@ -454,7 +476,8 @@ def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
     sites whose symbol is the inner lhs root are yielded, since distinct
     function symbols unify neither syntactically nor over rational trees,
     and the inner rule is renamed away from the outer one only when a site
-    is left.  The budget is checked once per ordered rule pair.
+    is left.  The budget is checked once per ordered rule pair and once per
+    yielded site.
     """
     for oi, outer in enumerate(rules):
         used = outer.all_variables()
@@ -469,6 +492,7 @@ def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
             renamed = inner.rename(
                 renaming_apart(sorted(inner.all_variables()), set(used)))
             for pos, sub in hits:
+                budgets.check()
                 yield oi, ii, pos, renamed, sub
 
 
@@ -522,11 +546,11 @@ def strong_joins(R: TRS, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
     most one step from `v`, the same with `u` and `v` swapped, each sorted
     by `repr`, and whether either search was cut with its frontier open."""
     (reach_u, cut_u), (reach_v, cut_v) = (
-        reach(lambda t: (w for _, _, w in rewrite_steps(R, t, holds)), s,
-              budgets.conv_depth, budgets.size_cap, budgets.max_class, budgets)
+        reach(single_steps(R, holds), s, budgets.conv_depth, budgets.size_cap,
+              budgets.max_class, budgets)
         for s in (u, v))
-    a = sorted(reach_u & ({v} | reducts(R, v, holds)), key=repr)
-    b = sorted(({u} | reducts(R, u, holds)) & reach_v, key=repr)
+    a = sorted(reach_u.keys() & ({v} | reducts(R, v, holds)), key=repr)
+    b = sorted(({u} | reducts(R, u, holds)) & reach_v.keys(), key=repr)
     return a, b, cut_u or cut_v
 
 
@@ -553,6 +577,8 @@ def step_valid(R: TRS, step: ConvStep) -> bool:
     try:
         sub = subterm_at(src, step.pos)
     except IndexError:
+        return False
+    if not 0 <= step.rule < len(R.rules):
         return False
     rule = R.rules[step.rule]
     sigma = match(rule.lhs, sub)

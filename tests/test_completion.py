@@ -28,7 +28,6 @@ from uncprover.completion import (
     _add_rule,
     _escape_witness,
     _expand_trace,
-    _find_path,
     _pick_join,
     direct_sum_decompose,
     disprove_search,
@@ -193,9 +192,6 @@ def test_closure_searches_past_the_deadline_raise():
         assert _pick_join(R, g(b), a, DEFAULT_BUDGETS) is not None
         with pytest.raises(TimeoutError):
             _pick_join(R, g(b), a, past)
-    assert _find_path(S, g(b), f(a, b), DEFAULT_BUDGETS) is not None
-    with pytest.raises(TimeoutError):
-        _find_path(S, g(b), f(a, b), past)
     # pairs <g(b), b> and <b, g(b)>: closed, but past the deadline the pair
     # tests raise rather than call them unclosed (h keeps the system
     # non-left-linear, so dc iterates parallel steps)
@@ -403,6 +399,15 @@ def test_disprove_variable_escape():
     # renamings of one another
     assert substitute(w.s, canonical_renaming([w.s])) \
         == substitute(w.t, canonical_renaming([w.t]))
+
+
+def test_validate_witness_rejects_a_rule_index_outside_the_system():
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
+    assert validate_witness(R, Witness(b, c, (ConvStep(b, a, 0, (), False),
+                                              ConvStep(a, c, 1, (), True))))
+    for rule in (-1, 2):
+        assert not validate_witness(R, Witness(b, c, (ConvStep(b, a, 0, (), False),
+                                                      ConvStep(a, c, rule, (), True))))
 
 
 def test_disprove_orthogonal_silent():

@@ -27,7 +27,7 @@ from uncprover.terms import (
     variables,
 )
 from uncprover.trs import TRS, RewriteRule, critical_pairs, parallel_step_reducts, \
-    bounded_reducts, parallel_steps, reach, reducts, rewrite_steps
+    bounded_reducts, parallel_steps, reach, reducts, rewrite_steps, single_steps
 from uncprover.ctrs import (
     CTRS,
     ConditionalRule,
@@ -292,8 +292,8 @@ def _oracle_conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
 
 
 def _conditional_reach(C, t, holds, depth, size_cap=0, max_terms=0):
-    return reach(lambda u: (v for _, _, v in rewrite_steps(C, u, holds)),
-                 t, depth, size_cap, max_terms)
+    reached, cut = reach(single_steps(C, holds), t, depth, size_cap, max_terms)
+    return set(reached), cut
 
 
 def test_conditional_searches_match_loop_oracles_on_random_systems(rng):

@@ -37,7 +37,6 @@ from uncprover.trs import (
     bounded_reducts,
     conversion_class,
     critical_pairs,
-    development_reducts_with_paths,
     development_step_reducts,
     expansion_steps,
     is_normal_form,
@@ -183,7 +182,7 @@ def test_multistep_checks_the_budget_once_per_combination():
     # argument combinations; g(f(a, a)): 9 argument combinations and 3 x 3
     # instantiations of the rhs f(y, x)
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c), RewriteRule(g(f(x, y)), f(y, x))])
-    development_reducts_with_paths(R, g(f(a, a)), Counting())
+    development_step_reducts(R, g(f(a, a)), budgets=Counting())
     assert len(calls) == 3 + 9 + 9 + 9
 
 
@@ -191,17 +190,34 @@ def test_multistep_checks_the_budget_once_per_combination():
 def test_parallel_below_development(t):
     R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), x)])
     devs, _ = development_step_reducts(R, t, cap=3)
-    assert parallel_step_reducts(R, t) <= devs
+    assert parallel_step_reducts(R, t) <= devs.keys()
 
 
 @given(term_strategy(max_leaves=5))
 def test_development_paths_replay(t):
-    R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)), RewriteRule(f(b, x), x)])
-    for reduct, path in development_reducts_with_paths(R, t).items():
-        steps = replay_path(R, t, path)
-        assert trace_valid(R, steps)
-        end = steps[-1].dst if steps else t
-        assert end == reduct
+    # one exact multistep, and iterated parallel steps for the non-left-linear
+    # f(x, x) -> x
+    for R in (TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)),
+                      RewriteRule(f(b, x), x)]),
+              TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)),
+                      RewriteRule(f(x, x), x)])):
+        for reduct, path in development_step_reducts(R, t)[0].items():
+            steps = replay_path(R, t, path)
+            assert trace_valid(R, steps)
+            end = steps[-1].dst if steps else t
+            assert end == reduct
+
+
+def test_development_path_contracts_a_parallel_step_redex_by_redex():
+    R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)), RewriteRule(f(x, x), x)])
+    assert not R.left_linear
+    t = f(g(a), g(a))
+    # three parallel steps, the first two with two redexes each:
+    # f(g(a), g(a)) -> f(f(a, a), f(a, a)) -> f(a, a) -> a
+    path = development_step_reducts(R, t)[0][a]
+    assert path == (((1,), 1), ((2,), 1), ((1,), 2), ((2,), 2), ((), 2))
+    steps = replay_path(R, t, path)
+    assert trace_valid(R, steps) and steps[-1].dst == a
 
 
 def test_critical_pairs_orthogonal_empty():
@@ -423,7 +439,8 @@ def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
             with pytest.raises(TimeoutError):
                 bounded_reducts(R, t, 3, budgets=past)
             for cap, max_terms in product((0, 1, 3), (1, 2, 5, 4096)):
-                assert development_step_reducts(R, t, cap, max_terms) \
+                devs, truncated = development_step_reducts(R, t, cap, max_terms)
+                assert (set(devs), truncated) \
                     == _oracle_iterated_parallel_steps(R, t, cap, max_terms)
             with pytest.raises(TimeoutError):
                 development_step_reducts(R, t, budgets=past)
@@ -698,7 +715,7 @@ def _assert_index_agrees(R, t):
     assert rewrite_steps(R, t) == _unindexed_rewrite_steps(R, t)
     assert is_normal_form(R, t) == _unindexed_is_normal_form(R, t)
     assert parallel_step_reducts(R, t) == _unindexed_parallel_step_reducts(R, t)
-    got = development_reducts_with_paths(R, t)
+    got = uncprover.trs._multistep(R, t, {}, Budgets())
     want = _unindexed_multistep(R, t, {})
     assert list(got.items()) == list(want.items())
 
