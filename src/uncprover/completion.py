@@ -39,6 +39,7 @@ from .trs import (
     critical_pairs,
     development_step_reducts,
     is_normal_form,
+    reach_path,
     replay_path,
     strong_joins,
     trace_valid,
@@ -104,7 +105,7 @@ DEVELOPMENT_CLOSED = ConfluencePredicate(
 
 
 def _expand_trace(steps: Iterable[ConvStep], n_original: int,
-                  rule_traces: dict[int, Trace]) -> Trace:
+                  added_traces: list[Trace]) -> Trace:
     """Rewrite trace steps that use added rules into original-rule segments.
 
     Stored segments connect an added rule's lhs to its rhs over original
@@ -115,7 +116,7 @@ def _expand_trace(steps: Iterable[ConvStep], n_original: int,
         if step.rule < n_original:
             out.append(step)
             continue
-        seg = rule_traces[step.rule]
+        seg = added_traces[step.rule - n_original]
         src = step.src if step.forward else step.dst
         lhs_instance = subterm_at(src, step.pos)
         seg_vars: set[str] = set()
@@ -194,7 +195,6 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     """
     n_original = len(R.rules)
     current = R
-    rule_traces: dict[int, Trace] = {}
     added: list[RewriteRule] = []
     added_traces: list[Trace] = []
 
@@ -227,7 +227,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                 u, v = cp.left, cp.right
                 u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
                 if u_nf and v_nf:
-                    trace = _expand_trace(base, n_original, rule_traces)
+                    trace = _expand_trace(base, n_original, added_traces)
                     return verdict("NOT_UNC", "two distinct convertible normal forms",
                                    round_no, Witness(u, v, trace))
                 if u_nf != v_nf:
@@ -235,7 +235,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                     src, nf, trace = (u, v, base) if v_nf else (
                         v, u, tuple(s.reversed_() for s in reversed(base)))
                     if variables(nf) - variables(src):
-                        expanded = _expand_trace(trace, n_original, rule_traces)
+                        expanded = _expand_trace(trace, n_original, added_traces)
                         return verdict("NOT_UNC", "normal form drops a variable",
                                        round_no, _escape_witness(expanded, src, nf))
                     _add_rule(new_rules, known, RewriteRule(src, nf), trace)
@@ -259,10 +259,8 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                 return verdict("MAYBE", "completion failed: no progress possible",
                                round_no)
             for rule, trace in new_rules:
-                expanded = _expand_trace(trace, n_original, rule_traces)
-                idx = len(current.rules)
+                expanded = _expand_trace(trace, n_original, added_traces)
                 current = TRS(current.signature, current.rules + (rule,))
-                rule_traces[idx] = expanded
                 added.append(rule)
                 added_traces.append(expanded)
     except TimeoutError:
@@ -422,8 +420,8 @@ def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Witn
 
 def _connect(cls, a: Term, b: Term) -> Trace:
     """Conversion a ~* b inside a class, shared path segments trimmed."""
-    pa = cls.path_from_seed(a)
-    pb = cls.path_from_seed(b)
+    pa = reach_path(cls.reached, a)
+    pb = reach_path(cls.reached, b)
     k = 0
     while k < len(pa) and k < len(pb) and pa[k] == pb[k]:
         k += 1

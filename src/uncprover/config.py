@@ -18,9 +18,9 @@ class Budgets:
     conv_depth: int = 5
     #: iterations of parallel steps approximating a multistep (non-left-linear case)
     dev_cap: int = 3
-    #: maximal term size (symbol count) kept during searches
+    #: maximal term size (symbol count) kept during searches, 0 for no cap
     size_cap: int = 40
-    #: safety valve on the size of one conversion class
+    #: most terms one conversion class or bounded search keeps, 0 for no cap
     max_class: int = 2000
     #: `time.monotonic` value past which `check` raises, None for none;
     #: `prove_unc` sets it from `StrategyConfig.timeout`

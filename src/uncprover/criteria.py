@@ -15,13 +15,14 @@ Two families:
   plain rewriting uses.  The weight-decreasing check works with ranked
   conversion sets: states pair a multiset of still-usable assumption
   equations with a term, one rewrite step costs one rank unit, and
-  equations are consumed one use each.  One check renames the rules once,
-  keeps the memos of its rank-0 closures and rank-1 step queries, and drops
-  them when it returns; one step enumerator serves its rank-1 and rank-2
-  queries, and matches a step constrained by its target only where the two
-  terms share the context.  These three criteria read the `config.Budgets`
-  deadline and answer a truncated "timeout" report past it; the two
-  overlap tests read it as well, and past it raise `TimeoutError`.
+  equations are consumed one use each; a rank-0 closure, which only swaps
+  equation sides, is a `trs.reach` search.  One check renames the rules
+  once, keeps the memos of its rank-0 closures and rank-1 step queries,
+  and drops them when it returns; one step enumerator serves its rank-1
+  and rank-2 queries, and matches a step constrained by its target only
+  where the two terms share the context.  These three criteria read the
+  `config.Budgets` deadline and answer a truncated "timeout" report past
+  it; the two overlap tests read it too, and past it raise `TimeoutError`.
 """
 from __future__ import annotations
 
@@ -164,24 +165,21 @@ def strongly_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
 # ranked conversion sets
 
 
+def _swaps(st: SimState) -> Iterable[tuple[None, SimState]]:
+    """States one equation swap from `st`, as a `reach` step; a swap consumes
+    an equation, so depth `len(st.remaining)` reaches every state."""
+    for idx, e in enumerate(st.remaining):
+        if idx > 0 and st.remaining[idx - 1] == e:
+            continue
+        rem = st.remaining[:idx] + st.remaining[idx + 1:]
+        for here, there in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+            for pos, sub in subterms(st.value):
+                if sub == here:
+                    yield None, SimState(rem, replace_at(st.value, pos, there))
+
+
 def _eq_closure(gamma: Multiset, value: Term) -> frozenset[SimState]:
-    start = SimState(gamma, value)
-    seen = {start}
-    work = [start]
-    while work:
-        st = work.pop()
-        for idx, e in enumerate(st.remaining):
-            if idx > 0 and st.remaining[idx - 1] == e:
-                continue
-            rem = st.remaining[:idx] + st.remaining[idx + 1:]
-            for here, there in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                for pos, sub in subterms(st.value):
-                    if sub == here:
-                        ns = SimState(rem, replace_at(st.value, pos, there))
-                        if ns not in seen:
-                            seen.add(ns)
-                            work.append(ns)
-    return frozenset(seen)
+    return frozenset(reach(_swaps, SimState(gamma, value), len(gamma))[0])
 
 
 def eq_states(gamma: Iterable[Equation], value: Term) -> frozenset[SimState]:

@@ -6,11 +6,12 @@ is a `TRS` some of whose rules have conditions.  The searches here serve
 the conditional systems of `ctrs` and `criteria` as well:
 `redexes` is the one root-indexed match loop, conditions included;
 `overlaps` yields the overlap sites of `critical_pairs` and of the omega
-test; `reach` is the bounded breadth-first search over any one-step
-relation and keeps the edge by which it first reached each term,
-`strong_joins` runs it for both strong-closure joins, and `parallel_steps`
-combines disjoint redexes.  `development_step_reducts` returns each reduct
-with a path of single steps, which `replay_path` turns into a trace.
+test; `reach` is the one bounded breadth-first search, over any one-step
+relation, and keeps the edge by which it first reached each node: it runs
+both joins of `strong_joins`, the conversion classes and the rank-0
+closures of `criteria`, and `parallel_steps` combines disjoint redexes.
+`development_step_reducts` returns each reduct with a path of single
+steps, which `replay_path` turns into a trace.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
@@ -19,10 +20,10 @@ critical pairs, which are identified up to renaming and condition order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
@@ -277,23 +278,24 @@ def is_normal_form(R: TRS, t: Term) -> bool:
     return next(redexes(R, t), None) is None
 
 
-#: What `reach` found: each term mapped to the term and edge it was first
+#: What `reach` found: each node mapped to the node and edge it was first
 #: reached from, or to None for the start.
-Reached = dict[Term, Optional[tuple[Term, object]]]
+Reached = dict[Hashable, Optional[tuple[Hashable, object]]]
 
 
-def reach(step: Callable[[Term], Iterable[tuple[object, Term]]], t: Term, depth: int,
-          size_cap: int = 0, max_terms: int = 0, budgets: Budgets = DEFAULT_BUDGETS,
-          ) -> tuple[Reached, bool]:
-    """Terms reachable from `t` in at most `depth` applications of `step`
-    (which yields (edge, successor) pairs) as a `Reached` map, plus a flag
-    telling whether the search was cut with the frontier open.
+def reach(step: Callable[[Hashable], Iterable[tuple[object, Hashable]]], t: Hashable,
+          depth: int, size_cap: int = 0, max_terms: int = 0,
+          budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Reached, bool]:
+    """Nodes (terms, or any hashable values without `size_cap`) reachable
+    from `t` in at most `depth` applications of `step`, which yields (edge,
+    successor) pairs, as a `Reached` map, plus a flag telling whether the
+    search was cut with the frontier open.
 
     `size_cap` drops oversized terms and `max_terms` stops the search once
-    that many terms were found; both keep the result a sound subset of the
-    reachable terms.  A `max_terms` cut sets the flag and a `size_cap` drop
-    does not, and which terms a cut keeps follows the order `step` yields
-    them in.  The budget is checked before each frontier term.
+    that many nodes were found; 0 disables either, and both keep the result
+    a sound subset of the reachable nodes.  A `max_terms` cut sets the flag
+    and a `size_cap` drop does not, and which nodes a cut keeps follows the
+    order `step` yields them in; the budget is checked per frontier node.
     """
     seen: Reached = {t: None}
     frontier = [t]
@@ -302,9 +304,13 @@ def reach(step: Callable[[Term], Iterable[tuple[object, Term]]], t: Term, depth:
         for u in frontier:
             budgets.check()
             for edge, v in step(u):
-                if v in seen or (size_cap and term_size(v) > size_cap):
+                link = (u, edge)
+                # one lookup: a term hashes by walking all of it
+                if seen.setdefault(v, link) is not link:
                     continue
-                seen[v] = (u, edge)
+                if size_cap and term_size(v) > size_cap:
+                    del seen[v]
+                    continue
                 nxt.append(v)
                 if max_terms and len(seen) >= max_terms:
                     return seen, True
@@ -314,7 +320,7 @@ def reach(step: Callable[[Term], Iterable[tuple[object, Term]]], t: Term, depth:
     return seen, bool(frontier)
 
 
-def reach_path(reached: Reached, t: Term) -> list:
+def reach_path(reached: Reached, t: Hashable) -> list:
     """The edges from the start of a `reach` search to `t`, in order."""
     edges = []
     while reached[t] is not None:
@@ -596,7 +602,7 @@ def trace_valid(R: TRS, trace: Iterable[ConvStep]) -> bool:
 
 
 def expansion_steps(R: TRS, t: Term, used_names: set[str],
-                    size_cap: int = 0) -> Iterator[tuple[Position, int, Term]]:
+                    ) -> Iterator[tuple[Position, int, Term]]:
     """Predecessors of `t`: terms u with u -> t in one step.
 
     Rule variables absent from the rhs are instantiated with the first
@@ -617,77 +623,57 @@ def expansion_steps(R: TRS, t: Term, used_names: set[str],
                     while f"w{k}" in used_names or f"w{k}" in taken:
                         k += 1
                     sigma[x] = Var(f"w{k}")
-            u = replace_at(t, pos, substitute(rule.lhs, sigma))
-            if size_cap and term_size(u) > size_cap:
+            yield pos, i, replace_at(t, pos, substitute(rule.lhs, sigma))
+
+
+def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
+                     ) -> Callable[[Term], Iterator[tuple[ConvStep, Term]]]:
+    """The symmetric rewrite relation as a `reach` step from `seed`: the
+    steps of `rewrite_steps`, then those of `expansion_steps`, as
+    (`ConvStep`, term) pairs.  It drops terms above `size_cap`, yields only
+    terms new up to renaming of the variables not in `seed`, and picks fresh
+    variables away from those of the terms it yielded before."""
+    keep = frozenset(variables(seed))
+    keys = {canonical_key((seed,), keep)}
+    names = set(keep)
+
+    def step(u: Term) -> Iterator[tuple[ConvStep, Term]]:
+        edges = [ConvStep(u, v, i, pos, True) for pos, i, v in rewrite_steps(R, u)]
+        edges += [ConvStep(u, v, i, pos, False)
+                  for pos, i, v in expansion_steps(R, u, names)]
+        for edge in edges:
+            v = edge.dst
+            if size_cap and term_size(v) > size_cap:
                 continue
-            yield pos, i, u
+            k = canonical_key((v,), keep)
+            if k in keys:
+                continue
+            keys.add(k)
+            names.update(variables(v))
+            yield edge, v
+    return step
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConversionClass:
-    """Bounded conversion neighbourhood of a seed term, with parent edges."""
+    """The members in found order and the `reach` map of `conversion_steps`."""
 
-    seed: Term
-    members: list[Term] = field(default_factory=list)
-    parent: dict[Term, ConvStep] = field(default_factory=dict)
-
-    def path_from_seed(self, t: Term) -> list[ConvStep]:
-        steps: list[ConvStep] = []
-        while t != self.seed:
-            step = self.parent[t]
-            steps.append(step)
-            t = step.src
-        steps.reverse()
-        return steps
+    members: list[Term]
+    reached: Reached
 
 
 def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
                      max_class: int = 2000,
                      budgets: Budgets = DEFAULT_BUDGETS) -> ConversionClass:
-    """BFS over the symmetric rewrite relation, both directions bounded.
-
-    Fresh variables introduced by reverse steps are deduplicated up to
-    renaming (variables of the seed are kept fixed) and are chosen away
-    from every variable of the class.  The budget is checked before each
-    frontier node.
-    """
-    keep = frozenset(variables(seed))
-    cls = ConversionClass(seed, [seed])
-    seen = {canonical_key((seed,), keep)}
-    # variables of all members, grown as members are added
-    names = set(keep)
-    frontier = [seed]
-    for _ in range(depth):
-        nxt: list[Term] = []
-        for u in frontier:
-            budgets.check()
-            candidates: list[ConvStep] = []
-            for pos, i, v in rewrite_steps(R, u):
-                candidates.append(ConvStep(u, v, i, pos, True))
-            for pos, i, v in expansion_steps(R, u, names, size_cap):
-                candidates.append(ConvStep(u, v, i, pos, False))
-            for step in candidates:
-                v = step.dst
-                if size_cap and term_size(v) > size_cap:
-                    continue
-                k = canonical_key((v,), keep)
-                if k in seen:
-                    continue
-                seen.add(k)
-                cls.members.append(v)
-                cls.parent[v] = step
-                names |= variables(v)
-                nxt.append(v)
-                if len(cls.members) >= max_class:
-                    return cls
-        if not nxt:
-            break
-        frontier = nxt
-    return cls
+    """Terms within `depth` conversion steps of `seed`, up to renaming of
+    the variables not in the seed; `max_class` cuts as `reach`'s
+    `max_terms` does."""
+    reached = reach(conversion_steps(R, seed, size_cap), seed, depth,
+                    max_terms=max_class, budgets=budgets)[0]
+    return ConversionClass(list(reached), reached)
 
 
 def bounded_conversions(R: TRS, s: Term, depth: int, size_cap: int = 40,
                         max_class: int = 2000) -> set[Term]:
     """Terms reachable from `s` by at most `depth` conversion steps."""
-    cls = conversion_class(R, s, depth, size_cap, max_class)
-    return set(cls.members)
+    return set(conversion_class(R, s, depth, size_cap, max_class).reached)

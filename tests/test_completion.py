@@ -212,7 +212,6 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
     pair's closure first, then the pass that decides or adds rules."""
     n_original = len(R.rules)
     current = R
-    rule_traces: dict[int, Trace] = {}
     added: list[RewriteRule] = []
     added_traces: list[Trace] = []
 
@@ -251,12 +250,12 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
                 u, v = cp.left, cp.right
                 u_nf, v_nf = is_normal_form(current, u), is_normal_form(current, v)
                 if u_nf and v_nf:
-                    trace = _expand_trace(base, n_original, rule_traces)
+                    trace = _expand_trace(base, n_original, added_traces)
                     return verdict("NOT_UNC", "two distinct convertible normal forms",
                                    round_no, Witness(u, v, trace))
                 if v_nf and not u_nf:
                     if variables(v) - variables(u):
-                        expanded = _expand_trace(base, n_original, rule_traces)
+                        expanded = _expand_trace(base, n_original, added_traces)
                         return verdict("NOT_UNC", "normal form drops a variable",
                                        round_no, _escape_witness(expanded, u, v))
                     _add_rule(new_rules, known, RewriteRule(u, v), base)
@@ -264,7 +263,7 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
                 if u_nf and not v_nf:
                     rev = tuple(s.reversed_() for s in reversed(base))
                     if variables(u) - variables(v):
-                        expanded = _expand_trace(rev, n_original, rule_traces)
+                        expanded = _expand_trace(rev, n_original, added_traces)
                         return verdict("NOT_UNC", "normal form drops a variable",
                                        round_no, _escape_witness(expanded, v, u))
                     _add_rule(new_rules, known, RewriteRule(v, u), rev)
@@ -285,10 +284,8 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
                 return verdict("MAYBE", "completion failed: no progress possible",
                                round_no)
             for rule, trace in new_rules:
-                expanded = _expand_trace(trace, n_original, rule_traces)
-                idx = len(current.rules)
+                expanded = _expand_trace(trace, n_original, added_traces)
                 current = TRS(current.signature, current.rules + (rule,))
-                rule_traces[idx] = expanded
                 added.append(rule)
                 added_traces.append(expanded)
     except TimeoutError:
@@ -388,6 +385,13 @@ def test_disprove_two_constants():
     w = disprove_search(R)
     assert w is not None and {w.s, w.t} == {b, c}
     assert validate_witness(R, w)
+
+
+def test_disprove_max_class_zero_is_no_cap():
+    # 0 disables the class cap, as it disables the size cap
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
+    w = disprove_search(R, Budgets(max_class=0))
+    assert w is not None and validate_witness(R, w)
 
 
 def test_disprove_variable_escape():

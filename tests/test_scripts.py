@@ -1,4 +1,4 @@
-"""Smoke tests of `scripts/`: both call `strategy` and print one row per
+"""Smoke tests of `scripts/`: each calls `strategy` and prints one row per
 problem."""
 import shutil
 import subprocess
@@ -31,3 +31,15 @@ def test_method_sweep(tmp_path):
     columns = header.split()
     row = next(line.split() for line in rows if line.startswith("not_unc_escape.trs"))
     assert row[columns.index("cp")] == "NO"
+
+
+def test_verdict_digest():
+    proc = _run("verdict_digest.py", "completion-stress")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
+    # 7 systems x 4 methods plus AC with sc and rev+sc; the two probes are left out
+    assert len(rows) == 30 and "AC/dc@1s" not in rows
+    answer, method, digest = rows["not_unc_constants/sc"]
+    assert (answer, method) == ("NO", "sc")
+    assert len(digest) == 40 and set(digest) <= set("0123456789abcdef")
+    assert _run("verdict_digest.py", "no-such-workload").returncode == 2

@@ -29,7 +29,6 @@ from uncprover.terms import (
 )
 from uncprover.trs import (
     TRS,
-    ConversionClass,
     ConvStep,
     Equation,
     RewriteRule,
@@ -42,6 +41,7 @@ from uncprover.trs import (
     is_normal_form,
     parallel_step_reducts,
     parallel_steps,
+    reach_path,
     replay_path,
     rewrite_steps,
     step_valid,
@@ -522,13 +522,14 @@ def _oracle_expansion_steps(R, t, used_names, size_cap=0):
 
 def _oracle_conversion_class(R, seed, depth, size_cap=40, max_class=2000):
     """The search before the fresh-name pool was kept incrementally: the
-    pool is rebuilt from every member for each frontier node."""
+    pool is rebuilt from every member for each frontier node.  Returns the
+    members in found order and the step by which each was first reached."""
     keep = frozenset(variables(seed))
 
     def key(t):
         return repr(substitute(t, canonical_renaming([t], keep, prefix="@")))
 
-    cls = ConversionClass(seed, [seed])
+    members, parent = [seed], {}
     seen = {key(seed)}
     frontier = [seed]
     for _ in range(depth):
@@ -537,7 +538,7 @@ def _oracle_conversion_class(R, seed, depth, size_cap=40, max_class=2000):
             candidates = []
             for pos, i, v in rewrite_steps(R, u):
                 candidates.append(ConvStep(u, v, i, pos, True))
-            names = keep | {n for m in cls.members for n in variables(m)}
+            names = keep | {n for m in members for n in variables(m)}
             for pos, i, v in _oracle_expansion_steps(R, u, set(names), size_cap):
                 candidates.append(ConvStep(u, v, i, pos, False))
             for step in candidates:
@@ -548,15 +549,23 @@ def _oracle_conversion_class(R, seed, depth, size_cap=40, max_class=2000):
                 if k in seen:
                     continue
                 seen.add(k)
-                cls.members.append(v)
-                cls.parent[v] = step
+                members.append(v)
+                parent[v] = step
                 nxt.append(v)
-                if len(cls.members) >= max_class:
-                    return cls
+                if max_class and len(members) >= max_class:
+                    return members, parent
         if not nxt:
             break
         frontier = nxt
-    return cls
+    return members, parent
+
+
+def _oracle_path(parent, seed, t):
+    steps = []
+    while t != seed:
+        steps.append(parent[t])
+        t = parent[t].src
+    return steps[::-1]
 
 
 def test_expansion_fresh_names_avoid_the_matched_subterm():
@@ -573,9 +582,10 @@ def _seeds(R):
 
 def _assert_same_class(R, seed, depth, size_cap, max_class):
     got = conversion_class(R, seed, depth, size_cap, max_class)
-    want = _oracle_conversion_class(R, seed, depth, size_cap, max_class)
-    assert got.members == want.members
-    assert got.parent == want.parent
+    members, parent = _oracle_conversion_class(R, seed, depth, size_cap, max_class)
+    assert got.members == members
+    for m in members:
+        assert reach_path(got.reached, m) == _oracle_path(parent, seed, m)
 
 
 @pytest.mark.parametrize("R", [CL, AC, COPS_254], ids=["CL", "AC", "COPS_254"])
@@ -598,6 +608,28 @@ def small_systems(draw):
 def test_conversion_class_matches_quadratic_oracle_random(R):
     for seed in _seeds(R)[:3]:
         _assert_same_class(R, seed, 3, 20, 150)
+
+
+@given(st.one_of(small_systems(), st.sampled_from((CL, AC))))
+def test_conversion_class_paths_replay(R):
+    # every member's path, not only those a witness uses, is a conversion
+    # from the seed over the rules
+    for seed in _seeds(R)[:3]:
+        cls = conversion_class(R, seed, 3, 20, 150)
+        for m in cls.members:
+            path = reach_path(cls.reached, m)
+            if m == seed:
+                assert path == []
+                continue
+            assert path[0].src == seed and path[-1].dst == m
+            assert trace_valid(R, path)
+
+
+def test_conversion_class_max_class_zero_is_no_cap():
+    seed = CL.rules[0].rhs
+    uncapped = conversion_class(CL, seed, 3, 20, 10 ** 9)
+    assert len(uncapped.members) > 2
+    assert conversion_class(CL, seed, 3, 20, 0) == uncapped
 
 
 def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
