@@ -12,7 +12,7 @@ the original rules.  A clock cut of the budgets raises `TimeoutError`, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
@@ -33,6 +33,7 @@ from .trs import (
     TRS,
     ConvStep,
     CriticalPair,
+    Reached,
     RewriteRule,
     bounded_reducts,
     conversion_class,
@@ -370,12 +371,14 @@ def validate_witness(R: TRS, w: Witness) -> bool:
 def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Witness]:
     """Bounded conversion search for a UNC counterexample.
 
-    Seeds are critical-pair sides and rule right-hand sides.  Each class
-    is scanned first for a normal form carrying a variable absent from a
-    convertible term (a second witness then arises by renaming), then for
-    two distinct normal forms in the class.  The budget is checked in the
-    critical pairs, per seed, inside the class search and per normal form
-    in the first scan; past the deadline the search returns None.
+    Seeds are critical-pair sides and rule right-hand sides.  Each seed's
+    conversion class is scanned member by member as `reach` finds it, and
+    the search stops at the first witness that validates (`_ClassScan`).
+    Every pair of members is tried once the later of the two is found, so
+    a class yields a witness if and only if its full search would.  The
+    budget is checked in the critical pairs, per seed, inside the class
+    search and once per class member; past the deadline the search returns
+    None.
     """
     try:
         seeds: list[Term] = []
@@ -389,39 +392,64 @@ def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Witn
             if k in seen_keys:
                 continue
             seen_keys.add(k)
-            cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                                   budgets.max_class, budgets)
-            budgets.check()
-            members = sorted(cls.members, key=repr)
-            # one variable set per member, equal sets shared to keep memory flat
-            shared: dict[frozenset[str], frozenset[str]] = {}
-            var_sets = [shared.setdefault(vs, vs)
-                        for vs in (frozenset(variables(m)) for m in members)]
-            nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
-            for i in nf_at:
-                budgets.check()
-                t, t_vars = members[i], var_sets[i]
-                for j, s in enumerate(members):
-                    if j == i or t_vars <= var_sets[j]:
-                        continue
-                    w = _escape_witness(_connect(cls, s, t), s, t)
-                    if validate_witness(R, w):
-                        return w
-            nfs = [members[i] for i in nf_at]
-            for i, t1 in enumerate(nfs):
-                for t2 in nfs[i + 1:]:
-                    w = Witness(t1, t2, _connect(cls, t1, t2))
-                    if validate_witness(R, w):
-                        return w
+            scan = _ClassScan(R, budgets)
+            conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
+                             budgets.max_class, budgets, scan.visit)
+            if scan.witness is not None:
+                return scan.witness
     except TimeoutError:
         pass
     return None
 
 
-def _connect(cls, a: Term, b: Term) -> Trace:
+class _ClassScan:
+    """The witness test of one conversion class, run on each member as it
+    is found.  A new member `m` is tried, in this order: as a normal form
+    with a variable that an earlier member lacks (a second witness then
+    arises by renaming), as a member that lacks a variable of an earlier
+    normal form, and as a normal form distinct from an earlier one."""
+
+    def __init__(self, R: TRS, budgets: Budgets):
+        self.R = R
+        self.budgets = budgets
+        self.members: list[tuple[Term, frozenset[str]]] = []
+        self.nfs: list[tuple[Term, frozenset[str]]] = []
+        # equal variable sets shared to keep memory flat
+        self.var_sets: dict[frozenset[str], frozenset[str]] = {}
+        self.witness: Optional[Witness] = None
+
+    def visit(self, m: Term, reached: Reached) -> bool:
+        self.budgets.check()
+        vs = frozenset(variables(m))
+        m_vars = self.var_sets.setdefault(vs, vs)
+        m_nf = is_normal_form(self.R, m)
+        for w in self._candidates(m, m_vars, m_nf, reached):
+            if validate_witness(self.R, w):
+                self.witness = w
+                return True
+        self.members.append((m, m_vars))
+        if m_nf:
+            self.nfs.append((m, m_vars))
+        return False
+
+    def _candidates(self, m: Term, m_vars: frozenset[str], m_nf: bool,
+                    reached: Reached) -> Iterator[Witness]:
+        if m_nf:
+            for s, s_vars in self.members:
+                if not m_vars <= s_vars:
+                    yield _escape_witness(_connect(reached, s, m), s, m)
+        for t, t_vars in self.nfs:
+            if not t_vars <= m_vars:
+                yield _escape_witness(_connect(reached, m, t), m, t)
+        if m_nf:
+            for t, _ in self.nfs:
+                yield Witness(t, m, _connect(reached, t, m))
+
+
+def _connect(reached: Reached, a: Term, b: Term) -> Trace:
     """Conversion a ~* b inside a class, shared path segments trimmed."""
-    pa = reach_path(cls.reached, a)
-    pb = reach_path(cls.reached, b)
+    pa = reach_path(reached, a)
+    pb = reach_path(reached, b)
     k = 0
     while k < len(pa) and k < len(pb) and pa[k] == pb[k]:
         k += 1

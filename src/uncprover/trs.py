@@ -283,9 +283,15 @@ def is_normal_form(R: TRS, t: Term) -> bool:
 Reached = dict[Hashable, Optional[tuple[Hashable, object]]]
 
 
+#: Called by `reach` on each node it keeps, with the map so far; a true
+#: return stops the search.
+Visit = Callable[[Hashable, Reached], bool]
+
+
 def reach(step: Callable[[Hashable], Iterable[tuple[object, Hashable]]], t: Hashable,
           depth: int, size_cap: int = 0, max_terms: int = 0,
-          budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Reached, bool]:
+          budgets: Budgets = DEFAULT_BUDGETS,
+          visit: Optional[Visit] = None) -> tuple[Reached, bool]:
     """Nodes (terms, or any hashable values without `size_cap`) reachable
     from `t` in at most `depth` applications of `step`, which yields (edge,
     successor) pairs, as a `Reached` map, plus a flag telling whether the
@@ -296,8 +302,12 @@ def reach(step: Callable[[Hashable], Iterable[tuple[object, Hashable]]], t: Hash
     a sound subset of the reachable nodes.  A `max_terms` cut sets the flag
     and a `size_cap` drop does not, and which nodes a cut keeps follows the
     order `step` yields them in; the budget is checked per frontier node.
+    `visit`, if given, sees each kept node in found order, `t` first, as
+    soon as it is in the map; a true return stops the search as a cut.
     """
     seen: Reached = {t: None}
+    if visit is not None and visit(t, seen):
+        return seen, True
     frontier = [t]
     for _ in range(depth):
         nxt = []
@@ -312,6 +322,8 @@ def reach(step: Callable[[Hashable], Iterable[tuple[object, Hashable]]], t: Hash
                     del seen[v]
                     continue
                 nxt.append(v)
+                if visit is not None and visit(v, seen):
+                    return seen, True
                 if max_terms and len(seen) >= max_terms:
                     return seen, True
         if not nxt:
@@ -656,21 +668,24 @@ def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
 
 @dataclass(frozen=True)
 class ConversionClass:
-    """The members in found order and the `reach` map of `conversion_steps`."""
+    """The members in found order, the `reach` map of `conversion_steps`,
+    and whether the search was cut (by `max_class`, by `visit`, or with
+    the frontier open at `depth`)."""
 
     members: list[Term]
     reached: Reached
+    cut: bool
 
 
 def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
-                     max_class: int = 2000,
-                     budgets: Budgets = DEFAULT_BUDGETS) -> ConversionClass:
+                     max_class: int = 2000, budgets: Budgets = DEFAULT_BUDGETS,
+                     visit: Optional[Visit] = None) -> ConversionClass:
     """Terms within `depth` conversion steps of `seed`, up to renaming of
-    the variables not in the seed; `max_class` cuts as `reach`'s
-    `max_terms` does."""
-    reached = reach(conversion_steps(R, seed, size_cap), seed, depth,
-                    max_terms=max_class, budgets=budgets)[0]
-    return ConversionClass(list(reached), reached)
+    the variables not in the seed; `max_class` and `visit` cut as `reach`'s
+    `max_terms` and `visit` do."""
+    reached, cut = reach(conversion_steps(R, seed, size_cap), seed, depth,
+                         max_terms=max_class, budgets=budgets, visit=visit)
+    return ConversionClass(list(reached), reached, cut)
 
 
 def bounded_conversions(R: TRS, s: Term, depth: int, size_cap: int = 40,

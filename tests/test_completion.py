@@ -1,9 +1,13 @@
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
+import uncprover.completion
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, canonical_key, canonical_renaming, substitute, variables
 from uncprover.trs import (
@@ -12,6 +16,7 @@ from uncprover.trs import (
     RewriteRule,
     bounded_conversions,
     bounded_reducts,
+    conversion_class,
     critical_pairs,
     development_step_reducts,
     is_normal_form,
@@ -26,6 +31,7 @@ from uncprover.completion import (
     Verdict,
     Witness,
     _add_rule,
+    _connect,
     _escape_witness,
     _expand_trace,
     _pick_join,
@@ -40,7 +46,7 @@ from uncprover.completion import (
 from uncprover.config import DEFAULT_BUDGETS, Budgets
 
 from conftest import (AC, AC_G, COPS_126, CL, a, b, c, d, f, g, h, random_system,
-                      random_term, x)
+                      random_term, x, y)
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -405,6 +411,16 @@ def test_disprove_variable_escape():
         == substitute(w.t, canonical_renaming([w.t]))
 
 
+def test_disprove_variable_escape_to_a_normal_form_found_late():
+    # the class of the critical-pair side g(f(x1,a)) holds one normal form
+    # up to renaming, f(g(x1),w1); it is found after the seed, whose
+    # variables lack w1
+    R = TRS.of([RewriteRule(a, a), RewriteRule(f(f(x, a), y), g(x))])
+    w = disprove_search(R)
+    assert w is not None and validate_witness(R, w)
+    assert w.s.sym == w.t.sym == "f"
+
+
 def test_validate_witness_rejects_a_rule_index_outside_the_system():
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
     assert validate_witness(R, Witness(b, c, (ConvStep(b, a, 0, (), False),
@@ -426,23 +442,108 @@ def test_cp_stops_at_the_deadline():
     assert time.monotonic() - start < timeout + 0.1
 
 
+def test_rev_cp_stops_at_the_deadline_inside_full_classes():
+    # reversed, this ground system's first conversion class reaches the
+    # 2000-member cap near the deadline; the class scan checks the clock
+    # once per member
+    R = TRS.of([RewriteRule(h(a), a), RewriteRule(b, f(f(c, g(a)), c)),
+                RewriteRule(b, c), RewriteRule(c, f(b, f(a, g(b))))])
+    timeout = 0.3
+    start = time.monotonic()
+    res = prove_unc(R, StrategyConfig(methods=("rev+cp",), timeout=timeout))
+    assert res.answer == "MAYBE"
+    assert time.monotonic() - start < timeout + 0.1
+
+
+# cp answers NO on this system with a witness near the start of a class
+# that holds 1935 members at the default budgets
+EARLY_WITNESS = TRS.of([RewriteRule(f(f(a, x), b), b), RewriteRule(f(a, f(b, b)), b)])
+
+
+def test_cp_stops_its_class_at_the_first_witness(monkeypatch):
+    sizes = []
+    real = uncprover.completion.conversion_class
+
+    def counting(*args, **kwargs):
+        cls = real(*args, **kwargs)
+        sizes.append(len(cls.members))
+        return cls
+
+    monkeypatch.setattr(uncprover.completion, "conversion_class", counting)
+    res = prove_unc(EARLY_WITNESS, StrategyConfig(methods=("cp",)))
+    assert res.answer == "NO"
+    assert 0 < sum(sizes) < 50
+
+
+_WITNESS_PROBE = """
+from uncprover.completion import disprove_search
+from test_completion import EARLY_WITNESS
+print(repr(disprove_search(EARLY_WITNESS)))
+"""
+
+
+def test_cp_witness_does_not_depend_on_the_hash_seed():
+    # the found order of a class follows the step enumerators, so the
+    # first witness is the same under every hash seed
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        proc = subprocess.run([sys.executable, "-c", _WITNESS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].startswith("Witness(") and outs[0] == outs[1]
+
+
+def _full_class_disprove_search(R: TRS, budgets: Budgets) -> Optional[Witness]:
+    """The disproof search as it was before it scanned each class while the
+    class grows: every class built in full and sorted by `repr`, then
+    scanned for a normal form with an escaping variable, then for two
+    distinct normal forms."""
+    seeds = [t for cp in critical_pairs(R, budgets) for t in (cp.left, cp.right)]
+    seeds += [r.rhs for r in R.rules]
+    seen_keys = set()
+    for seed in seeds:
+        k = canonical_key((seed,))
+        if k in seen_keys:
+            continue
+        seen_keys.add(k)
+        cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
+                               budgets.max_class, budgets)
+        members = sorted(cls.members, key=repr)
+        var_sets = [frozenset(variables(m)) for m in members]
+        nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
+        for i in nf_at:
+            t, t_vars = members[i], var_sets[i]
+            for j, s in enumerate(members):
+                if j == i or t_vars <= var_sets[j]:
+                    continue
+                w = _escape_witness(_connect(cls.reached, s, t), s, t)
+                if validate_witness(R, w):
+                    return w
+        nfs = [members[i] for i in nf_at]
+        for i, t1 in enumerate(nfs):
+            for t2 in nfs[i + 1:]:
+                w = Witness(t1, t2, _connect(cls.reached, t1, t2))
+                if validate_witness(R, w):
+                    return w
+    return None
+
+
 def test_disprove_witnesses_always_validate(rng):
-    bad = 0
-    for _ in range(120):
-        rules = []
-        for _ in range(rng.randint(1, 3)):
-            lhs = random_term(rng, depth=2)
-            while isinstance(lhs, Var):
-                lhs = random_term(rng, depth=2)
-            rhs = random_term(rng, depth=1)
-            if variables(rhs) - variables(lhs):
-                rhs = a
-            rules.append(RewriteRule(lhs, rhs))
-        R = TRS.of(rules)
-        w = disprove_search(R, Budgets(conv_depth=3, size_cap=20, max_class=300))
-        if w is not None and not validate_witness(R, w):
-            bad += 1
-    assert bad == 0
+    # and a witness is found exactly when the full-class scan finds one
+    budgets = Budgets(conv_depth=3, size_cap=20, max_class=300)
+    outcomes = set()
+    for _ in range(150):
+        R = random_system(rng)
+        w = disprove_search(R, budgets)
+        assert (w is None) == (_full_class_disprove_search(R, budgets) is None), R
+        if w is not None:
+            assert validate_witness(R, w)
+        outcomes.add(w is None)
+    assert outcomes == {True, False}
 
 
 # --- direct-sum decomposition ------------------------------------------------------

@@ -35,15 +35,18 @@ from uncprover.trs import (
     bounded_conversions,
     bounded_reducts,
     conversion_class,
+    conversion_steps,
     critical_pairs,
     development_step_reducts,
     expansion_steps,
     is_normal_form,
     parallel_step_reducts,
     parallel_steps,
+    reach,
     reach_path,
     replay_path,
     rewrite_steps,
+    single_steps,
     step_valid,
     trace_valid,
 )
@@ -651,6 +654,51 @@ def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
         counts.append(calls)
     # a pool rebuilt from every member per frontier node gives about 16
     assert counts[1] / counts[0] < 6
+
+
+def test_reach_visit_sees_the_start_and_each_kept_node_in_found_order(rng):
+    def recorded(step, t, depth, size_cap=0, max_terms=0):
+        seen = []
+
+        def visit(node, reached):
+            assert node in reached
+            seen.append(node)
+            return False
+
+        got = reach(step, t, depth, size_cap, max_terms, visit=visit)
+        assert seen == list(got[0])
+        return got
+
+    seed = CL.rules[0].rhs
+    assert recorded(conversion_steps(CL, seed, 20), seed, 3, max_terms=150) \
+        == reach(conversion_steps(CL, seed, 20), seed, 3, max_terms=150)
+    for _ in range(40):
+        R = random_system(rng)
+        t = random_term(rng, depth=3)
+        for size_cap, max_terms in product((0, 7), (0, 5)):
+            assert recorded(single_steps(R), t, 3, size_cap, max_terms) \
+                == reach(single_steps(R), t, 3, size_cap, max_terms)
+
+
+def test_reach_visit_true_stops_the_search_as_a_cut():
+    seed = CL.rules[0].rhs
+    full = conversion_class(CL, seed, 3, 20, 0)
+    stop = full.members[40]
+    cls = conversion_class(CL, seed, 3, 20, 0, visit=lambda node, reached: node == stop)
+    assert cls.cut and cls.members == full.members[:41]
+    path = reach_path(cls.reached, stop)
+    assert path[0].src == seed and path[-1].dst == stop
+    assert trace_valid(CL, path)
+    at_start = conversion_class(CL, seed, 3, 20, 0, visit=lambda node, reached: True)
+    assert at_start.cut and at_start.members == [seed]
+
+
+def test_conversion_class_keeps_the_cut_flag():
+    # a class whose frontier runs out inside the depth is complete
+    done = conversion_class(TRS.of([RewriteRule(a, b)]), b, 5)
+    assert done.members == [b, a] and not done.cut
+    capped = conversion_class(CL, CL.rules[0].rhs, 5, 40, 50)
+    assert len(capped.members) == 50 and capped.cut
 
 
 # --- the root-symbol rule index: unindexed copies as oracles -----------------
