@@ -23,6 +23,10 @@ from .ctrs import (
     lr_separated_linearize,
 )
 from .criteria import (
+    DEVELOPMENT_CLOSED,
+    PARALLEL_CLOSED,
+    STRONGLY_CLOSED,
+    ConfluencePredicate,
     CriterionReport,
     SimState,
     eq_states,
@@ -35,9 +39,6 @@ from .criteria import (
     wd_ccp_satisfied,
 )
 from .completion import (
-    DEVELOPMENT_CLOSED,
-    STRONGLY_CLOSED,
-    ConfluencePredicate,
     Verdict,
     Witness,
     direct_sum_decompose,
@@ -53,7 +54,7 @@ __all__ = [
     "App", "Budgets", "ConfluencePredicate", "CongruenceClosure", "ConvStep",
     "CopsParseError",
     "CriterionReport", "CriticalPair", "DEFAULT_BUDGETS", "DEFAULT_METHODS",
-    "DEVELOPMENT_CLOSED", "Equation", "ProblemFile", "ProofResult",
+    "DEVELOPMENT_CLOSED", "Equation", "PARALLEL_CLOSED", "ProblemFile", "ProofResult",
     "RewriteRule", "STRONGLY_CLOSED", "Signature", "SimState", "StrategyConfig",
     "TRS", "Term", "Var", "Verdict", "Witness", "bounded_conversions",
     "cc_entails", "conditional_critical_pairs", "conditional_linearize",

@@ -2,19 +2,21 @@
 decomposition.
 
 The completion loop adds rules connecting critical-pair sides until a
-confluence predicate certifies the grown system; every added rule is
-conversion-derivable over the original system and keeps the normal forms
-unchanged, so UNC transfers back.  Disproofs exhibit two distinct
-convertible normal forms together with a replayable conversion trace over
-the original rules.  A clock cut of the budgets raises `TimeoutError`, which
-`unc_complete` and `disprove_search` each catch once.
+confluence predicate of `criteria` (its guard and pair test) certifies the
+grown system; every added rule is conversion-derivable over the original
+system and keeps the normal forms unchanged, so UNC transfers back.
+Disproofs exhibit two distinct convertible normal forms together with a
+replayable conversion trace over the original rules.  A clock cut of the
+budgets raises `TimeoutError`, which `unc_complete` and `disprove_search`
+each catch once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .config import Budgets, DEFAULT_BUDGETS
+from .criteria import ConfluencePredicate
 from .terms import (
     Term,
     Var,
@@ -32,17 +34,15 @@ from .terms import (
 from .trs import (
     TRS,
     ConvStep,
-    CriticalPair,
     Reached,
     RewriteRule,
-    bounded_reducts,
     conversion_class,
     critical_pairs,
     development_step_reducts,
     is_normal_form,
     reach_path,
     replay_path,
-    strong_joins,
+    reverse_trace,
     trace_valid,
 )
 
@@ -67,42 +67,6 @@ class Verdict:
     #: conversion traces over the original system, one per added rule
     added_traces: tuple[Trace, ...] = ()
     rounds: int = 0
-
-
-@dataclass(frozen=True)
-class ConfluencePredicate:
-    """Rule-shape guard plus critical-pair closure test.
-
-    Contract: if the guard holds for a TRS and `pair_closed(S, cp, budgets)`
-    holds for all its critical pairs, the TRS is confluent.  The pair test
-    bounds its searches by the budgets; their caps can only make a pair look
-    unclosed, and past the deadline it raises `TimeoutError`.
-    """
-
-    name: str
-    guard: Callable[[TRS], bool]
-    pair_closed: Callable[[TRS, CriticalPair, Budgets], bool]
-
-
-def _strongly_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
-    a, b, _ = strong_joins(S, cp.left, cp.right, budgets)
-    return bool(a and b)
-
-
-def _development_closed_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> bool:
-    devs, _ = development_step_reducts(S, cp.left, budgets.dev_cap, budgets=budgets)
-    if not cp.overlay:
-        return cp.right in devs
-    reach_v = bounded_reducts(S, cp.right, budgets.conv_depth, budgets.size_cap,
-                              budgets.max_class, budgets)
-    return bool(devs.keys() & reach_v)
-
-
-STRONGLY_CLOSED = ConfluencePredicate(
-    "strongly-closed", lambda S: S.linear, _strongly_closed_pair)
-
-DEVELOPMENT_CLOSED = ConfluencePredicate(
-    "development-closed", lambda S: S.left_linear, _development_closed_pair)
 
 
 def _expand_trace(steps: Iterable[ConvStep], n_original: int,
@@ -136,7 +100,7 @@ def _expand_trace(steps: Iterable[ConvStep], n_original: int,
             for s in seg
         ]
         if not step.forward:
-            expanded = [s.reversed_() for s in reversed(expanded)]
+            expanded = reverse_trace(expanded)
         out.extend(expanded)
     return tuple(out)
 
@@ -152,7 +116,7 @@ def _escape_witness(trace_s_to_t: Trace, s: Term, t: Term) -> Witness:
     ren = {x: Var(y)}
     t2 = substitute(t, ren)
     renamed = tuple(st.subst(ren) for st in trace_s_to_t)
-    full = tuple(st.reversed_() for st in reversed(renamed)) + tuple(trace_s_to_t)
+    full = reverse_trace(renamed) + tuple(trace_s_to_t)
     return Witness(t2, t, full)
 
 
@@ -213,7 +177,8 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             all_closed = True
             for cp in critical_pairs(current, budgets):
                 budgets.check()
-                if cp.left == cp.right or pred.pair_closed(current, cp, budgets):
+                if (cp.left == cp.right
+                        or pred.pair_closed(current, cp, budgets)[0] is not None):
                     continue
                 all_closed = False
                 if cp.overlay:
@@ -233,8 +198,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                                    round_no, Witness(u, v, trace))
                 if u_nf != v_nf:
                     # orient (source, normal form, trace) towards the normal form
-                    src, nf, trace = (u, v, base) if v_nf else (
-                        v, u, tuple(s.reversed_() for s in reversed(base)))
+                    src, nf, trace = (u, v, base) if v_nf else (v, u, reverse_trace(base))
                     if variables(nf) - variables(src):
                         expanded = _expand_trace(trace, n_original, added_traces)
                         return verdict("NOT_UNC", "normal form drops a variable",
@@ -246,12 +210,8 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                     continue
                 lhs, w, start, path = choice
                 fwd = tuple(replay_path(current, start, path))
-                if lhs == v:
-                    # v <- peak -> u ->* w, oriented v -> w
-                    rev = tuple(s.reversed_() for s in reversed(base))
-                    trace = rev + fwd
-                else:
-                    trace = tuple(base) + fwd
+                # if lhs == v: v <- peak -> u ->* w, oriented v -> w
+                trace = (reverse_trace(base) if lhs == v else base) + fwd
                 _add_rule(new_rules, known, RewriteRule(lhs, w), trace)
             if all_closed and pred.guard(current):
                 return verdict("UNC", f"completion success with {pred.name} predicate",
@@ -453,8 +413,7 @@ def _connect(reached: Reached, a: Term, b: Term) -> Trace:
     k = 0
     while k < len(pa) and k < len(pb) and pa[k] == pb[k]:
         k += 1
-    back = tuple(st.reversed_() for st in reversed(pa[k:]))
-    return back + tuple(pb[k:])
+    return reverse_trace(pa[k:]) + tuple(pb[k:])
 
 
 # ---------------------------------------------------------------------------

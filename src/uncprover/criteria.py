@@ -1,28 +1,27 @@
-"""Direct UNC criteria.
+"""Direct UNC criteria and the closure predicates.
 
-Two families:
+* Overlap tests (strong non-overlap, non-omega-overlap) and right
+  reducibility are plain decision procedures on the TRS; the omega test
+  unifies the overlap sites of `trs.overlaps` over rational trees.
 
-* overlap tests (strong non-overlap, non-omega-overlap) and right
-  reducibility, which are plain decision procedures on the TRS; the omega
-  test unifies the overlap sites of `trs.overlaps` over rational trees;
-
-* closure conditions on conditional critical pairs of a linearization
-  (parallel closed, strongly closed, weight-decreasing joinability).
-  The pairs come from `trs.critical_pairs`, the builder of the plain ones.
-  Condition entailment is approximated by congruence closure; the closure
-  searches are `trs.reach`, `trs.strong_joins` and `trs.parallel_steps`
-  over the conditional steps of `trs.redexes`, the root-indexed enumerator
-  plain rewriting uses.  The weight-decreasing check works with ranked
-  conversion sets: states pair a multiset of still-usable assumption
-  equations with a term, one rewrite step costs one rank unit, and
-  equations are consumed one use each; a rank-0 closure, which only swaps
-  equation sides, is a `trs.reach` search.  One check renames the rules
-  once, keeps the memos of its rank-0 closures and rank-1 step queries,
-  and drops them when it returns; one step enumerator serves its rank-1
-  and rank-2 queries, and matches a step constrained by its target only
-  where the two terms share the context.  These three criteria read the
-  `config.Budgets` deadline and answer a truncated "timeout" report past
-  it; the two overlap tests read it too, and past it raise `TimeoutError`.
+* A `ConfluencePredicate` is a rule-shape guard plus a critical-pair test
+  that describes the join it finds: `STRONGLY_CLOSED` (`trs.strong_joins`),
+  and `PARALLEL_CLOSED` and `DEVELOPMENT_CLOSED`, one big step from the
+  left (`trs.parallel_steps`, `trs.development_step_reducts`) meeting many
+  steps from the right.  They serve `pcl` and `scl` on a linearization,
+  whose conditions congruence closure decides, and `sc` and `dc` in
+  `completion`.  One critical-pair loop reports `pcl`, `scl` and the
+  weight-decreasing check, which works with ranked conversion sets:
+  states pair a multiset of still-usable assumption equations with a term,
+  one rewrite step costs one rank unit, and equations are consumed one use
+  each; a rank-0 closure, which only swaps equation sides, is a
+  `trs.reach` search.  One check renames the rules once, keeps the memos
+  of its rank-0 closures and rank-1 step queries, and drops them when it
+  returns; one step enumerator serves its rank-1 and rank-2 queries, and
+  matches a step constrained by its target only where the two terms share
+  the context.  These three criteria read the `config.Budgets` deadline
+  and answer a truncated "timeout" report past it; the two overlap tests
+  read it too, and past it raise `TimeoutError`.
 """
 from __future__ import annotations
 
@@ -44,8 +43,9 @@ from .terms import (
     unifiable_rational,
     variables,
 )
-from .trs import (TRS, Equation, RewriteRule, critical_pairs, is_normal_form, overlaps,
-                  parallel_steps, reach, single_steps, strong_joins)
+from .trs import (TRS, CriticalPair, Entails, Equation, RewriteRule, critical_pairs,
+                  development_step_reducts, is_normal_form, overlaps, parallel_steps,
+                  reach, single_steps, strong_joins)
 
 Multiset = tuple[Equation, ...]
 
@@ -98,67 +98,106 @@ def right_reducible(R: TRS) -> bool:
 # closure of conditional critical pairs under congruence-closure entailment
 
 
-def parallel_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
-    """Closure of every conditional critical pair by a parallel step.
+@dataclass(frozen=True)
+class ConfluencePredicate:
+    """Rule-shape guard plus critical-pair closure test.
 
-    Inner-outer pairs must close by one parallel step from the inner
-    result to the outer result; overlays must meet in a common reduct of a
-    parallel step from the left and many steps from the right.  Condition
-    entailment is decided by congruence closure of the pair's conditions.
-    Past the budget's deadline it reports a truncated failure ("timeout").
+    Contract: if the guard holds for a system and `pair_closed(S, cp,
+    budgets)` gives a join description, not None, for each of its critical
+    pairs, the system is confluent.  The pair test also tells whether a
+    search was cut: the budgets' caps can only make a pair look unclosed,
+    and past the deadline it raises `TimeoutError`.
     """
-    name = "parallel-closed"
-    if not (C.left_linear and C.type1):
-        return CriterionReport(name, False, failure="not a left-linear type-1 CTRS")
+
+    name: str
+    guard: Callable[[TRS], bool]
+    pair_closed: Callable[[TRS, CriticalPair, Budgets], tuple[Optional[str], bool]]
+
+
+def _entails(S: TRS, cp: CriticalPair) -> Optional[Entails]:
+    # on a conditional system even a pair without conditions needs a test:
+    # without one `redexes` reads no condition
+    return CongruenceClosure(cp.conditions).entails if S.conditional else None
+
+
+def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[str], bool]:
+    """Both strong-closure joins of `trs.strong_joins`."""
+    a, b, cut = strong_joins(S, cp.left, cp.right, budgets, _entails(S, cp))
+    return (f"joins at {a[0]!r} / {b[0]!r}" if a and b else None), cut
+
+
+def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
+    """The pair test of one big step from the left: an inner-outer pair
+    closes by that step to the right, an overlay where the step meets many
+    steps from the right, described by the least meeting term by `repr`."""
+    def pair_closed(S: TRS, cp: CriticalPair, budgets: Budgets,
+                    ) -> tuple[Optional[str], bool]:
+        holds = _entails(S, cp)
+        big, cut = big_step(S, cp.left, holds, budgets)
+        if not cp.overlay:
+            return (f"{label} {list(big[cp.right])}" if cp.right in big else None), cut
+        joins, trunc = reach(single_steps(S, holds), cp.right, budgets.conv_depth,
+                             budgets.size_cap, budgets.max_class, budgets)
+        meet = min((w for w in big if w in joins), key=repr, default=None)
+        return (None if meet is None else f"joined at {meet!r}"), cut or trunc
+    return pair_closed
+
+
+STRONGLY_CLOSED = ConfluencePredicate("strongly-closed", lambda S: S.linear, _strong_pair)
+
+# a big step names its search as a module global when called, so that a
+# tracer rebinding the global sees the call
+PARALLEL_CLOSED = ConfluencePredicate(
+    "parallel-closed", lambda S: S.left_linear and S.type1,
+    _big_step_pair("parallel step",
+                   lambda S, t, holds, b: (parallel_steps(S, t, holds), False)))
+
+# `development_step_reducts` reads no conditions, so the guard admits none
+DEVELOPMENT_CLOSED = ConfluencePredicate(
+    "development-closed", lambda S: S.left_linear and not S.conditional,
+    _big_step_pair("development step",
+                   lambda S, t, holds, b: development_step_reducts(S, t, b.dev_cap,
+                                                                   budgets=b)))
+
+
+def _closure_report(name: str, C: TRS, budgets: Budgets,
+                    closed: Callable[[CriticalPair], tuple[Optional[str], bool]],
+                    ) -> CriterionReport:
+    """`closed` run on every critical pair of `C`: the joins so far as
+    details, the first unclosed pair as the failure, and past the budget's
+    deadline a truncated failure ("timeout")."""
     details = []
     try:
-        for ccp in critical_pairs(C, budgets):
-            holds = CongruenceClosure(ccp.conditions).entails
-            par = parallel_steps(C, ccp.left, holds)
-            if not ccp.overlay:
-                if ccp.right in par:
-                    details.append(f"{ccp!r}: parallel step {list(par[ccp.right])}")
-                    continue
+        for cp in critical_pairs(C, budgets):
+            join, cut = closed(cp)
+            if join is None:
                 return CriterionReport(name, False, tuple(details),
-                                       failure=f"unclosed critical pair {ccp!r}")
-            joins, trunc = reach(single_steps(C, holds), ccp.right, budgets.conv_depth,
-                                 budgets.size_cap, budgets.max_class, budgets)
-            meet = sorted((w for w in par if w in joins), key=repr)
-            if meet:
-                details.append(f"{ccp!r}: joined at {meet[0]!r}")
-                continue
-            return CriterionReport(name, False, tuple(details),
-                                   failure=f"unclosed critical pair {ccp!r}",
-                                   truncated=trunc)
+                                       failure=f"unclosed critical pair {cp!r}",
+                                       truncated=cut)
+            details.append(f"{cp!r}: {join}")
     except TimeoutError:
         return CriterionReport(name, False, tuple(details), failure="timeout",
                                truncated=True)
     return CriterionReport(name, True, tuple(details))
+
+
+def _predicate_report(pred: ConfluencePredicate, misfit: str, C: TRS,
+                      budgets: Budgets) -> CriterionReport:
+    if not pred.guard(C):
+        return CriterionReport(pred.name, False, failure=misfit)
+    return _closure_report(pred.name, C, budgets, lambda cp: pred.pair_closed(C, cp, budgets))
+
+
+def parallel_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
+    """`PARALLEL_CLOSED` on every conditional critical pair, a parallel
+    step being the big step; condition entailment is decided by congruence
+    closure of the pair's conditions."""
+    return _predicate_report(PARALLEL_CLOSED, "not a left-linear type-1 CTRS", C, budgets)
 
 
 def strongly_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
-    """Both strong-closure joins for every conditional critical pair:
-    many steps from the left meeting at most one step from the right, and
-    at most one step from the left meeting many steps from the right.
-    Past the budget's deadline it reports a truncated failure ("timeout")."""
-    name = "strongly-closed"
-    if not C.linear:
-        return CriterionReport(name, False, failure="CTRS is not linear")
-    details = []
-    try:
-        for ccp in critical_pairs(C, budgets):
-            a, b, cut = strong_joins(C, ccp.left, ccp.right, budgets,
-                                     CongruenceClosure(ccp.conditions).entails)
-            if a and b:
-                details.append(f"{ccp!r}: joins at {a[0]!r} / {b[0]!r}")
-                continue
-            return CriterionReport(name, False, tuple(details),
-                                   failure=f"unclosed critical pair {ccp!r}",
-                                   truncated=cut)
-    except TimeoutError:
-        return CriterionReport(name, False, tuple(details), failure="timeout",
-                               truncated=True)
-    return CriterionReport(name, True, tuple(details))
+    """`STRONGLY_CLOSED` on every conditional critical pair."""
+    return _predicate_report(STRONGLY_CLOSED, "CTRS is not linear", C, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +512,8 @@ def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
         return CriterionReport(name, False, failure="TRS is duplicating")
     C = lr_separated_linearize(R)
     W = _RankedSearch(C, budgets)
-    details = []
-    try:
-        for ccp in critical_pairs(C, budgets):
-            W.check()
-            clause = wd_ccp_satisfied(W, ccp.conditions, ccp.left, ccp.right)
-            if clause is None:
-                return CriterionReport(name, False, tuple(details),
-                                       failure=f"unclosed critical pair {ccp!r}")
-            details.append(f"{ccp!r}: {clause}")
-    except TimeoutError:
-        return CriterionReport(name, False, tuple(details), failure="timeout",
-                               truncated=True)
-    return CriterionReport(name, True, tuple(details))
+
+    def closed(cp: CriticalPair) -> tuple[Optional[str], bool]:
+        W.check()
+        return wd_ccp_satisfied(W, cp.conditions, cp.left, cp.right), False
+    return _closure_report(name, C, budgets, closed)

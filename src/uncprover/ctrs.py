@@ -33,11 +33,6 @@ ConditionalRule = RewriteRule
 CTRS = TRS
 
 
-def lift_trs(R: TRS) -> TRS:
-    """A TRS viewed as a conditional one: `R` itself, with no conditions."""
-    return R
-
-
 def conditional_linearize(R: TRS) -> TRS:
     """Replace non-left-linear rules by left-linear conditional rules.
 

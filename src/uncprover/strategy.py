@@ -12,6 +12,8 @@ first definitive answer wins.  The timeout becomes the deadline of the one
 methods, and inside every method but `rr`.  `cp`, `pcl`, `scl`, `wd`, `sc`
 and `dc` catch their own clock cuts, and `_run_method` catches those of
 `sno` and `omega`, which have no report to carry one; a cut answers MAYBE.
+`pcl` and `scl` run a closure predicate of `criteria` on a linearization,
+and `sc` and `dc` run `completion.unc_complete` with one.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ from typing import Optional, Union
 from .config import Budgets, DEFAULT_BUDGETS
 from .cops import ProblemFile
 from .completion import (
-    DEVELOPMENT_CLOSED,
-    STRONGLY_CLOSED,
     Witness,
     direct_sum_decompose,
     disprove_search,
@@ -33,6 +33,8 @@ from .completion import (
     validate_witness,
 )
 from .criteria import (
+    DEVELOPMENT_CLOSED,
+    STRONGLY_CLOSED,
     non_omega_overlapping,
     parallel_closed_check,
     right_reducible,
@@ -160,7 +162,7 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     with `ValueError`.
     """
     R = problem.trs if isinstance(problem, ProblemFile) else problem
-    if any(r.conditions for r in R.rules):
+    if R.conditional:
         raise ValueError("prove_unc takes unconditional systems only")
     budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
     components = direct_sum_decompose(R)

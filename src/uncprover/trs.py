@@ -171,6 +171,10 @@ class TRS:
         return TRS(signature, deduped)
 
     @property
+    def conditional(self) -> bool:
+        return any(r.conditions for r in self.rules)
+
+    @property
     def left_linear(self) -> bool:
         return all(r.left_linear for r in self.rules)
 
@@ -588,6 +592,11 @@ class ConvStep:
     def subst(self, sigma) -> "ConvStep":
         return ConvStep(substitute(self.src, sigma), substitute(self.dst, sigma),
                         self.rule, self.pos, self.forward)
+
+
+def reverse_trace(trace: Sequence[ConvStep]) -> tuple[ConvStep, ...]:
+    """The same conversion walked from its end to its start."""
+    return tuple(s.reversed_() for s in reversed(trace))
 
 
 def step_valid(R: TRS, step: ConvStep) -> bool:

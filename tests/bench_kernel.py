@@ -6,8 +6,8 @@ Run with `pytest tests/bench_kernel.py`; the file name is outside the
 """
 import pytest
 
-from uncprover.completion import DEVELOPMENT_CLOSED, rule_reverse, unc_complete
-from uncprover.criteria import weight_decreasing_unc
+from uncprover.completion import rule_reverse, unc_complete
+from uncprover.criteria import DEVELOPMENT_CLOSED, weight_decreasing_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
 

@@ -36,10 +36,11 @@ from uncprover.ctrs import (
     cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
-    lift_trs,
     lr_separated_linearize,
 )
 from uncprover.criteria import (
+    DEVELOPMENT_CLOSED,
+    STRONGLY_CLOSED,
     eq_states,
     multiset,
     non_omega_overlapping,
@@ -50,8 +51,6 @@ from uncprover.criteria import (
     weight_decreasing_unc,
 )
 from uncprover.completion import (
-    STRONGLY_CLOSED,
-    DEVELOPMENT_CLOSED,
     disprove_search,
     rule_reverse,
     unc_complete,
@@ -487,10 +486,9 @@ def test_criterion_9_metamorphic():
         # conditional closure checks match plain ones on lifted systems
         for _ in range(120):
             R = TRS.of([_random_rule(rnd) for _ in range(rnd.randint(1, 3))])
-            C = lift_trs(R)
-            if parallel_closed_check(C).holds != _plain_parallel_closed(R):
+            if parallel_closed_check(R).holds != _plain_parallel_closed(R):
                 violations += 1
-            if strongly_closed_check(C).holds != _plain_strongly_closed(R):
+            if strongly_closed_check(R).holds != _plain_strongly_closed(R):
                 violations += 1
         assert violations == 0
 

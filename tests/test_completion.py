@@ -23,10 +23,8 @@ from uncprover.trs import (
     replay_path,
     trace_valid,
 )
+from uncprover.criteria import DEVELOPMENT_CLOSED, STRONGLY_CLOSED, ConfluencePredicate
 from uncprover.completion import (
-    DEVELOPMENT_CLOSED,
-    STRONGLY_CLOSED,
-    ConfluencePredicate,
     Trace,
     Verdict,
     Witness,
@@ -176,7 +174,7 @@ def test_completion_passes_its_deadline_to_the_pair_test():
 
     def pair_closed(S, cp, budgets):
         received.append(budgets)
-        return True
+        return "closed", False
 
     budgets = Budgets(deadline=time.monotonic() + 60)
     verdict = unc_complete(COPS_254, ConfluencePredicate("any", lambda S: True, pair_closed),
@@ -206,7 +204,8 @@ def test_closure_searches_past_the_deadline_raise():
     cps = critical_pairs(S)
     assert [(cp.left, cp.right) for cp in cps] == [(g(b), b), (b, g(b))]
     for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
-        assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS) for cp in cps] == [True, True]
+        assert [pred.pair_closed(S, cp, DEFAULT_BUDGETS)[0] is not None
+                for cp in cps] == [True, True]
         for cp in cps:
             with pytest.raises(TimeoutError):
                 pred.pair_closed(S, cp, past)
@@ -233,7 +232,7 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
             closed = {}
             for cp in cps:
                 budgets.check()
-                closed[cp] = pred.pair_closed(current, cp, budgets)
+                closed[cp] = pred.pair_closed(current, cp, budgets)[0] is not None
             if pred.guard(current) and all(closed.values()):
                 return verdict("UNC", f"completion success with {pred.name} predicate",
                                round_no)
@@ -598,4 +597,4 @@ def test_unc_verdict_recheck_on_final_system():
     from uncprover.trs import critical_pairs
     from uncprover.config import DEFAULT_BUDGETS
     for cp in critical_pairs(final):
-        assert STRONGLY_CLOSED.pair_closed(final, cp, DEFAULT_BUDGETS)
+        assert STRONGLY_CLOSED.pair_closed(final, cp, DEFAULT_BUDGETS)[0] is not None

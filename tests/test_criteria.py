@@ -35,10 +35,10 @@ from uncprover.ctrs import (
     Equation,
     conditional_critical_pairs,
     conditional_linearize,
-    lift_trs,
     lr_separated_linearize,
 )
 from uncprover.criteria import (
+    DEVELOPMENT_CLOSED,
     SimState,
     conv1_remainders,
     eq_states,
@@ -56,7 +56,7 @@ from uncprover.criteria import (
 )
 from uncprover.strategy import StrategyConfig, prove_unc
 
-from conftest import AC, AC_G, CL, a, b, c, f, g, h, c1, random_system, random_term, \
+from conftest import AC, AC_G, CL, a, b, c, d, f, g, h, c1, random_system, random_term, \
     term_strategy, x, y, z
 
 
@@ -176,6 +176,34 @@ def test_parallel_closed_fails_on_distinct_normal_constants():
     assert not strongly_closed_check(C).holds
 
 
+def test_closure_reads_conditions_on_a_pair_without_any():
+    # the overlay <d, g(b, c)> of the linearization has no conditions, but
+    # g(b, c) -> d needs the condition b = c of the linearized g rule; read
+    # without it, the pair would close at d and pcl and scl say YES
+    R = TRS.of([RewriteRule(a, g(b, c)), RewriteRule(a, d), RewriteRule(g(x, x), d)])
+    C = conditional_linearize(R)
+    assert C.conditional
+    first = critical_pairs(C)[0]
+    assert (first.left, first.right, first.overlay, first.conditions) == (
+        d, g(b, c), True, ())
+    for report in (parallel_closed_check(C), strongly_closed_check(C)):
+        assert (report.holds, report.failure) == (
+            False, f"unclosed critical pair {first!r}")
+    result = prove_unc(R)
+    assert (result.answer, result.method) == ("NO", "cp")
+    for method in ("pcl", "scl"):
+        assert prove_unc(R, StrategyConfig(methods=(method,))).answer == "MAYBE"
+
+
+def test_development_closed_admits_no_conditional_system():
+    # its big step, `development_step_reducts`, reads no conditions
+    R = TRS.of([RewriteRule(g(x, x), d)])
+    C = conditional_linearize(R)
+    assert C.left_linear and C.conditional
+    assert DEVELOPMENT_CLOSED.guard(TRS.of([RewriteRule(a, d)]))
+    assert not DEVELOPMENT_CLOSED.guard(C)
+
+
 def test_strongly_closed_vacuous():
     C = CTRS.of([ConditionalRule(f(x, y), x)])
     assert strongly_closed_check(C).holds
@@ -218,10 +246,9 @@ def test_conditional_checks_agree_with_plain_on_lifted_trs(rng):
     disagreements = 0
     for _ in range(220):
         R = random_system(rng)
-        C = lift_trs(R)
-        if parallel_closed_check(C).holds != plain_parallel_closed(R):
+        if parallel_closed_check(R).holds != plain_parallel_closed(R):
             disagreements += 1
-        if strongly_closed_check(C).holds != plain_strongly_closed(R):
+        if strongly_closed_check(R).holds != plain_strongly_closed(R):
             disagreements += 1
     assert disagreements == 0
 

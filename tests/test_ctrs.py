@@ -23,7 +23,6 @@ from uncprover.ctrs import (
     cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
-    lift_trs,
     lr_separated_linearize,
 )
 
@@ -138,8 +137,6 @@ def test_lrs_invariants(lhs, rhs):
 
 def test_conditional_names_are_the_one_rule_and_system_type():
     assert ConditionalRule is RewriteRule and CTRS is TRS
-    R = TRS.of([RewriteRule(f(x, x), x)])
-    assert lift_trs(R) is R
     S = TRS.of([RewriteRule(f(x, y), x)])
     assert conditional_linearize(S).rules[0] is S.rules[0]
 
@@ -305,7 +302,7 @@ def _oracle_conditional_critical_pairs(C):
 
 
 def _assert_same_ccps(R):
-    for C in (lift_trs(R), conditional_linearize(R), lr_separated_linearize(R)):
+    for C in (R, conditional_linearize(R), lr_separated_linearize(R)):
         assert [(p.conditions, p.left, p.right, p.overlay, p.outer, p.inner, p.pos,
                  repr(p)) for p in conditional_critical_pairs(C)] \
             == _oracle_conditional_critical_pairs(C)
