@@ -13,10 +13,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uncprover.cops import CopsParseError, parse_cops
+from uncprover import strategy
 from uncprover.strategy import StrategyConfig, prove_unc
 
-METHODS = ("sno", "omega", "pcl", "scl", "wd", "rr", "cp", "sc", "dc",
-           "rev+sc", "rev+dc")
+#: Every tag of the portfolio: each base tag, then its rev+ form.
+METHODS = tuple(p + base for base in strategy.METHODS for p in ("", "rev+"))
+WIDTH = 2 + max(map(len, METHODS))
 
 
 def main() -> int:
@@ -30,7 +32,7 @@ def main() -> int:
         print(f"no .trs files under {args.directory}", file=sys.stderr)
         return 2
     counts = {m: {"YES": 0, "NO": 0, "MAYBE": 0} for m in METHODS}
-    header = f"{'problem':<28}" + "".join(f"{m:>8}" for m in METHODS)
+    header = f"{'problem':<28}" + "".join(f"{m:>{WIDTH}}" for m in METHODS)
     print(header)
     print("-" * len(header))
     for path in files:
@@ -44,12 +46,12 @@ def main() -> int:
             config = StrategyConfig(methods=(m,), timeout=args.timeout)
             answer = prove_unc(problem, config).answer
             counts[m][answer] += 1
-            row.append(f"{answer:>8}")
+            row.append(f"{answer:>{WIDTH}}")
         print("".join(row))
     print("-" * len(header))
     for tag in ("YES", "NO"):
         line = [f"{tag:<28}"]
-        line += [f"{counts[m][tag]:>8}" for m in METHODS]
+        line += [f"{counts[m][tag]:>{WIDTH}}" for m in METHODS]
         print("".join(line))
     return 0
 

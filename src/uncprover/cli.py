@@ -26,8 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total time budget in seconds (default 60)")
     p.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                    help="comma-separated method list; prefix a method with "
-                        "rev+ to run it on the rule-reversed system "
-                        f"(default {','.join(DEFAULT_METHODS)})")
+                        "rev+ to run it on the rule-reversed system.  The "
+                        "first method in the list that answers wins; the "
+                        "disprove-only cp runs lazily, only when its answer "
+                        "can decide the outcome, and sc/dc get 1%% of the "
+                        "timeout while it waits, so under a short timeout cp "
+                        f"starts later (default {','.join(DEFAULT_METHODS)})")
     p.add_argument("--rounds", type=int, default=3,
                    help="completion rounds (default 3)")
     p.add_argument("--budget-conv", type=int, default=5, metavar="N",

@@ -3,23 +3,37 @@ verdict with a certificate.
 
 Method tags are the keys of the table `METHODS`; a "rev+" prefix runs the
 method on the rule-reversed system (sound either way, worthwhile for the
-completion methods).  An entry adapts one prover, looked up as a module
-global when it runs so that a tracer rebinding the global sees the call;
-`_run_method` reverses, translates a reversed witness back and replays
-every witness over the component's own rules, once for all methods.  The
-first definitive answer wins.  The timeout becomes the deadline of the one
-`config.Budgets` every method receives; it is checked here between
-methods, and inside every method but `rr`.  `cp`, `pcl`, `scl`, `wd`, `sc`
-and `dc` catch their own clock cuts, and `_run_method` catches those of
-`sno` and `omega`, which have no report to carry one; a cut answers MAYBE.
-`pcl` and `scl` run a closure predicate of `criteria` on a linearization,
-and `sc` and `dc` run `completion.unc_complete` with one.
+completion methods).  An entry declares the answers its method gives and
+adapts one prover, looked up as a module global when it runs so that a
+tracer rebinding the global sees the call; `_run_method` reverses,
+translates a reversed witness back and replays every witness over the
+component's own rules, once for all methods.
+
+The order of `StrategyConfig.methods` sets which answer wins: the answer is
+that of the first method in the list that gives one.  Every method is sound,
+so a YES and a NO never meet, and `prove_unc` runs the disprove-only methods
+(`cp`, `rev+cp`) lazily: it defers each one until its answer can decide the
+outcome.  A prove-only method runs as listed.  A method that answers either
+way (`sc`, `dc`) runs under a slice of `SLICE` times the timeout while a
+disprover is pending; a YES is the answer, and on a NO or a cut the pending
+disprovers run first, in list order, before a cut method runs again with
+the time left.  Disprovers still pending at the end of the list run last.
+With a short timeout the deferral shows: a deferred `cp` starts later than
+its place in the list, and may run out of time where it would have answered.
+
+The timeout becomes the deadline of the one `config.Budgets` every method
+receives; it is checked here between methods, and inside every method but
+`rr`.  `cp`, `pcl`, `scl`, `wd`, `sc` and `dc` catch their own clock cuts,
+and `_run_method` catches those of `sno` and `omega`, which have no report
+to carry one; a cut answers MAYBE.  `pcl` and `scl` run a closure predicate
+of `criteria` on a linearization, and `sc` and `dc` run
+`completion.unc_complete` with one.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .cops import ProblemFile
@@ -49,6 +63,10 @@ CERTIFICATE_FORMAT = "1"
 
 DEFAULT_METHODS: tuple[str, ...] = (
     "sno", "omega", "rr", "cp", "pcl", "scl", "wd", "rev+sc", "rev+dc")
+
+#: Share of the timeout that a method answering either way gets while a
+#: disprove-only method is pending.
+SLICE = 0.01
 
 
 @dataclass(frozen=True)
@@ -109,26 +127,41 @@ def _completion(pred):
     return run
 
 
-#: Base tag -> adapter `(system S, config c, budgets b) -> YES lines |
-#: Witness | None`, naming its prover as a module global (see above).
+@dataclass(frozen=True)
+class Method:
+    """The answers a method gives, a subset of {"YES", "NO"}, and its adapter
+    `(system S, config c, budgets b) -> YES lines | Witness | None`, which
+    names its prover as a module global (see above)."""
+
+    answers: frozenset[str]
+    run: Callable
+
+
+PROVES, DISPROVES, DECIDES = frozenset({"YES"}), frozenset({"NO"}), frozenset({"YES", "NO"})
+
+#: Base tag -> `Method`.
 METHODS = {
-    "sno": lambda S, c, b: (["no critical pair survives linearization"]
-                            if strongly_non_overlapping(S, b) else None),
-    "omega": lambda S, c, b: (["left-hand sides do not overlap over infinite trees"]
-                              if non_omega_overlapping(S, b) else None),
-    "rr": lambda S, c, b: (["every right-hand side is reducible"]
-                           if S.rules and right_reducible(S) else None),
-    "pcl": lambda S, c, b: _report("linearization is parallel-closed",
-                                   parallel_closed_check(conditional_linearize(S), b)),
-    "scl": lambda S, c, b: _report(
+    "sno": Method(PROVES, lambda S, c, b: (
+        ["no critical pair survives linearization"]
+        if strongly_non_overlapping(S, b) else None)),
+    "omega": Method(PROVES, lambda S, c, b: (
+        ["left-hand sides do not overlap over infinite trees"]
+        if non_omega_overlapping(S, b) else None)),
+    "rr": Method(PROVES, lambda S, c, b: (
+        ["every right-hand side is reducible"]
+        if S.rules and right_reducible(S) else None)),
+    "pcl": Method(PROVES, lambda S, c, b: _report(
+        "linearization is parallel-closed",
+        parallel_closed_check(conditional_linearize(S), b))),
+    "scl": Method(PROVES, lambda S, c, b: _report(
         "system is right-linear and its linearization is strongly closed",
-        strongly_closed_check(conditional_linearize(S), b)) if S.right_linear else None,
-    "wd": lambda S, c, b: _report("all critical pairs of the separated linearization "
-                                  "are weight-decreasing joinable",
-                                  weight_decreasing_unc(S, b)),
-    "cp": lambda S, c, b: disprove_search(S, b),
-    "sc": _completion(STRONGLY_CLOSED),
-    "dc": _completion(DEVELOPMENT_CLOSED),
+        strongly_closed_check(conditional_linearize(S), b)) if S.right_linear else None),
+    "wd": Method(PROVES, lambda S, c, b: _report(
+        "all critical pairs of the separated linearization "
+        "are weight-decreasing joinable", weight_decreasing_unc(S, b))),
+    "cp": Method(DISPROVES, lambda S, c, b: disprove_search(S, b)),
+    "sc": Method(DECIDES, _completion(STRONGLY_CLOSED)),
+    "dc": Method(DECIDES, _completion(DEVELOPMENT_CLOSED)),
 }
 
 
@@ -142,7 +175,7 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     base = tag.removeprefix("rev+")
     system, origin = rule_reverse_mapped(R) if tag != base else (R, None)
     try:
-        found = METHODS[base](system, config, budgets)
+        found = METHODS[base].run(system, config, budgets)
     except TimeoutError:
         return None
     if not isinstance(found, Witness):
@@ -150,6 +183,66 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     if origin is not None:
         found = Witness(found.s, found.t, translate_trace(found.trace, origin))
     return ("NO", _witness_lines(found)) if validate_witness(R, found) else None
+
+
+class _OutOfTime(Exception):
+    """The deadline passed before the next method could start."""
+
+
+def _first_answer(R: TRS, config: StrategyConfig, budgets: Budgets,
+                  ) -> Optional[tuple[str, str, list[str]]]:
+    """(answer, tag, certificate lines) of the first method in the order of
+    `config.methods` that answers on `R`, or None; `_OutOfTime` if the
+    deadline passes before a method starts.
+
+    The disprove-only methods are deferred, as the module docstring says.
+    The result is that of running the list in order whenever no method is
+    cut by the deadline."""
+    pending: list[str] = []
+    for tag in config.methods:
+        answers = METHODS[tag.removeprefix("rev+")].answers
+        if "YES" not in answers:
+            pending.append(tag)
+            continue
+        if "NO" not in answers or not pending:
+            found = _attempt(tag, R, config, budgets)
+            if found is not None:
+                return found
+            continue
+        cut_at = min(budgets.deadline, time.monotonic() + SLICE * config.timeout)
+        found = _attempt(tag, R, config, budgets, cut_at)
+        if found is not None and found[0] == "YES":
+            return found
+        if found is None and time.monotonic() <= cut_at:
+            continue
+        found = (_disprove(pending, R, config, budgets) or found
+                 or _attempt(tag, R, config, budgets))
+        if found is not None:
+            return found
+    return _disprove(pending, R, config, budgets)
+
+
+def _attempt(tag: str, R: TRS, config: StrategyConfig, budgets: Budgets,
+             cut_at: Optional[float] = None) -> Optional[tuple[str, str, list[str]]]:
+    """`_run_method` as (answer, tag, certificate lines), cut at `cut_at` if
+    given; `_OutOfTime` if the deadline of `budgets` has passed."""
+    if time.monotonic() > budgets.deadline:
+        raise _OutOfTime
+    if cut_at is not None:
+        budgets = replace(budgets, deadline=cut_at)
+    outcome = _run_method(tag, R, config, budgets)
+    return None if outcome is None else (outcome[0], tag, outcome[1])
+
+
+def _disprove(pending: list[str], R: TRS, config: StrategyConfig, budgets: Budgets,
+              ) -> Optional[tuple[str, str, list[str]]]:
+    """The first answer of the `pending` disprovers, run in order, which
+    leaves them run."""
+    while pending:
+        found = _attempt(pending.pop(0), R, config, budgets)
+        if found is not None:
+            return found
+    return None
 
 
 def prove_unc(problem: Union[ProblemFile, TRS],
@@ -173,19 +266,18 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     tags: list[Optional[str]] = []
     for ci, comp in enumerate(components, 1):
         answer, tag = "MAYBE", None
-        for m in config.methods:
-            if time.monotonic() > budgets.deadline:
-                lines.append(f"component {ci}: timeout")
-                break
-            outcome = _run_method(m, comp, config, budgets)
-            if outcome is not None:
-                (answer, found), tag = outcome, m
-                lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
-                             f"{answer} via ({m})")
-                lines.extend("  " + ln for ln in found)
-                break
+        try:
+            outcome = _first_answer(comp, config, budgets)
+        except _OutOfTime:
+            lines.append(f"component {ci}: timeout")
         else:
-            lines.append(f"component {ci}: no method applied")
+            if outcome is None:
+                lines.append(f"component {ci}: no method applied")
+            else:
+                answer, tag, found = outcome
+                lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
+                             f"{answer} via ({tag})")
+                lines.extend("  " + ln for ln in found)
         answers.append(answer)
         tags.append(tag)
         if answer == "NO":

@@ -206,6 +206,12 @@ class TRS:
             index.setdefault(r.lhs.sym, []).append((i, r))
         return {sym: tuple(rs) for sym, rs in index.items()}
 
+    @cached_property
+    def dropped_variables(self) -> tuple[tuple[str, ...], ...]:
+        """Per rule, the sorted variables of its lhs that its rhs drops."""
+        return tuple(tuple(sorted(variables(r.lhs) - variables(r.rhs)))
+                     for r in self.rules)
+
     def symbols(self) -> set[str]:
         out: set[str] = set()
         for r in self.rules:
@@ -630,7 +636,7 @@ def expansion_steps(R: TRS, t: Term, used_names: set[str],
     fresh variables w1, w2, ... outside `used_names` and the matched
     subterm, giving the most general predecessor at each position.
     """
-    dropped = [sorted(variables(r.lhs) - variables(r.rhs)) for r in R.rules]
+    dropped = R.dropped_variables
     for pos, sub in subterms(t):
         for i, rule in enumerate(R.rules):
             sigma = match(rule.rhs, sub)
@@ -659,19 +665,18 @@ def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
     names = set(keep)
 
     def step(u: Term) -> Iterator[tuple[ConvStep, Term]]:
-        edges = [ConvStep(u, v, i, pos, True) for pos, i, v in rewrite_steps(R, u)]
-        edges += [ConvStep(u, v, i, pos, False)
-                  for pos, i, v in expansion_steps(R, u, names)]
-        for edge in edges:
-            v = edge.dst
-            if size_cap and term_size(v) > size_cap:
-                continue
-            k = canonical_key((v,), keep)
-            if k in keys:
-                continue
-            keys.add(k)
-            names.update(variables(v))
-            yield edge, v
+        # the fresh names of the expansions are picked before `names` grows
+        expansions = list(expansion_steps(R, u, names))
+        for forward, candidates in ((True, rewrite_steps(R, u)), (False, expansions)):
+            for pos, i, v in candidates:
+                if size_cap and term_size(v) > size_cap:
+                    continue
+                k = canonical_key((v,), keep)
+                if k in keys:
+                    continue
+                keys.add(k)
+                names.update(variables(v))
+                yield ConvStep(u, v, i, pos, forward), v
     return step
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from uncprover.strategy import METHODS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,8 +31,9 @@ def test_method_sweep(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     columns = header.split()
+    assert columns[1:] == [p + base for base in METHODS for p in ("", "rev+")]
     row = next(line.split() for line in rows if line.startswith("not_unc_escape.trs"))
-    assert row[columns.index("cp")] == "NO"
+    assert row[columns.index("cp")] == row[columns.index("rev+cp")] == "NO"
 
 
 def test_verdict_digest():

@@ -1,16 +1,26 @@
+import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import uncprover.strategy
-from uncprover.completion import direct_sum_decompose
+from uncprover.completion import Witness, direct_sum_decompose, rule_reverse_mapped
 from uncprover.cops import parse_cops
-from uncprover.strategy import METHODS, StrategyConfig, prove_unc
+from uncprover.strategy import (
+    CERTIFICATE_FORMAT,
+    DEFAULT_METHODS,
+    METHODS,
+    ProofResult,
+    StrategyConfig,
+    _run_method,
+    prove_unc,
+)
 from uncprover.terms import App, Var
 from uncprover.trs import TRS, Equation, RewriteRule
 
-from conftest import AC, AC_G, COPS_126, CL, a, b, c, d
+from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, random_system
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
 ALL_TAGS = tuple(p + base for base in METHODS for p in ("", "rev+"))
@@ -37,9 +47,9 @@ def unifier_free(n):
                    for i in range(n)])
 
 
-def _elapsed(R, method, timeout):
+def _elapsed(R, methods, timeout):
     start = time.monotonic()
-    res = prove_unc(R, StrategyConfig(methods=(method,), timeout=timeout))
+    res = prove_unc(R, StrategyConfig(methods=methods, timeout=timeout))
     return res, time.monotonic() - start
 
 
@@ -50,7 +60,7 @@ def _elapsed(R, method, timeout):
                               "multistep_bc_8", "unifier_free_800"])
 def test_every_method_stops_at_the_deadline(R, tag):
     timeout = 0.1
-    _, elapsed = _elapsed(R, tag, timeout)
+    _, elapsed = _elapsed(R, (tag,), timeout)
     assert elapsed < timeout + 0.3
 
 
@@ -58,7 +68,7 @@ def test_every_method_stops_at_the_deadline(R, tag):
 def test_multistep_enumeration_stops_at_the_deadline(tag):
     # 3^12 multistep reducts of g(a,...,a): far more than 0.5 s of work
     timeout = 0.5
-    res, elapsed = _elapsed(multistep(12, True), tag, timeout)
+    res, elapsed = _elapsed(multistep(12, True), (tag,), timeout)
     assert res.answer == "MAYBE"
     assert elapsed < timeout + 0.3
 
@@ -67,7 +77,7 @@ def test_multistep_enumeration_stops_at_the_deadline(tag):
 def test_completion_answers_a_deciding_pair_before_closing_the_others(tag):
     # <b, c> disproves UNC; closing the ten pairs of g(a,...,a) -> d first
     # would enumerate the 3^9 multistep reducts of each
-    res, elapsed = _elapsed(multistep(10), tag, 60)
+    res, elapsed = _elapsed(multistep(10), (tag,), 60)
     assert res.answer == "NO"
     assert elapsed < 1
 
@@ -91,7 +101,9 @@ def test_pcl_does_not_take_a_renamed_variable_for_the_constant_of_its_name():
 
 
 def test_config_accepts_exactly_the_table_tags():
-    assert set(METHODS) == {"sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc"}
+    assert {tag: set(m.answers) for tag, m in METHODS.items()} == {
+        **dict.fromkeys(("sno", "omega", "rr", "pcl", "scl", "wd"), {"YES"}),
+        "cp": {"NO"}, "sc": {"YES", "NO"}, "dc": {"YES", "NO"}}
     for tag in ALL_TAGS:
         StrategyConfig(methods=(tag,))
     for tag in ("rev+rev+sc", "rev+", "SC", "foo", ""):
@@ -124,3 +136,140 @@ def test_every_no_is_replayed_over_the_original_rules(monkeypatch, name, tag):
         assert calls and calls[-1] in components
     monkeypatch.setattr(uncprover.strategy, "validate_witness", lambda R, w: False)
     assert prove_unc(problem, StrategyConfig(methods=(tag,), timeout=30)).answer == "MAYBE"
+
+
+# --- lazy disproof: the same outcome as the list order ----------------------
+
+
+def _list_order(R, config):
+    """`prove_unc` as it ran before the disprovers were deferred: every
+    method in list order, the first answer wins."""
+    budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
+    components = direct_sum_decompose(R)
+    lines = [f"certificate-format: {CERTIFICATE_FORMAT}"]
+    if len(components) > 1:
+        lines.append(f"direct-sum decomposition into {len(components)} components")
+    answers, tags = [], []
+    for ci, comp in enumerate(components, 1):
+        answer, tag = "MAYBE", None
+        for m in config.methods:
+            if time.monotonic() > budgets.deadline:
+                lines.append(f"component {ci}: timeout")
+                break
+            outcome = _run_method(m, comp, config, budgets)
+            if outcome is not None:
+                (answer, found), tag = outcome, m
+                lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
+                             f"{answer} via ({m})")
+                lines.extend("  " + ln for ln in found)
+                break
+        else:
+            lines.append(f"component {ci}: no method applied")
+        answers.append(answer)
+        tags.append(tag)
+        if answer == "NO":
+            break
+    if answers[-1] == "NO":
+        final, method = "NO", tags[-1]
+    elif all(a == "YES" for a in answers):
+        final, method = "YES", ",".join(dict.fromkeys(tags))
+    else:
+        final, method = "MAYBE", None
+        if time.monotonic() > budgets.deadline:
+            lines.append("reason: timeout")
+    return ProofResult(final, method, "\n".join(lines) + "\n")
+
+
+def _systems():
+    """The curated corpus and 150 random systems."""
+    corpus = [parse_cops(p.read_text()).trs for p in sorted(CORPUS.glob("*.trs"))]
+    rnd = random.Random(20240817)
+    return corpus + [random_system(rnd) for _ in range(150)]
+
+
+SYSTEMS = _systems()
+
+#: The default, and cp / rev+cp first, in the middle, last and twice.
+ORDERS = {
+    "default": DEFAULT_METHODS,
+    "first": ("cp", "rev+cp", "sno", "omega", "rr", "pcl", "scl", "wd", "rev+sc", "rev+dc"),
+    "middle_last": ("sno", "omega", "rr", "pcl", "rev+cp", "scl", "wd", "sc", "rev+sc",
+                    "dc", "rev+dc", "cp"),
+    "twice": ("sno", "cp", "rr", "sc", "cp", "rev+cp", "wd", "rev+sc", "rev+cp"),
+    "completion_first": ("rev+cp", "cp", "rr", "rev+sc", "sc", "rev+dc", "sno"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("share", ["slice", "zero"])
+def test_lazy_disproof_answers_as_the_list_order(monkeypatch, order, share):
+    # a zero share cuts every sliced method at once, so that the paths that
+    # run the pending disprovers first and the method again are taken too
+    if share == "zero":
+        monkeypatch.setattr(uncprover.strategy, "SLICE", 0.0)
+    config = StrategyConfig(methods=ORDERS[order], timeout=60)
+    for R in SYSTEMS:
+        want, got = _list_order(R, config), prove_unc(R, config)
+        assert (got.answer, got.method, got.certificate) \
+            == (want.answer, want.method, want.certificate), R
+
+
+def test_a_deferred_cp_keeps_its_no_over_a_later_completion_no(monkeypatch):
+    # rev+sc disproves the system within its slice; cp comes first in the
+    # list, so its witness is the one certified
+    problem = parse_cops((CORPUS / "not_unc_escape.trs").read_text())
+    for tag in ("cp", "rev+sc"):
+        assert prove_unc(problem, StrategyConfig(methods=(tag,))).answer == "NO"
+    run = uncprover.strategy._run_method
+    calls = []
+
+    def recording(tag, *args):
+        calls.append(tag)
+        return run(tag, *args)
+
+    monkeypatch.setattr(uncprover.strategy, "_run_method", recording)
+    got = prove_unc(problem)
+    assert calls[-2:] == ["rev+sc", "cp"]
+    alone = prove_unc(problem, StrategyConfig(methods=("cp",)))
+    assert (got.answer, got.method) == ("NO", "cp")
+    assert got.certificate == alone.certificate
+
+
+def test_a_sliced_completion_leaves_the_time_to_the_pending_cp():
+    # cp answers NO after about 0.8 s on a -> b, a -> c, b -> c,
+    # g(a,...,a) -> d; rev+sc runs for seconds on it, so deferring cp
+    # without cutting rev+sc would answer MAYBE at 1 s
+    res, elapsed = _elapsed(multistep(6, True), DEFAULT_METHODS, 1)
+    assert (res.answer, res.method) == ("NO", "cp")
+    assert elapsed < 1 + 0.3
+
+
+def test_a_deferred_cp_leaves_the_time_to_a_later_yes():
+    # cp runs for the whole 5 s on this ground system, and rev+sc proves it
+    # in milliseconds
+    problem = parse_cops("""(RULES
+  c -> g(f(f(a,a),f(b,c)))
+  b -> g(f(g(c),f(a,c)))
+  g(f(f(b,c),f(c,b))) -> g(g(g(b)))
+  f(g(f(c,b)),g(f(a,b))) -> f(f(g(b),c),g(g(c)))
+  g(f(f(a,c),a)) -> a
+  g(g(b)) -> a
+)
+""")
+    res, elapsed = _elapsed(problem, DEFAULT_METHODS, 5)
+    assert (res.answer, res.method) == ("YES", "rev+sc")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("base", sorted(t for t, m in METHODS.items() if len(m.answers) == 1))
+def test_each_method_gives_only_the_answers_it_declares(base):
+    # the deferral is exact only if a prove-only method never disproves
+    # and a disprove-only method never proves
+    method, config = METHODS[base], StrategyConfig()
+    for R in SYSTEMS:
+        for system in (R, rule_reverse_mapped(R)[0]):
+            found = method.run(system, config, config.budgets)
+            if isinstance(found, Witness):
+                assert method.answers == {"NO"}, system
+            elif found is not None:
+                assert method.answers == {"YES"}, system
