@@ -8,7 +8,6 @@ from .trs import (
     CriticalPair,
     Equation,
     RewriteRule,
-    bounded_conversions,
     critical_pairs,
     development_step_reducts,
     is_normal_form,
@@ -17,7 +16,6 @@ from .trs import (
 )
 from .ctrs import (
     CongruenceClosure,
-    cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
     lr_separated_linearize,
@@ -43,26 +41,24 @@ from .completion import (
     Witness,
     direct_sum_decompose,
     disprove_search,
-    rule_reverse,
     unc_complete,
     validate_witness,
 )
-from .cops import CopsParseError, ProblemFile, parse_cops, render_cops
+from .cops import CopsParseError, ProblemFile, parse_cops
 from .strategy import DEFAULT_METHODS, ProofResult, StrategyConfig, prove_unc
 
 __all__ = [
     "App", "Budgets", "ConfluencePredicate", "CongruenceClosure", "ConvStep",
-    "CopsParseError",
-    "CriterionReport", "CriticalPair", "DEFAULT_BUDGETS", "DEFAULT_METHODS",
-    "DEVELOPMENT_CLOSED", "Equation", "PARALLEL_CLOSED", "ProblemFile", "ProofResult",
-    "RewriteRule", "STRONGLY_CLOSED", "Signature", "SimState", "StrategyConfig",
-    "TRS", "Term", "Var", "Verdict", "Witness", "bounded_conversions",
-    "cc_entails", "conditional_critical_pairs", "conditional_linearize",
-    "critical_pairs", "development_step_reducts", "direct_sum_decompose",
-    "disprove_search", "eq_states", "is_normal_form", "lr_separated_linearize",
-    "match", "mgu", "non_omega_overlapping", "parallel_closed_check",
-    "parallel_step_reducts", "parse_cops", "prove_unc", "render_cops",
-    "rewrite_steps", "right_reducible", "rule_reverse", "strongly_closed_check",
-    "strongly_non_overlapping", "unc_complete", "unifiable_rational",
-    "validate_witness", "wd_ccp_satisfied", "weight_decreasing_unc",
+    "CopsParseError", "CriterionReport", "CriticalPair", "DEFAULT_BUDGETS",
+    "DEFAULT_METHODS", "DEVELOPMENT_CLOSED", "Equation", "PARALLEL_CLOSED",
+    "ProblemFile", "ProofResult", "RewriteRule", "STRONGLY_CLOSED", "Signature",
+    "SimState", "StrategyConfig", "TRS", "Term", "Var", "Verdict", "Witness",
+    "conditional_critical_pairs", "conditional_linearize", "critical_pairs",
+    "development_step_reducts", "direct_sum_decompose", "disprove_search",
+    "eq_states", "is_normal_form", "lr_separated_linearize", "match", "mgu",
+    "non_omega_overlapping", "parallel_closed_check", "parallel_step_reducts",
+    "parse_cops", "prove_unc", "rewrite_steps", "right_reducible",
+    "strongly_closed_check", "strongly_non_overlapping", "unc_complete",
+    "unifiable_rational", "validate_witness", "wd_ccp_satisfied",
+    "weight_decreasing_unc",
 ]

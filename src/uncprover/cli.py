@@ -11,7 +11,7 @@ import sys
 
 from .config import Budgets
 from .cops import CopsParseError, parse_cops
-from .strategy import DEFAULT_METHODS, StrategyConfig, prove_unc
+from .strategy import SLICE, StrategyConfig, prove_unc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,22 +22,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("prove", help="decide UNC of a Cops-format TRS file")
     p.add_argument("file", help="problem file in Cops TRS format")
-    p.add_argument("--timeout", type=float, default=60.0,
-                   help="total time budget in seconds (default 60)")
-    p.add_argument("--methods", default=",".join(DEFAULT_METHODS),
+    defaults = StrategyConfig()
+    p.add_argument("--timeout", type=float, default=defaults.timeout,
+                   help="total time budget in seconds (default %(default)s)")
+    p.add_argument("--methods", default=",".join(defaults.methods),
                    help="comma-separated method list; prefix a method with "
                         "rev+ to run it on the rule-reversed system.  The "
                         "first method in the list that answers wins; the "
                         "disprove-only cp runs lazily, only when its answer "
-                        "can decide the outcome, and sc/dc get 1%% of the "
-                        "timeout while it waits, so under a short timeout cp "
-                        f"starts later (default {','.join(DEFAULT_METHODS)})")
-    p.add_argument("--rounds", type=int, default=3,
-                   help="completion rounds (default 3)")
-    p.add_argument("--budget-conv", type=int, default=5, metavar="N",
-                   help="conversion/reachability depth bound (default 5)")
-    p.add_argument("--budget-size", type=int, default=40, metavar="N",
-                   help="term size cap during searches (default 40)")
+                        f"can decide the outcome, and sc/dc get {SLICE * 100:g}%% "
+                        "of the timeout while it waits, so under a short timeout "
+                        "cp starts later (default %(default)s)")
+    p.add_argument("--rounds", type=int, default=defaults.rounds,
+                   help="completion rounds (default %(default)s)")
+    p.add_argument("--budget-conv", type=int, default=defaults.budgets.conv_depth,
+                   metavar="N",
+                   help="conversion/reachability depth bound (default %(default)s)")
+    p.add_argument("--budget-size", type=int, default=defaults.budgets.size_cap,
+                   metavar="N", help="term size cap during searches (default %(default)s)")
     p.add_argument("--certificate", action="store_true",
                    help="print the certificate after the verdict line")
     return ap

@@ -241,52 +241,43 @@ def _add_rule(new_rules, known, rule: RewriteRule, trace: Trace) -> None:
 # rule reversing
 
 
-def rule_reverse(R: TRS) -> TRS:
-    return rule_reverse_mapped(R)[0]
-
-
 def rule_reverse_mapped(R: TRS) -> tuple[TRS, tuple[tuple[str, int], ...]]:
     """Reverse rules with reducible right-hand sides and drop redundant
     identity rules; returns the new system plus per-rule provenance.
 
     A rule l -> r is reversed (into l -> l and r -> l) only when r is
-    reducible, r -> l is well-formed, and l is strictly smaller than r.
-    An identity rule l -> l is dropped when the remaining rules still
-    reduce l.  Provenance tags: ("kept", i), ("loop", i), ("flip", i)
-    with i the original rule index.
+    reducible, r -> l is well-formed, and l is strictly smaller than r;
+    the first such rule is reversed until none is left.  Then an identity
+    rule l -> l is dropped, in order, when the remaining rules still
+    reduce l.  Reversing only makes more terms reducible and dropping only
+    fewer, so neither step undoes the other.  Provenance tags: ("kept", i),
+    ("loop", i), ("flip", i) with i the original rule index.
     """
     rules: list[RewriteRule] = list(R.rules)
     origin: list[tuple[str, int]] = [("kept", i) for i in range(len(rules))]
-    changed = True
-    while changed:
-        changed = False
+
+    def flips(i: int, rule: RewriteRule, cur: TRS) -> bool:
+        return (origin[i][0] == "kept" and term_size(rule.lhs) < term_size(rule.rhs)
+                and not isinstance(rule.rhs, Var)
+                and not variables(rule.lhs) - variables(rule.rhs)
+                and not is_normal_form(cur, rule.rhs))
+
+    while True:
         cur = TRS(R.signature, tuple(rules))
-        for i, rule in enumerate(rules):
-            tag, orig = origin[i]
-            if tag != "kept" or rule.lhs == rule.rhs:
-                continue
-            if term_size(rule.lhs) >= term_size(rule.rhs):
-                continue
-            if isinstance(rule.rhs, Var) or variables(rule.lhs) - variables(rule.rhs):
-                continue
-            if is_normal_form(cur, rule.rhs):
-                continue
-            rules[i:i + 1] = [RewriteRule(rule.lhs, rule.lhs),
-                              RewriteRule(rule.rhs, rule.lhs)]
-            origin[i:i + 1] = [("loop", orig), ("flip", orig)]
-            changed = True
+        i = next((i for i, rule in enumerate(rules) if flips(i, rule, cur)), None)
+        if i is None:
             break
-        if changed:
-            continue
-        for i, rule in enumerate(rules):
-            if rule.lhs != rule.rhs:
-                continue
-            rest = TRS(R.signature, tuple(r for j, r in enumerate(rules) if j != i))
-            if not is_normal_form(rest, rule.lhs):
-                del rules[i]
-                del origin[i]
-                changed = True
-                break
+        lhs, rhs = rules[i].lhs, rules[i].rhs
+        rules[i:i + 1] = [RewriteRule(lhs, lhs), RewriteRule(rhs, lhs)]
+        origin[i:i + 1] = [("loop", origin[i][1]), ("flip", origin[i][1])]
+    i = 0
+    while i < len(rules):
+        lhs, rhs = rules[i].lhs, rules[i].rhs
+        if lhs == rhs and not is_normal_form(
+                TRS(R.signature, tuple(rules[:i] + rules[i + 1:])), lhs):
+            del rules[i], origin[i]
+        else:
+            i += 1
     first_origin: dict[RewriteRule, tuple[str, int]] = {}
     for rule, org in zip(rules, origin):
         first_origin.setdefault(rule, org)

@@ -2,8 +2,7 @@
 closure for condition entailment.
 
 A conditional rule is a `trs.RewriteRule` with conditions, and a
-conditional system is a `trs.TRS`; `ConditionalRule` and `CTRS` are other
-names for those two types, and `Equation` is re-exported from `trs`.  So
+conditional system is a `trs.TRS`; `Equation` is re-exported from `trs`.  So
 `trs.critical_pairs` builds the pairs of a conditional system
 (`conditional_critical_pairs` is another name for it) and `trs.redexes`
 rewrites with it given an entailment test for the instantiated conditions.
@@ -27,10 +26,6 @@ from .terms import (
     variables,
 )
 from .trs import TRS, Equation, RewriteRule, critical_pairs
-
-#: Other names of the one rule type and the one system type.
-ConditionalRule = RewriteRule
-CTRS = TRS
 
 
 def conditional_linearize(R: TRS) -> TRS:
@@ -165,8 +160,3 @@ class CongruenceClosure:
         self._add(t)
         self._propagate()
         return self._find(s) == self._find(t)
-
-
-def cc_entails(gamma: Iterable[Equation], s: Term, t: Term) -> bool:
-    """True iff `s` and `t` are equal in the congruence closure of `gamma`."""
-    return CongruenceClosure(gamma).entails(s, t)

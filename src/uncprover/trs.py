@@ -700,9 +700,3 @@ def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
     reached, cut = reach(conversion_steps(R, seed, size_cap), seed, depth,
                          max_terms=max_class, budgets=budgets, visit=visit)
     return ConversionClass(list(reached), reached, cut)
-
-
-def bounded_conversions(R: TRS, s: Term, depth: int, size_cap: int = 40,
-                        max_class: int = 2000) -> set[Term]:
-    """Terms reachable from `s` by at most `depth` conversion steps."""
-    return set(conversion_class(R, s, depth, size_cap, max_class).reached)

@@ -6,7 +6,7 @@ Run with `pytest tests/bench_kernel.py`; the file name is outside the
 """
 import pytest
 
-from uncprover.completion import rule_reverse, unc_complete
+from uncprover.completion import rule_reverse_mapped, unc_complete
 from uncprover.criteria import DEVELOPMENT_CLOSED, weight_decreasing_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
@@ -38,7 +38,7 @@ def test_mgu_cops126_overlap(benchmark):
 @pytest.fixture(scope="module")
 def cops126_round3():
     """The system the third completion round of rev+dc sees on COPS_126."""
-    R = rule_reverse(COPS_126)
+    R = rule_reverse_mapped(COPS_126)[0]
     verdict = unc_complete(R, DEVELOPMENT_CLOSED, max_rounds=2)
     return TRS(R.signature, R.rules + verdict.added_rules)
 

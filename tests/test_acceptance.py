@@ -22,18 +22,15 @@ from uncprover.terms import (
 from uncprover.trs import (
     TRS,
     RewriteRule,
-    bounded_conversions,
+    conversion_class,
     critical_pairs,
     is_normal_form,
     rewrite_steps,
     trace_valid,
 )
 from uncprover.ctrs import (
-    CTRS,
-    ConditionalRule,
     CongruenceClosure,
     Equation,
-    cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
     lr_separated_linearize,
@@ -52,7 +49,7 @@ from uncprover.criteria import (
 )
 from uncprover.completion import (
     disprove_search,
-    rule_reverse,
+    rule_reverse_mapped,
     unc_complete,
     validate_witness,
 )
@@ -170,10 +167,10 @@ def test_criterion_2_semi_equational_example():
         S = lambda t: App("S", (t,))
         H = lambda t: App("H", (t,))
         A = App("A")
-        C = CTRS.of([
-            ConditionalRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
-            ConditionalRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
-            ConditionalRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
+        C = TRS.of([
+            RewriteRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
+            RewriteRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
+            RewriteRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
         ])
         ccps = conditional_critical_pairs(C)
         assert len(ccps) == 1
@@ -181,7 +178,7 @@ def test_criterion_2_semi_equational_example():
         want = ccp_canon((Equation(S(x), H(x)), Equation(H(x), A)),
                          P(R_(x)), P(R_(H(x))))
         assert got == want
-        assert cc_entails([Equation(S(x), H(x)), Equation(H(x), A)], S(x), A)
+        assert CongruenceClosure([Equation(S(x), H(x)), Equation(H(x), A)]).entails(S(x), A)
         assert parallel_closed_check(C).holds
 
 
@@ -244,7 +241,7 @@ def test_criterion_4_completion_cops254():
 
 def test_criterion_5_rule_reversing_example():
     with criterion(5, "rule reversing: exact 4-rule image, YES via rev+dc", 1.0):
-        Rp = rule_reverse(SEC5)
+        Rp = rule_reverse_mapped(SEC5)[0]
         assert Rp.rules == (RewriteRule(a, a), RewriteRule(f(a), a),
                             RewriteRule(h(c, a), b),
                             RewriteRule(h(a, x), h(x, f(x))))
@@ -422,7 +419,7 @@ def test_criterion_8_oracle_equivalence():
             s, t = random_term(rnd, depth=1), random_term(rnd, depth=1)
             cap = max([term_size(u) for e in eqs for u in (e.lhs, e.rhs)]
                       + [term_size(s), term_size(t)]) + 4
-            if cc_entails(eqs, s, t) != _conversion_oracle(eqs, s, t, cap):
+            if CongruenceClosure(eqs).entails(s, t) != _conversion_oracle(eqs, s, t, cap):
                 bad += 1
         assert bad == 0
 
@@ -456,12 +453,12 @@ def test_criterion_9_metamorphic():
         # rule reversing preserves conversion neighbourhoods and normal forms
         for _ in range(50):
             R = TRS.of([_random_rule(rnd) for _ in range(rnd.randint(1, 3))])
-            Rp = rule_reverse(R)
+            Rp = rule_reverse_mapped(R)[0]
             for _ in range(4):
                 t = random_term(rnd, depth=2)
                 keep = frozenset(variables(t))
                 canon = lambda S: {substitute(u, canonical_renaming([u], keep))
-                                   for u in bounded_conversions(S, t, 3, 30)}
+                                   for u in conversion_class(S, t, 3, 30).reached}
                 if canon(R) != canon(Rp):
                     violations += 1
                 if is_normal_form(R, t) != is_normal_form(Rp, t):

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from uncprover.cli import main
+from uncprover.cli import build_parser, main
 from uncprover.config import Budgets
-from uncprover.cops import parse_cops
+from uncprover.cops import MAX_DEPTH, parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
 
 COPS_254 = "(VAR x)\n(RULES a -> f(c) a -> f(h(c)) f(x) -> h(f(x)))\n"
@@ -66,6 +66,45 @@ def test_undeclared_name_is_a_constant(run):
     code, out, _ = run("(RULES a -> x)")
     assert code == 0
     assert out.splitlines()[0] == "YES"
+
+
+def _nest(n: int, inner: str) -> str:
+    return "f(" * n + inner + ")" * n
+
+
+#: Shapes that made the prover overflow the stack, deeper than `MAX_DEPTH`.
+DEEP_SHAPES = [
+    lambda n: f"(RULES {_nest(n, 'a')} -> a)",
+    lambda n: f"(VAR x)(RULES {_nest(n, 'x')} -> a  f(f(x)) -> b)",
+    lambda n: f"(VAR x)(RULES {_nest(n, 'x')} -> a)",
+    lambda n: f"(RULES a -> {_nest(n, 'b')}  a -> c)",
+]
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_term_at_the_nesting_bound_is_decided(run, shape):
+    code, out, err = run(shape(MAX_DEPTH), "--timeout", "10")
+    assert code == 0, err
+    assert out.splitlines()[0] in ("YES", "NO")
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 250, 400])
+def test_deep_term_exit_code(run, shape, depth):
+    code, out, err = run(shape(depth))
+    assert code == 2
+    assert out == ""
+    assert "prob.trs:1:" in err and "deeper than" in err
+
+
+def test_parser_defaults_are_the_strategy_defaults():
+    args = build_parser().parse_args(["prove", "prob.trs"])
+    config = StrategyConfig()
+    assert args.timeout == config.timeout
+    assert args.rounds == config.rounds
+    assert tuple(args.methods.split(",")) == config.methods
+    assert args.budget_conv == config.budgets.conv_depth
+    assert args.budget_size == config.budgets.size_cap
 
 
 def test_missing_file(capsys):

@@ -9,12 +9,12 @@ import pytest
 
 import uncprover.completion
 from uncprover.strategy import StrategyConfig, prove_unc
-from uncprover.terms import Var, canonical_key, canonical_renaming, substitute, variables
+from uncprover.terms import (Var, canonical_key, canonical_renaming, substitute, term_size,
+                             variables)
 from uncprover.trs import (
     TRS,
     ConvStep,
     RewriteRule,
-    bounded_conversions,
     bounded_reducts,
     conversion_class,
     critical_pairs,
@@ -35,7 +35,6 @@ from uncprover.completion import (
     _pick_join,
     direct_sum_decompose,
     disprove_search,
-    rule_reverse,
     rule_reverse_mapped,
     translate_trace,
     unc_complete,
@@ -318,20 +317,20 @@ def test_one_pass_rounds_agree_with_the_two_loop_oracle(rng):
 def test_rule_reverse_example():
     R = TRS.of([RewriteRule(a, f(a)), RewriteRule(h(c, a), b),
                 RewriteRule(h(a, x), h(x, f(x)))])
-    Rp = rule_reverse(R)
+    Rp = rule_reverse_mapped(R)[0]
     assert Rp.rules == (RewriteRule(a, a), RewriteRule(f(a), a),
                         RewriteRule(h(c, a), b), RewriteRule(h(a, x), h(x, f(x))))
 
 
 def test_rule_reverse_identity_when_rhs_normal():
     R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), x)])
-    assert rule_reverse(R) is not None
-    assert rule_reverse(R).rules == R.rules
+    assert rule_reverse_mapped(R)[0] is not None
+    assert rule_reverse_mapped(R)[0].rules == R.rules
 
 
 def test_rule_reverse_keeps_needed_identity_rule():
     R = TRS.of([RewriteRule(a, f(a)), RewriteRule(f(x), g(x))])
-    Rp = rule_reverse(R)
+    Rp = rule_reverse_mapped(R)[0]
     # a -> a stays: nothing else reduces a
     assert RewriteRule(a, a) in Rp.rules
     assert RewriteRule(f(a), a) in Rp.rules
@@ -340,7 +339,7 @@ def test_rule_reverse_keeps_needed_identity_rule():
 
 def test_rule_reverse_drops_redundant_identity_rule():
     R = TRS.of([RewriteRule(g(a), f(g(a))), RewriteRule(g(x), x)])
-    Rp = rule_reverse(R)
+    Rp = rule_reverse_mapped(R)[0]
     # g(a) -> g(a) is redundant: g(x) -> x reduces g(a)
     assert RewriteRule(g(a), g(a)) not in Rp.rules
     assert RewriteRule(f(g(a)), g(a)) in Rp.rules
@@ -359,17 +358,76 @@ def test_rule_reverse_preserves_conversions_and_normal_forms(rng):
                 rhs = b
             rules.append(RewriteRule(lhs, rhs))
         R = TRS.of(rules)
-        Rp = rule_reverse(R)
+        Rp = rule_reverse_mapped(R)[0]
         for _ in range(5):
             t = random_term(rng, depth=2)
             keep = frozenset(variables(t))
             canon = lambda S: {substitute(u, canonical_renaming([u], keep))
-                               for u in bounded_conversions(S, t, 3, size_cap=30)}
+                               for u in conversion_class(S, t, 3, size_cap=30).reached}
             if canon(R) != canon(Rp):
                 violations += 1
             if is_normal_form(R, t) != is_normal_form(Rp, t):
                 violations += 1
     assert violations == 0
+
+
+def _restarting_rule_reverse(R: TRS):
+    """Reference for `rule_reverse_mapped`: one loop that starts over
+    after every reversal and after every dropped identity rule."""
+    rules, origin = list(R.rules), [("kept", i) for i in range(len(R.rules))]
+    changed = True
+    while changed:
+        changed = False
+        cur = TRS(R.signature, tuple(rules))
+        for i, rule in enumerate(rules):
+            tag, orig = origin[i]
+            if tag != "kept" or rule.lhs == rule.rhs:
+                continue
+            if term_size(rule.lhs) >= term_size(rule.rhs):
+                continue
+            if isinstance(rule.rhs, Var) or variables(rule.lhs) - variables(rule.rhs):
+                continue
+            if is_normal_form(cur, rule.rhs):
+                continue
+            rules[i:i + 1] = [RewriteRule(rule.lhs, rule.lhs),
+                              RewriteRule(rule.rhs, rule.lhs)]
+            origin[i:i + 1] = [("loop", orig), ("flip", orig)]
+            changed = True
+            break
+        if changed:
+            continue
+        for i, rule in enumerate(rules):
+            if rule.lhs != rule.rhs:
+                continue
+            rest = TRS(R.signature, tuple(r for j, r in enumerate(rules) if j != i))
+            if not is_normal_form(rest, rule.lhs):
+                del rules[i]
+                del origin[i]
+                changed = True
+                break
+    first_origin = {}
+    for rule, org in zip(rules, origin):
+        first_origin.setdefault(rule, org)
+    return TRS(R.signature, tuple(first_origin)), tuple(first_origin.values())
+
+
+def test_rule_reverse_matches_the_restarting_loop(rng):
+    reversed_ = 0
+    for _ in range(400):
+        rules = []
+        for _ in range(rng.randint(1, 4)):
+            lhs = random_term(rng, depth=2)
+            while isinstance(lhs, Var):
+                lhs = random_term(rng, depth=2)
+            rhs = random_term(rng, depth=rng.randint(1, 3))
+            if variables(rhs) - variables(lhs):
+                rhs = b
+            rules.append(RewriteRule(lhs, rhs))
+        R = TRS.of(rules)
+        got = rule_reverse_mapped(R)
+        assert got == _restarting_rule_reverse(R)
+        reversed_ += got[0] != R
+    assert reversed_ >= 40
 
 
 def test_translate_trace_maps_reversed_witness():

@@ -1,9 +1,9 @@
 import pytest
 
-from uncprover.cops import CopsParseError, parse_cops, render_cops
-from uncprover.trs import RewriteRule
+from uncprover.cops import MAX_DEPTH, CopsParseError, parse_cops
+from uncprover.trs import TRS, RewriteRule
 
-from conftest import a, b, c, f, h, x
+from conftest import a, b, c, f, h, random_system, random_term, x
 
 
 def test_parse_minimal():
@@ -66,15 +66,79 @@ def test_whitespace_insensitive():
     assert one == two
 
 
-def test_roundtrip():
-    text = "(VAR x y)\n(RULES\n  f(x,y) -> g(x)\n  a -> b\n)\n(COMMENT hello)"
-    pf = parse_cops(text)
-    assert parse_cops(render_cops(pf)) == pf
+def test_roundtrip(rng):
+    # `RewriteRule.__repr__` writes Cops syntax
+    for _ in range(200):
+        R = random_system(rng)
+        text = "(VAR x y)(RULES " + " ".join(map(repr, R.rules)) + ")"
+        assert parse_cops(text).trs == R
 
 
-def test_roundtrip_no_vars():
-    pf = parse_cops("(RULES a -> b)")
-    assert parse_cops(render_cops(pf)) == pf
+def test_roundtrip_no_vars(rng):
+    for _ in range(100):
+        R = TRS.of([RewriteRule(random_term(rng, (), 2), random_term(rng, (), 2))
+                    for _ in range(rng.randint(1, 3))])
+        assert parse_cops("(RULES " + " ".join(map(repr, R.rules)) + ")").trs == R
+
+
+def test_var_block_after_rules_declares_variables():
+    pf = parse_cops("(RULES f(x) -> x)\n(VAR x)")
+    assert pf.variables == ("x",)
+    assert pf.trs.rules == (RewriteRule(f(x), x),)
+    assert pf.trs.signature.as_dict() == {"f": 1}
+
+
+def test_rules_are_deduplicated():
+    pf = parse_cops("(RULES a -> b  a -> c  a -> b)")
+    assert pf.trs.rules == (RewriteRule(a, b), RewriteRule(a, c))
+
+
+@pytest.mark.parametrize("text, at", [
+    ("(", (1, 1)),
+    ("(VAR x", (1, 1)),
+    ("(RULES a -> b", (1, 1)),
+    ("(VAR x)\n (RULES f(a -> b)", (2, 2)),
+    ("(RULES a -> b)(COMMENT (x)", (1, 15)),
+])
+def test_unbalanced_parenthesis_at_the_block_opening(text, at):
+    with pytest.raises(CopsParseError) as e:
+        parse_cops(text)
+    assert e.value.msg == "unbalanced parenthesis"
+    assert (e.value.line, e.value.col) == at
+
+
+def test_rules_end_reported_at_the_closing_parenthesis():
+    with pytest.raises(CopsParseError) as e:
+        parse_cops("(RULES a -> b c)")
+    assert str(e.value) == "1:16: expected '->', found ')'"
+
+
+def _nest(n: int, inner: str = "a") -> str:
+    return "f(" * n + inner + ")" * n
+
+
+def test_nesting_bound():
+    pf = parse_cops(f"(RULES g({_nest(MAX_DEPTH - 1)}) -> a)")
+    assert pf.trs.signature.as_dict() == {"a": 0, "f": 1, "g": 1}
+    with pytest.raises(CopsParseError) as e:
+        parse_cops(f"(VAR x)\n(RULES a -> b\n  g({_nest(MAX_DEPTH)}) -> a)")
+    # the f that opens argument list number MAX_DEPTH + 1
+    assert (e.value.line, e.value.col) == (3, 5 + 2 * (MAX_DEPTH - 1))
+    assert f"deeper than {MAX_DEPTH}" in e.value.msg
+
+
+@pytest.mark.parametrize("text", [
+    f"(RULES a -> {_nest(MAX_DEPTH + 1)})",
+    f"(VAR x)(RULES {_nest(5000, 'x')} -> x)",
+])
+def test_deep_terms_are_parse_errors(text):
+    with pytest.raises(CopsParseError, match="deeper than"):
+        parse_cops(text)
+
+
+def test_deep_comment_is_kept():
+    pf = parse_cops("(RULES a -> b)(COMMENT " + "(" * 5000 + ")" * 5000 + ")")
+    assert pf.comment == " ".join("(" * 5000 + ")" * 5000)
 
 
 def test_arrow_tokenizes_without_spaces():

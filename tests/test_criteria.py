@@ -29,8 +29,6 @@ from uncprover.terms import (
 from uncprover.trs import TRS, RewriteRule, critical_pairs, parallel_step_reducts, \
     bounded_reducts, parallel_steps, reach, reducts, rewrite_steps, single_steps
 from uncprover.ctrs import (
-    CTRS,
-    ConditionalRule,
     CongruenceClosure,
     Equation,
     conditional_critical_pairs,
@@ -162,16 +160,16 @@ def test_parallel_closed_semi_equational():
     S = lambda t: App("S", (t,))
     H = lambda t: App("H", (t,))
     A = App("A")
-    C = CTRS.of([
-        ConditionalRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
-        ConditionalRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
-        ConditionalRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
+    C = TRS.of([
+        RewriteRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
+        RewriteRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
+        RewriteRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
     ])
     assert parallel_closed_check(C).holds
 
 
 def test_parallel_closed_fails_on_distinct_normal_constants():
-    C = CTRS.of([ConditionalRule(a, b), ConditionalRule(a, c)])
+    C = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
     assert not parallel_closed_check(C).holds
     assert not strongly_closed_check(C).holds
 
@@ -205,12 +203,12 @@ def test_development_closed_admits_no_conditional_system():
 
 
 def test_strongly_closed_vacuous():
-    C = CTRS.of([ConditionalRule(f(x, y), x)])
+    C = TRS.of([RewriteRule(f(x, y), x)])
     assert strongly_closed_check(C).holds
 
 
 def test_strongly_closed_requires_linearity():
-    C = CTRS.of([ConditionalRule(f(x, y), f(y, f(y, x)))])
+    C = TRS.of([RewriteRule(f(x, y), f(y, f(y, x)))])
     report = strongly_closed_check(C)
     assert not report.holds and "linear" in report.failure
 
@@ -527,7 +525,7 @@ def test_step1_examples():
 
 
 def test_step1_with_condition_consumption():
-    C = CTRS.of([ConditionalRule(f(y, y), b, (Equation(y, a),))])
+    C = TRS.of([RewriteRule(f(y, y), b, (Equation(y, a),))])
     # one step consuming the assumption x1 = a
     x1 = Var("x1")
     rems = step1_remainders(C, [Equation(x1, a)], f(x1, x1), b)

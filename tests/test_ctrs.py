@@ -16,11 +16,8 @@ from uncprover.terms import (
 )
 from uncprover.trs import TRS, RewriteRule, critical_pairs
 from uncprover.ctrs import (
-    CTRS,
-    ConditionalRule,
     CongruenceClosure,
     Equation,
-    cc_entails,
     conditional_critical_pairs,
     conditional_linearize,
     lr_separated_linearize,
@@ -51,7 +48,7 @@ def test_linearize_example_rule():
 def test_linearize_left_linear_unchanged():
     R = TRS.of([RewriteRule(f(x, y), x)])
     C = conditional_linearize(R)
-    assert C.rules[0] == ConditionalRule(f(x, y), x, ())
+    assert C.rules[0] == RewriteRule(f(x, y), x, ())
 
 
 def test_linearize_triple_occurrence_chain():
@@ -103,11 +100,11 @@ def test_lrs_example_rules():
     ])
     C = lr_separated_linearize(R)
     x1, x2, y1, y2 = Var("x1"), Var("x2"), Var("y1"), Var("y2")
-    assert C.rules[0] == ConditionalRule(
+    assert C.rules[0] == RewriteRule(
         f(x1, x2), h(x, f(x, b)), (Equation(x1, x), Equation(x2, x)))
-    assert C.rules[1] == ConditionalRule(
+    assert C.rules[1] == RewriteRule(
         f(g(y1), y2), h(y, f(g(y), c1(b))), (Equation(y1, y), Equation(y2, y)))
-    assert C.rules[3] == ConditionalRule(c1(b), b, ())
+    assert C.rules[3] == RewriteRule(c1(b), b, ())
     assert C.lr_separated
 
 
@@ -136,7 +133,8 @@ def test_lrs_invariants(lhs, rhs):
 
 
 def test_conditional_names_are_the_one_rule_and_system_type():
-    assert ConditionalRule is RewriteRule and CTRS is TRS
+    C = TRS.of([RewriteRule(f(x, y), x, (Equation(x, y),))])
+    assert C.conditional and not TRS.of([RewriteRule(f(x, y), x)]).conditional
     S = TRS.of([RewriteRule(f(x, y), x)])
     assert conditional_linearize(S).rules[0] is S.rules[0]
 
@@ -211,10 +209,10 @@ def test_ccp_semi_equational_example():
     S = lambda t: App("S", (t,))
     H = lambda t: App("H", (t,))
     A = App("A")
-    C = CTRS.of([
-        ConditionalRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
-        ConditionalRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
-        ConditionalRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
+    C = TRS.of([
+        RewriteRule(P(Q(x)), P(R_(x)), (Equation(x, A),)),
+        RewriteRule(Q(H(x)), R_(x), (Equation(S(x), H(x)),)),
+        RewriteRule(R_(x), R_(H(x)), (Equation(S(x), A),)),
     ])
     ccps = conditional_critical_pairs(C)
     assert len(ccps) == 1
@@ -234,10 +232,10 @@ def test_ccp_respects_multiset_duplicates():
 
 
 def test_ccp_keeps_pairs_that_differ_only_in_conditions():
-    C = CTRS.of([
-        ConditionalRule(f(x), a, (Equation(x, b),)),
-        ConditionalRule(f(x), c),
-        ConditionalRule(f(x), c, (Equation(x, d),)),
+    C = TRS.of([
+        RewriteRule(f(x), a, (Equation(x, b),)),
+        RewriteRule(f(x), c),
+        RewriteRule(f(x), c, (Equation(x, d),)),
     ])
     shown = [repr(p) for p in conditional_critical_pairs(C)]
     assert "x = b => <a, c> [overlay]" in shown
@@ -329,23 +327,23 @@ def test_cc_examples():
     S = lambda t: App("S", (t,))
     H = lambda t: App("H", (t,))
     A = App("A")
-    assert cc_entails([Equation(S(x), H(x)), Equation(H(x), A)], S(x), A)
-    assert cc_entails([], f(x, a), f(x, a))
-    assert cc_entails([Equation(f(a, a), b), Equation(g(b), c)],
-                      g(f(a, a)), c)
+    assert CongruenceClosure([Equation(S(x), H(x)), Equation(H(x), A)]).entails(S(x), A)
+    assert CongruenceClosure([]).entails(f(x, a), f(x, a))
+    assert CongruenceClosure([Equation(f(a, a), b), Equation(g(b), c)]).entails(
+        g(f(a, a)), c)
 
 
 def test_cc_negative():
-    assert not cc_entails([Equation(a, b)], c, d)
-    assert not cc_entails([Equation(g(a), g(b))], a, b)  # no projection
+    assert not CongruenceClosure([Equation(a, b)]).entails(c, d)
+    assert not CongruenceClosure([Equation(g(a), g(b))]).entails(a, b)  # no projection
 
 
 def test_cc_tells_a_variable_from_a_constant_of_the_same_name():
     # both print as x, and renaming a rule apart can make such a variable
     x_const = App("x")
-    assert not cc_entails([], g(x), g(x_const))
-    assert not cc_entails([Equation(a, x)], g(x_const), g(a))
-    assert cc_entails([Equation(x, x_const)], g(x), g(x_const))
+    assert not CongruenceClosure([]).entails(g(x), g(x_const))
+    assert not CongruenceClosure([Equation(a, x)]).entails(g(x_const), g(a))
+    assert CongruenceClosure([Equation(x, x_const)]).entails(g(x), g(x_const))
 
 
 def test_cc_lazy_query_extension():
@@ -385,6 +383,6 @@ def test_cc_vs_bounded_deduction_oracle(rng):
         cap = max(term_size(u) for e in eqs for u in (e.lhs, e.rhs))
         cap = max(cap, term_size(s), term_size(t)) + 4
         checked += 1
-        if cc_entails(eqs, s, t) != conversion_oracle(eqs, s, t, cap):
+        if CongruenceClosure(eqs).entails(s, t) != conversion_oracle(eqs, s, t, cap):
             mismatches += 1
     assert checked >= 200 and mismatches == 0

@@ -32,7 +32,6 @@ from uncprover.trs import (
     ConvStep,
     Equation,
     RewriteRule,
-    bounded_conversions,
     bounded_reducts,
     conversion_class,
     conversion_steps,
@@ -478,23 +477,23 @@ def test_cut_searches_do_not_depend_on_the_hash_seed():
 
 
 def test_bounded_conversions_depth0():
-    assert bounded_conversions(COPS_254, f(c), 0) == {f(c)}
+    assert set(conversion_class(COPS_254, f(c), 0).reached) == {f(c)}
 
 
 def test_bounded_conversions_two_roots():
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
-    assert bounded_conversions(R, b, 2) == {b, a, c}
+    assert set(conversion_class(R, b, 2).reached) == {b, a, c}
 
 
 def test_bounded_conversions_cops254():
-    assert f(h(c)) in bounded_conversions(COPS_254, f(c), 2)
+    assert f(h(c)) in conversion_class(COPS_254, f(c), 2).reached
 
 
 def test_bounded_conversions_monotone(rng):
     for _ in range(40):
         t = random_term(rnd=rng, depth=2)
-        smaller = bounded_conversions(COPS_254, t, 2)
-        bigger = bounded_conversions(COPS_254, t, 3)
+        smaller = set(conversion_class(COPS_254, t, 2).reached)
+        bigger = set(conversion_class(COPS_254, t, 3).reached)
         assert t in smaller
         assert smaller <= bigger
 
