@@ -14,12 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn, Optional
 
-from .terms import App, Signature, Term, Var, variables
+from .terms import MAX_DEPTH, App, Signature, Term, Var, variables
 from .trs import TRS, RewriteRule
-
-#: Deepest nesting of argument lists a term may have.  The prover recurses
-#: over terms, and from 245 levels on some inputs overflowed the stack.
-MAX_DEPTH = 100
 
 
 class CopsParseError(ValueError):

@@ -123,7 +123,7 @@ def _entails(S: TRS, cp: CriticalPair) -> Optional[Entails]:
 def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[str], bool]:
     """Both strong-closure joins of `trs.strong_joins`."""
     a, b, cut = strong_joins(S, cp.left, cp.right, budgets, _entails(S, cp))
-    return (f"joins at {a[0]!r} / {b[0]!r}" if a and b else None), cut
+    return (None if a is None or b is None else f"joins at {a!r} / {b!r}"), cut
 
 
 def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
@@ -150,7 +150,7 @@ STRONGLY_CLOSED = ConfluencePredicate("strongly-closed", lambda S: S.linear, _st
 PARALLEL_CLOSED = ConfluencePredicate(
     "parallel-closed", lambda S: S.left_linear and S.type1,
     _big_step_pair("parallel step",
-                   lambda S, t, holds, b: (parallel_steps(S, t, holds), False)))
+                   lambda S, t, holds, b: (parallel_steps(S, t, holds, b), False)))
 
 # `development_step_reducts` reads no conditions, so the guard admits none
 DEVELOPMENT_CLOSED = ConfluencePredicate(

@@ -57,6 +57,7 @@ from .criteria import (
     weight_decreasing_unc,
 )
 from .ctrs import conditional_linearize
+from .terms import check_depth
 from .trs import TRS
 
 CERTIFICATE_FORMAT = "1"
@@ -252,11 +253,13 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     The system is first split into direct-sum components; a component NO
     disproves the whole system, and all components must say YES for a YES.
     The methods read no conditions, so a rule with conditions is refused
-    with `ValueError`.
+    with `ValueError`; so is a rule side nested deeper than
+    `terms.MAX_DEPTH`, which would overflow the stack.
     """
     R = problem.trs if isinstance(problem, ProblemFile) else problem
     if R.conditional:
         raise ValueError("prove_unc takes unconditional systems only")
+    check_depth([t for r in R.rules for t in (r.lhs, r.rhs)])
     budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
     components = direct_sum_decompose(R)
     lines = [f"certificate-format: {CERTIFICATE_FORMAT}"]

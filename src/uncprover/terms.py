@@ -98,6 +98,22 @@ def infer_signature(terms: Iterable[Term]) -> Signature:
     return Signature.of(table)
 
 
+#: Deepest nesting of argument lists a term may have.  The prover recurses
+#: over terms, and from 245 levels on some inputs overflowed the stack.
+MAX_DEPTH = 100
+
+
+def check_depth(terms: Iterable[Term]) -> None:
+    """Raise `ValueError` if a term nests more than `MAX_DEPTH` argument
+    lists; the walk goes one nesting level at a time, without recursion."""
+    level = list(terms)
+    for _ in range(MAX_DEPTH + 1):
+        level = [a for t in level if type(t) is App for a in t.args]
+        if not level:
+            return
+    raise ValueError(f"term nests deeper than {MAX_DEPTH} argument lists")
+
+
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
     """All (position, subterm) pairs of `t`, root first, left to right."""
     stack: list[tuple[Position, Term]] = [((), t)]

@@ -9,9 +9,9 @@ the conditional systems of `ctrs` and `criteria` as well:
 test; `reach` is the one bounded breadth-first search, over any one-step
 relation, and keeps the edge by which it first reached each node: it runs
 both joins of `strong_joins`, the conversion classes and the rank-0
-closures of `criteria`, and `parallel_steps` combines disjoint redexes.
-`development_step_reducts` returns each reduct with a path of single
-steps, which `replay_path` turns into a trace.
+closures of `criteria`; and `_big_step` is the one recursion behind the
+parallel step and the multistep, which `development_step_reducts` returns
+with a path of single steps per reduct for `replay_path`.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
@@ -34,6 +34,7 @@ from .terms import (
     Var,
     canonical_key,
     canonical_renaming,
+    check_depth,
     count_var,
     fn_subterms,
     infer_signature,
@@ -162,6 +163,8 @@ class TRS:
 
     @staticmethod
     def of(rules: Iterable[RewriteRule], signature: Optional[Signature] = None) -> "TRS":
+        rules = tuple(rules)
+        check_depth(t for r in rules for t in r.sides())
         deduped = tuple(dict.fromkeys(rules))
         if signature is None:
             signature = infer_signature([t for r in deduped for t in r.sides()])
@@ -266,10 +269,14 @@ def redexes(R: TRS, t: Term, holds: Optional[Entails] = None,
     for pos, sub in fn_subterms(t):
         for i, rule in by_root.get(sub.sym, ()):
             sigma = match(rule.lhs, sub)
-            if sigma is not None and (holds is None or all(
-                    holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
-                    for c in rule.conditions)):
+            if sigma is not None and _conditions_hold(rule, sigma, holds):
                 yield pos, i, rule, sigma
+
+
+def _conditions_hold(rule: RewriteRule, sigma: dict, holds: Optional[Entails]) -> bool:
+    """Every instantiated condition of `rule` holds; without `holds` none is read."""
+    return holds is None or all(holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
+                                for c in rule.conditions)
 
 
 def rewrite_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
@@ -348,8 +355,7 @@ def reach_path(reached: Reached, t: Hashable) -> list:
     while reached[t] is not None:
         t, edge = reached[t]
         edges.append(edge)
-    edges.reverse()
-    return edges
+    return edges[::-1]
 
 
 def single_steps(R: TRS, holds: Optional[Entails] = None,
@@ -366,95 +372,60 @@ def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
     return set(reach(single_steps(R), t, depth, size_cap, max_terms, budgets)[0])
 
 
-def _disjoint(p: Position, q: Position) -> bool:
-    n = min(len(p), len(q))
-    return p[:n] != q[:n]
-
-
-#: A parallel step's redexes: (position, rule index) pairs.
-RedexSet = tuple[tuple[Position, int], ...]
-
-
-def parallel_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
-                   ) -> dict[Term, RedexSet]:
-    """Reducts of `t` under one parallel step, each with the first redex set
-    that gives it.
-
-    A step contracts any set of the redexes of `redexes(R, t, holds)` at
-    disjoint positions.  The empty redex set comes first, so `t` itself
-    maps to `()`.
-    """
-    by_pos: dict[Position, list[tuple[int, Term]]] = {}
-    for pos, i, rule, sigma in redexes(R, t, holds):
-        by_pos.setdefault(pos, []).append((i, substitute(rule.rhs, sigma)))
-    positions = sorted(by_pos)
-    out: dict[Term, RedexSet] = {}
-
-    def go(i: int, chosen: list[Position]) -> None:
-        if i == len(positions):
-            for combo in product(*[by_pos[p] for p in chosen]):
-                u = t
-                for p, (_, s) in zip(chosen, combo):
-                    u = replace_at(u, p, s)
-                if u not in out:
-                    out[u] = tuple((p, ri) for p, (ri, _) in zip(chosen, combo))
-            return
-        go(i + 1, chosen)
-        p = positions[i]
-        if all(_disjoint(p, q) for q in chosen):
-            go(i + 1, chosen + [p])
-
-    go(0, [])
-    return out
-
-
-def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
-    """Reducts of `t` under one parallel step (any set of disjoint redexes).
-
-    The empty redex set is allowed, so `t` itself is always included.
-    """
-    return set(parallel_steps(R, t))
-
-
 #: A path of single steps: (redex position, rule index) to apply in order.
 DevPath = tuple[tuple[Position, int], ...]
 
 
-def _multistep(R: TRS, t: Term, memo: dict[Term, dict[Term, DevPath]],
-               budgets: Budgets) -> dict[Term, DevPath]:
-    """Reducts of one multistep from `t`, each with a serialising path; the
-    budget is checked once per combination built."""
+def _big_step(R: TRS, t: Term, nested: bool, holds: Optional[Entails],
+              memo: dict[Term, dict[Term, DevPath]], budgets: Budgets,
+              ) -> dict[Term, DevPath]:
+    """Reducts of one big step from `t`, each with the path of the first
+    combination that gives it: the argument combinations, then the root
+    contractions in rule order.  A contracted rhs variable takes its binding
+    in a parallel step, and in a multistep (`nested`) any reduct of the
+    binding's own multistep.  The budget is checked once per combination."""
+    if isinstance(t, Var):
+        return {t: ()}
     if t in memo:
         return memo[t]
-    if isinstance(t, Var):
-        memo[t] = {t: ()}
-        return memo[t]
     out: dict[Term, DevPath] = {}
-    arg_maps = [_multistep(R, a, memo, budgets) for a in t.args]
-    for combo in product(*[sorted(m, key=repr) for m in arg_maps]):
+    # reducts come by redex position set, then by rules, the order that a
+    # cut of iterated parallel steps follows: group each argument's by positions
+    groups = [[list(g) for _, g in groupby(_big_step(R, a, nested, holds, memo, budgets)
+                                           .items(), lambda e: [p for p, _ in e[1]])]
+              for a in t.args]
+    for combo in (c for places in product(*groups) for c in product(*places)):
         budgets.check()
-        u = App(t.sym, combo)
-        path: list[tuple[Position, int]] = []
-        for i, new_arg in enumerate(combo):
-            path.extend(((i + 1,) + p, ri) for p, ri in arg_maps[i][new_arg])
-        out.setdefault(u, tuple(path))
+        out.setdefault(App(t.sym, tuple(u for u, _ in combo)), tuple(
+            ((i,) + p, ri) for i, (_, path) in enumerate(combo, 1) for p, ri in path))
     for ri, rule in R.rules_by_root.get(t.sym, ()):
         sigma = match(rule.lhs, t)
-        if sigma is None:
+        if sigma is None or not _conditions_hold(rule, sigma, holds):
             continue
         names = sorted(variables(rule.rhs))
-        value_maps = {n: _multistep(R, sigma.get(n, Var(n)), memo, budgets)
-                      for n in names}
-        var_slots = [(p, s.name) for p, s in subterms(rule.rhs) if isinstance(s, Var)]
-        for values in product(*[sorted(value_maps[n], key=repr) for n in names]):
+        maps = [_big_step(R, sigma.get(n, Var(n)), nested, holds, memo, budgets) if nested
+                else {sigma.get(n, Var(n)): ()} for n in names]
+        slots = [(p, names.index(s.name)) for p, s in subterms(rule.rhs) if type(s) is Var]
+        for tau in product(*maps):
             budgets.check()
-            tau = dict(zip(names, values))
-            path = [((), ri)]
-            for p, name in var_slots:
-                path.extend((p + q, rj) for q, rj in value_maps[name][tau[name]])
-            out.setdefault(substitute(rule.rhs, tau), tuple(path))
+            u = substitute(rule.rhs, dict(zip(names, tau)))
+            out.setdefault(u, (((), ri),) + tuple(
+                (p + q, rj) for p, k in slots for q, rj in maps[k][tau[k]]))
     memo[t] = out
     return out
+
+
+def parallel_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
+                   budgets: Budgets = DEFAULT_BUDGETS) -> dict[Term, DevPath]:
+    """Reducts of `t` under one parallel step, which contracts any set of
+    the redexes of `redexes(R, t, holds)` at disjoint positions, each with
+    the first such set that gives it, by position; `t` maps to `()`."""
+    return _big_step(R, t, False, holds, {}, budgets)
+
+
+def parallel_step_reducts(R: TRS, t: Term) -> set[Term]:
+    """The reducts of `parallel_steps`, `t` itself included."""
+    return set(parallel_steps(R, t))
 
 
 def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
@@ -485,10 +456,10 @@ def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 409
     reports truncation once it holds more than `max_terms` terms.
     """
     if R.left_linear:
-        out = _multistep(R, t, {}, budgets)
+        out = _big_step(R, t, True, None, {}, budgets)
         return out, len(out) > max_terms
-    reached, cut = reach(lambda u: ((rs, v) for v, rs in parallel_steps(R, u).items()),
-                         t, cap, max_terms=max_terms + 1, budgets=budgets)
+    reached, cut = reach(lambda u: ((rs, v) for v, rs in parallel_steps(R, u, None, budgets)
+                                    .items()), t, cap, 0, max_terms + 1, budgets)
     return {w: tuple(e for rs in reach_path(reached, w) for e in rs)
             for w in reached}, cut
 
@@ -554,9 +525,7 @@ def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Critical
         # left shares all of the peak outside `pos`
         left = replace_at(peak, pos, substitute(inner.rhs, sigma))
         right = substitute(outer.rhs, sigma)
-        conds = inner.conditions + outer.conditions
-        if conds:
-            conds = tuple(c.subst(sigma) for c in conds)
+        conds = tuple(c.subst(sigma) for c in inner.conditions + outer.conditions)
         key = (pos == (), canonical_key((left, right)),
                conds and _conditions_key(left, right, conds))
         if key in seen:
@@ -568,17 +537,17 @@ def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Critical
 
 def strong_joins(R: TRS, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
                  holds: Optional[Entails] = None,
-                 ) -> tuple[list[Term], list[Term], bool]:
+                 ) -> tuple[Optional[Term], Optional[Term], bool]:
     """Strong-closure joins of <u, v> in a `TRS`, a conditional one given
-    `holds`: the terms within `budgets.conv_depth` steps of `u` that are at
-    most one step from `v`, the same with `u` and `v` swapped, each sorted
-    by `repr`, and whether either search was cut with its frontier open."""
+    `holds`: the least term by `repr` within `budgets.conv_depth` steps of
+    `u` and at most one step from `v` and the same swapped, None if there is
+    none, and whether either search was cut with its frontier open."""
     (reach_u, cut_u), (reach_v, cut_v) = (
         reach(single_steps(R, holds), s, budgets.conv_depth, budgets.size_cap,
               budgets.max_class, budgets)
         for s in (u, v))
-    a = sorted(reach_u.keys() & ({v} | reducts(R, v, holds)), key=repr)
-    b = sorted(({u} | reducts(R, u, holds)) & reach_v.keys(), key=repr)
+    a = min(reach_u.keys() & ({v} | reducts(R, v, holds)), key=repr, default=None)
+    b = min(({u} | reducts(R, u, holds)) & reach_v.keys(), key=repr, default=None)
     return a, b, cut_u or cut_v
 
 

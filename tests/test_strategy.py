@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from dataclasses import replace
@@ -17,7 +18,7 @@ from uncprover.strategy import (
     _run_method,
     prove_unc,
 )
-from uncprover.terms import App, Var
+from uncprover.terms import MAX_DEPTH, App, Var, infer_signature
 from uncprover.trs import TRS, Equation, RewriteRule
 
 from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, random_system
@@ -64,9 +65,10 @@ def test_every_method_stops_at_the_deadline(R, tag):
     assert elapsed < timeout + 0.3
 
 
-@pytest.mark.parametrize("tag", ["dc", "rev+dc"])
+@pytest.mark.parametrize("tag", ["pcl", "dc", "rev+dc"])
 def test_multistep_enumeration_stops_at_the_deadline(tag):
-    # 3^12 multistep reducts of g(a,...,a): far more than 0.5 s of work
+    # 3^12 multistep reducts of g(a,...,a), and 2 * 3^11 parallel step
+    # reducts of each g(a,...,b,...,a): far more than 0.5 s of work
     timeout = 0.5
     res, elapsed = _elapsed(multistep(12, True), (tag,), timeout)
     assert res.answer == "MAYBE"
@@ -98,6 +100,40 @@ def test_pcl_does_not_take_a_renamed_variable_for_the_constant_of_its_name():
     problem = parse_cops("(VAR x y)\n(RULES\n  f(f(a,y),f(x,y)) -> f(g(y),f(x1,y))\n)\n")
     assert prove_unc(problem, StrategyConfig(methods=("pcl",), timeout=30)).answer == "MAYBE"
     assert prove_unc(problem, StrategyConfig(timeout=30)).answer == "NO"
+
+
+def _nest(n, inner):
+    for _ in range(n):
+        inner = App("f", (inner,))
+    return inner
+
+
+#: The shapes of `test_cli.DEEP_SHAPES`, built as rules by a library caller.
+DEEP_RULES = [
+    lambda n: [RewriteRule(_nest(n, a), a)],
+    lambda n: [RewriteRule(_nest(n, Var("x")), a), RewriteRule(_nest(2, Var("x")), b)],
+    lambda n: [RewriteRule(_nest(n, Var("x")), a)],
+    lambda n: [RewriteRule(a, _nest(n, b)), RewriteRule(a, c)],
+]
+DEEP_IDS = ["ground_lhs", "lhs_and_overlap", "lhs", "rhs"]
+
+
+@pytest.mark.parametrize("shape", DEEP_RULES, ids=DEEP_IDS)
+def test_rules_at_the_nesting_bound_are_decided(shape):
+    res = prove_unc(TRS.of(shape(MAX_DEPTH)), StrategyConfig(timeout=10))
+    assert res.answer in ("YES", "NO")
+
+
+@pytest.mark.parametrize("shape", DEEP_RULES, ids=DEEP_IDS)
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000])
+def test_deeper_rules_are_refused(shape, depth):
+    rules = tuple(shape(depth))
+    with pytest.raises(ValueError, match="deeper than"):
+        TRS.of(rules)
+    # a system built without `TRS.of` is refused by the prover itself
+    sig = infer_signature([t for r in rules for t in r.sides()])
+    with pytest.raises(ValueError, match="deeper than"):
+        prove_unc(TRS(sig, rules))
 
 
 def test_config_accepts_exactly_the_table_tags():
@@ -200,16 +236,25 @@ ORDERS = {
 }
 
 
+@functools.cache
+def _list_order_results(order):
+    """The list-order oracle on every system, computed once per order: it
+    runs each method itself and does not read `SLICE`."""
+    config = StrategyConfig(methods=ORDERS[order], timeout=60)
+    return [_list_order(R, config) for R in SYSTEMS]
+
+
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("share", ["slice", "zero"])
 def test_lazy_disproof_answers_as_the_list_order(monkeypatch, order, share):
     # a zero share cuts every sliced method at once, so that the paths that
     # run the pending disprovers first and the method again are taken too
+    wants = _list_order_results(order)
     if share == "zero":
         monkeypatch.setattr(uncprover.strategy, "SLICE", 0.0)
     config = StrategyConfig(methods=ORDERS[order], timeout=60)
-    for R in SYSTEMS:
-        want, got = _list_order(R, config), prove_unc(R, config)
+    for R, want in zip(SYSTEMS, wants):
+        got = prove_unc(R, config)
         assert (got.answer, got.method, got.certificate) \
             == (want.answer, want.method, want.certificate), R
 
