@@ -40,6 +40,7 @@ from .trs import (
     critical_pairs,
     development_step_reducts,
     is_normal_form,
+    pair_stream,
     reach_path,
     replay_path,
     reverse_trace,
@@ -175,7 +176,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             handled_overlays: set[frozenset[str]] = set()
             known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
             all_closed = True
-            for cp in critical_pairs(current, budgets):
+            for cp in pair_stream(current, budgets):
                 budgets.check()
                 if (cp.left == cp.right
                         or pred.pair_closed(current, cp, budgets)[0] is not None):

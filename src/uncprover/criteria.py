@@ -26,9 +26,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product
 from math import prod
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
@@ -54,8 +55,7 @@ def multiset(eqs: Iterable[Equation]) -> Multiset:
     return tuple(sorted(eqs, key=repr))
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """A still-usable condition multiset together with a term."""
 
     remaining: Multiset
@@ -207,12 +207,13 @@ def strongly_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
 def _swaps(st: SimState) -> Iterable[tuple[None, SimState]]:
     """States one equation swap from `st`, as a `reach` step; a swap consumes
     an equation, so depth `len(st.remaining)` reaches every state."""
+    subs = list(subterms(st.value))
     for idx, e in enumerate(st.remaining):
         if idx > 0 and st.remaining[idx - 1] == e:
             continue
         rem = st.remaining[:idx] + st.remaining[idx + 1:]
         for here, there in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-            for pos, sub in subterms(st.value):
+            for pos, sub in subs:
                 if sub == here:
                     yield None, SimState(rem, replace_at(st.value, pos, there))
 
@@ -378,7 +379,7 @@ def _tuple_remainders(W: _RankedSearch, gamma: Multiset, xs: Sequence[Term],
         nxt: set[Multiset] = set()
         for rem in rems:
             if i == rank1:
-                nxt |= conv1_remainders(W, rem, x, y)
+                nxt |= _conv1_remainders(W, rem, x, y)
             else:
                 nxt |= {st.remaining for st in W.states(rem, x) if st.value == y}
         if not nxt:
@@ -387,15 +388,13 @@ def _tuple_remainders(W: _RankedSearch, gamma: Multiset, xs: Sequence[Term],
     return rems
 
 
-def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
-                     ) -> frozenset[Multiset]:
+def _step1_remainders(W: _RankedSearch, g: Multiset, s: Term, t: Term,
+                      ) -> frozenset[Multiset]:
     """Remainders after one rewrite step from `s` to `t` whose condition
     tuple is settled by rank-0 conversions (a rank-1 step).
 
     Memoized per check on (gamma, s, t); the budget is checked on every
     miss."""
-    W = _search(C)
-    g = multiset(gamma)
     key = (g, s, t)
     hit = W.step1.get(key)
     if hit is not None:
@@ -408,11 +407,9 @@ def step1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     return result
 
 
-def step1_reducts(C: _Rules, gamma: Iterable[Equation], s: Term,
-                  ) -> set[tuple[Multiset, Term]]:
+def _step1_reducts(W: _RankedSearch, g: Multiset, s: Term,
+                   ) -> set[tuple[Multiset, Term]]:
     """All (remainder, reduct) pairs of rank-1 steps from `s`."""
-    W = _search(C)
-    g = multiset(gamma)
     out: set[tuple[Multiset, Term]] = set()
     for pos, rule, sigma, xs, ys in _steps(W, g, s, None):
         reduct = replace_at(s, pos, substitute(rule.rhs, sigma))
@@ -427,16 +424,14 @@ def _step_sandwich(W: _RankedSearch, gamma: Multiset, s: Term, t: Term,
     out: set[Multiset] = set()
     for st1 in W.states(gamma, s):
         for st2 in W.states(st1.remaining, t):
-            out |= step1_remainders(W, st2.remaining, st1.value, st2.value)
+            out |= _step1_remainders(W, st2.remaining, st1.value, st2.value)
     return out
 
 
-def conv1_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
-                     ) -> set[Multiset]:
+def _conv1_remainders(W: _RankedSearch, g: Multiset, s: Term, t: Term,
+                      ) -> set[Multiset]:
     """Remainders of rank-1 conversions between `s` and `t` (exactly one
     rewrite step somewhere inside the conversion)."""
-    W = _search(C)
-    g = multiset(gamma)
     return _step_sandwich(W, g, s, t) | _step_sandwich(W, g, t, s)
 
 
@@ -444,25 +439,36 @@ def _sim1_pool(W: _RankedSearch, gamma: Multiset) -> Callable[[Term], set[Term]]
     def pool(seed: Term) -> set[Term]:
         out: set[Term] = set()
         for st in W.states(gamma, seed):
-            for rem, v in step1_reducts(W, st.remaining, st.value):
+            for rem, v in _step1_reducts(W, st.remaining, st.value):
                 for st2 in W.states(rem, v):
                     out |= {sub for _, sub in subterms(st2.value)}
         return out
     return pool
 
 
-def step2_remainders(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
-                     ) -> set[Multiset]:
+def _step2_remainders(W: _RankedSearch, g: Multiset, s: Term, t: Term,
+                      ) -> set[Multiset]:
     """Remainders after one rewrite step from `s` to `t` whose condition
     tuple is settled by a rank-1 tuple conversion (a rank-2 step): one
     component converts at rank 1, the others at rank 0."""
-    W = _search(C)
-    g = multiset(gamma)
     out: set[Multiset] = set()
     for _, _, _, xs, ys in _steps(W, g, s, t, _sim1_pool(W, g)):
         for j in range(len(xs)):
             out |= _tuple_remainders(W, g, xs, ys, j)
     return out
+
+
+def _public(search: Callable) -> Callable:
+    """`search(W, g, *terms)` of a sorted multiset `g` as a function of a CTRS
+    or `_RankedSearch` and any equations, sorted once; the searches call
+    each other directly, since every multiset they derive is still sorted."""
+    return wraps(search)(lambda C, gamma, *terms: search(_search(C), multiset(gamma), *terms))
+
+
+step1_remainders = _public(_step1_remainders)
+step1_reducts = _public(_step1_reducts)
+conv1_remainders = _public(_conv1_remainders)
+step2_remainders = _public(_step2_remainders)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +480,12 @@ def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     """The satisfied weight-decreasing closure clause for the pair, if any:
     a conversion of rank at most one, a single rank-2 step either way, or a
     step followed by a conversion in both directions (total rank <= 2)."""
-    W = _search(C)
-    g = multiset(gamma)
+    W, g = _search(C), multiset(gamma)
     if any(st.value == t for st in W.states(g, s)):
         return "rank-0 conversion"
-    if conv1_remainders(W, g, s, t):
+    if _conv1_remainders(W, g, s, t):
         return "rank-1 conversion"
-    if step2_remainders(W, g, s, t) or step2_remainders(W, g, t, s):
+    if _step2_remainders(W, g, s, t) or _step2_remainders(W, g, t, s):
         return "rank-2 step"
     if _step_then_conv(W, g, s, t) and _step_then_conv(W, g, t, s):
         return "step then conversion, both directions"
@@ -489,12 +494,11 @@ def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
 
 def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
     for st in W.states(g, t):
-        if step1_remainders(W, st.remaining, s, st.value):
+        if (_step1_remainders(W, st.remaining, s, st.value)
+                or _step2_remainders(W, st.remaining, s, st.value)):
             return True
-        if step2_remainders(W, st.remaining, s, st.value):
-            return True
-    for rem, s2 in step1_reducts(W, g, s):
-        if conv1_remainders(W, rem, s2, t):
+    for rem, s2 in _step1_reducts(W, g, s):
+        if _conv1_remainders(W, rem, s2, t):
             return True
     return False
 

@@ -8,20 +8,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-# Slotted: no instance dict per node, since critical pairs and reach sets
-# keep many terms alive at once.
-@dataclass(frozen=True, slots=True)
-class Var:
+# Tuples, so the sets and memos of the searches hash and compare terms in C;
+# a term hashes as the tuple of its fields.  A variable is a 1-tuple and an
+# application a 2-tuple, so the two never compare equal.
+class Var(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class App(NamedTuple):
     sym: str
     args: tuple["Term", ...] = ()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
@@ -52,8 +52,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     lhs: Term
     rhs: Term
 
@@ -510,11 +509,10 @@ def _conditions_key(left: Term, right: Term, conditions: tuple[Equation, ...],
     return tuple(sorted(repr(c.subst(ren2)) for c in partial))
 
 
-def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
-    """All critical pairs of a `TRS` `R`, conditional or not, deduplicated
-    up to renaming and condition order; a clock cut in `overlaps` raises, so
-    no caller sees a partial list."""
-    out: list[CriticalPair] = []
+def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[CriticalPair]:
+    """The critical pairs of a `TRS` `R`, conditional or not, deduplicated
+    up to renaming and condition order, built one at a time as they are
+    asked for; a clock cut in `overlaps` raises in the consumer."""
     seen: set[tuple] = set()
     for oi, ii, pos, inner, sub in overlaps(R.rules, budgets):
         sigma = mgu(inner.lhs, sub)
@@ -531,8 +529,13 @@ def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Critical
         if key in seen:
             continue
         seen.add(key)
-        out.append(CriticalPair(left, right, pos == (), oi, ii, pos, peak, conds))
-    return tuple(out)
+        yield CriticalPair(left, right, pos == (), oi, ii, pos, peak, conds)
+
+
+def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
+    """All the pairs of `pair_stream`; a clock cut raises, so no caller sees
+    a partial list."""
+    return tuple(pair_stream(R, budgets))
 
 
 def strong_joins(R: TRS, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
@@ -628,16 +631,21 @@ def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
     steps of `rewrite_steps`, then those of `expansion_steps`, as
     (`ConvStep`, term) pairs.  It drops terms above `size_cap`, yields only
     terms new up to renaming of the variables not in `seed`, and picks fresh
-    variables away from those of the terms it yielded before."""
+    variables away from those of the terms it yielded before.  A candidate
+    tried before, literally, is passed over before it is measured."""
     keep = frozenset(variables(seed))
     keys = {canonical_key((seed,), keep)}
     names = set(keep)
+    tried = {seed}
 
     def step(u: Term) -> Iterator[tuple[ConvStep, Term]]:
         # the fresh names of the expansions are picked before `names` grows
         expansions = list(expansion_steps(R, u, names))
         for forward, candidates in ((True, rewrite_steps(R, u)), (False, expansions)):
             for pos, i, v in candidates:
+                if v in tried:
+                    continue
+                tried.add(v)
                 if size_cap and term_size(v) > size_cap:
                     continue
                 k = canonical_key((v,), keep)

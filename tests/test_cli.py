@@ -88,6 +88,15 @@ def test_term_at_the_nesting_bound_is_decided(run, shape):
     assert out.splitlines()[0] in ("YES", "NO")
 
 
+def test_searches_past_the_nesting_bound_without_a_size_cap(run):
+    # the joins of `pcl` and `scl` build f^200(a), f^300(a), ... from the
+    # input's f^100(a); hashing and comparing them must not use the stack
+    code, out, err = run(f"(RULES a -> {_nest(MAX_DEPTH, 'a')}  a -> b)",
+                         "--budget-size", "0")
+    assert code == 0, err
+    assert out.splitlines()[0] == "NO"
+
+
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 250, 400])
 def test_deep_term_exit_code(run, shape, depth):

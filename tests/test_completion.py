@@ -8,6 +8,7 @@ from typing import Optional
 import pytest
 
 import uncprover.completion
+import uncprover.trs
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import (Var, canonical_key, canonical_renaming, substitute, term_size,
                              variables)
@@ -309,6 +310,20 @@ def test_one_pass_rounds_agree_with_the_two_loop_oracle(rng):
     for R, rounds in cases:
         for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
             assert unc_complete(R, pred, rounds) == _two_loop_unc_complete(R, pred, rounds)
+
+
+def test_a_disproving_pair_answers_before_later_pairs_are_built(monkeypatch):
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)] + list(COPS_126.rules))
+    built = []
+
+    def recording(S, budgets):
+        for cp in uncprover.trs.pair_stream(S, budgets):
+            built.append(cp)
+            yield cp
+    monkeypatch.setattr(uncprover.completion, "pair_stream", recording)
+    verdict = unc_complete(R, DEVELOPMENT_CLOSED)
+    assert verdict.status == "NOT_UNC"
+    assert len(built) == 1 < len(critical_pairs(R))
 
 
 # --- rule reversing --------------------------------------------------------------

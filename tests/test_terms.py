@@ -223,3 +223,21 @@ def test_signature_rejects_conflicts():
     import pytest
     with pytest.raises(ValueError):
         Signature(entries=(("f", 2), ("f", 1)))
+
+
+@given(term_strategy(XYZ))
+def test_term_hash_is_the_hash_of_its_field_tuple(t):
+    # set and dict orders, and with them search orders and certificates,
+    # follow these hash values
+    for _, s in subterms(t):
+        if isinstance(s, Var):
+            assert hash(s) == hash((s.name,))
+        else:
+            assert hash(s) == hash((s.sym, s.args))
+
+
+def test_variable_and_constant_of_one_name_differ():
+    assert Var("a") != App("a")
+    assert App("a") != Var("a")
+    assert len({Var("a"), App("a")}) == 2
+    assert repr(Var("a")) == repr(App("a")) == "a"

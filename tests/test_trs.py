@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import uncprover.trs
 from uncprover.config import Budgets
+from uncprover.ctrs import conditional_linearize, lr_separated_linearize
 from uncprover.terms import (
     App,
     Signature,
@@ -39,6 +40,7 @@ from uncprover.trs import (
     development_step_reducts,
     expansion_steps,
     is_normal_form,
+    pair_stream,
     parallel_step_reducts,
     parallel_steps,
     reach,
@@ -318,6 +320,13 @@ def test_critical_pairs_match_overlap_loop_oracle(R):
 def test_critical_pairs_match_overlap_loop_oracle_on_random_systems(rng):
     for _ in range(300):
         _assert_same_critical_pairs(random_system(rng))
+
+
+def test_pair_stream_yields_the_critical_pairs_in_order(rng):
+    for _ in range(150):
+        R = random_system(rng)
+        for S in (R, conditional_linearize(R), lr_separated_linearize(R)):
+            assert list(pair_stream(S)) == list(critical_pairs(S))
 
 
 # --- ground peak enumeration oracle -----------------------------------------
