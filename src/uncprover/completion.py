@@ -21,6 +21,7 @@ from .terms import (
     Term,
     Var,
     canonical_key,
+    find,
     fn_subterms,
     fresh_name,
     match,
@@ -417,24 +418,17 @@ def direct_sum_decompose(R: TRS) -> tuple[TRS, ...]:
     if not R.rules:
         return (R,)
     parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     rule_syms: list[list[str]] = []
     for rule in R.rules:
         syms = sorted({s.sym for _, s in fn_subterms(rule.lhs)} |
                       {s.sym for _, s in fn_subterms(rule.rhs)})
         rule_syms.append(syms)
         for a, b in zip(syms, syms[1:]):
-            parent[find(a)] = find(b)
+            parent[find(parent, a)] = find(parent, b)
     # root -> (rules, symbols) of one component, in order of first rule
     groups: dict[str, tuple[list[RewriteRule], set[str]]] = {}
     for rule, syms in zip(R.rules, rule_syms):
-        rules, group_syms = groups.setdefault(find(syms[0]), ([], set()))
+        rules, group_syms = groups.setdefault(find(parent, syms[0]), ([], set()))
         rules.append(rule)
         group_syms.update(syms)
     return tuple(TRS(R.signature.restrict(syms), tuple(rules))

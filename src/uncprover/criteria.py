@@ -262,9 +262,6 @@ class _RankedSearch:
         self.rank0: dict[tuple[Multiset, Term], frozenset[SimState]] = {}
         self.step1: dict[tuple[Multiset, Term, Term], frozenset[Multiset]] = {}
 
-    def check(self) -> None:
-        self.budgets.check()
-
     def states(self, gamma: Multiset, value: Term) -> frozenset[SimState]:
         """`eq_states` of a sorted multiset, memoized for this check."""
         key = (gamma, value)
@@ -399,7 +396,7 @@ def _step1_remainders(W: _RankedSearch, g: Multiset, s: Term, t: Term,
     hit = W.step1.get(key)
     if hit is not None:
         return hit
-    W.check()
+    W.budgets.check()
     out: set[Multiset] = set()
     for _, _, _, xs, ys in _steps(W, g, s, t):
         out |= _tuple_remainders(W, g, xs, ys)
@@ -518,6 +515,6 @@ def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
     W = _RankedSearch(C, budgets)
 
     def closed(cp: CriticalPair) -> tuple[Optional[str], bool]:
-        W.check()
+        budgets.check()
         return wd_ccp_satisfied(W, cp.conditions, cp.left, cp.right), False
     return _closure_report(name, C, budgets, closed)

@@ -20,6 +20,7 @@ from .terms import (
     App,
     Term,
     Var,
+    find,
     fresh_name,
     substitute,
     var_occurrences,
@@ -113,13 +114,6 @@ class CongruenceClosure:
         for eq in equations:
             self.merge(eq.lhs, eq.rhs)
 
-    def _find(self, t: Term) -> Term:
-        p = self._parent
-        while p.get(t, t) != t:
-            p[t] = p.get(p[t], p[t])
-            t = p[t]
-        return t
-
     def _add(self, t: Term) -> None:
         if t in self._parent:
             return
@@ -130,7 +124,7 @@ class CongruenceClosure:
                 self._add(a)
 
     def _union(self, s: Term, t: Term) -> bool:
-        rs, rt = self._find(s), self._find(t)
+        rs, rt = find(self._parent, s), find(self._parent, t)
         if rs == rt:
             return False
         self._parent[rt] = rs
@@ -142,7 +136,7 @@ class CongruenceClosure:
             changed = False
             canon: dict[tuple, Term] = {}
             for t in self._apps:
-                key = (t.sym, tuple(self._find(a) for a in t.args))
+                key = (t.sym, tuple(find(self._parent, a) for a in t.args))
                 other = canon.get(key)
                 if other is None:
                     canon[key] = t
@@ -159,4 +153,4 @@ class CongruenceClosure:
         self._add(s)
         self._add(t)
         self._propagate()
-        return self._find(s) == self._find(t)
+        return find(self._parent, s) == find(self._parent, t)

@@ -82,6 +82,8 @@ class StrategyConfig:
             raise ValueError("timeout must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        if not self.methods:
+            raise ValueError("methods must not be empty")
         for m in self.methods:
             if m.removeprefix("rev+") not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -186,14 +188,10 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     return ("NO", _witness_lines(found)) if validate_witness(R, found) else None
 
 
-class _OutOfTime(Exception):
-    """The deadline passed before the next method could start."""
-
-
 def _first_answer(R: TRS, config: StrategyConfig, budgets: Budgets,
                   ) -> Optional[tuple[str, str, list[str]]]:
     """(answer, tag, certificate lines) of the first method in the order of
-    `config.methods` that answers on `R`, or None; `_OutOfTime` if the
+    `config.methods` that answers on `R`, or None; `TimeoutError` if the
     deadline passes before a method starts.
 
     The disprove-only methods are deferred, as the module docstring says.
@@ -226,9 +224,8 @@ def _first_answer(R: TRS, config: StrategyConfig, budgets: Budgets,
 def _attempt(tag: str, R: TRS, config: StrategyConfig, budgets: Budgets,
              cut_at: Optional[float] = None) -> Optional[tuple[str, str, list[str]]]:
     """`_run_method` as (answer, tag, certificate lines), cut at `cut_at` if
-    given; `_OutOfTime` if the deadline of `budgets` has passed."""
-    if time.monotonic() > budgets.deadline:
-        raise _OutOfTime
+    given; `TimeoutError` if the deadline of `budgets` has passed."""
+    budgets.check()
     if cut_at is not None:
         budgets = replace(budgets, deadline=cut_at)
     outcome = _run_method(tag, R, config, budgets)
@@ -271,7 +268,7 @@ def prove_unc(problem: Union[ProblemFile, TRS],
         answer, tag = "MAYBE", None
         try:
             outcome = _first_answer(comp, config, budgets)
-        except _OutOfTime:
+        except TimeoutError:
             lines.append(f"component {ci}: timeout")
         else:
             if outcome is None:

@@ -277,6 +277,15 @@ def _occurs(name: str, t: Term, bound: Mapping[str, Term]) -> bool:
     return False
 
 
+def find(parent: dict, x):
+    """Root of `x` in the union-find forest `parent`, which maps a node to
+    its parent and leaves a root out or maps it to itself; halves the path."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
 def unifiable_rational(s: Term, t: Term) -> bool:
     """Unifiability of `s` and `t` over infinite (rational) trees.
 
@@ -284,17 +293,10 @@ def unifiable_rational(s: Term, t: Term) -> bool:
     subterm equations detects symbol clashes, cycles are permitted.
     """
     parent: dict[Term, Term] = {}
-
-    def find(u: Term) -> Term:
-        while parent.get(u, u) != u:
-            parent[u] = parent.get(parent[u], parent[u])
-            u = parent[u]
-        return u
-
     pairs = [(s, t)]
     while pairs:
         a, b = pairs.pop()
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             continue
         if isinstance(ra, App) and isinstance(rb, App):

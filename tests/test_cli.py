@@ -1,8 +1,13 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import uncprover
 from uncprover.cli import build_parser, main
 from uncprover.config import Budgets
 from uncprover.cops import MAX_DEPTH, parse_cops
@@ -163,6 +168,19 @@ def test_console_entry_point():
     assert proc.returncode == 2
 
 
+def test_readme_library_snippet_and_exported_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    assert out.getvalue() == "YES\n"
+    for name in uncprover.__all__:
+        assert getattr(uncprover, name, None) is not None, name
+        assert f"`{name}`" in library, name
+
+
 def test_decomposition_across_components(run):
     text = "(VAR x)\n(RULES g(x) -> g(g(x))  a -> b)\n"
     code, out, _ = run(text, "--certificate")
@@ -221,7 +239,8 @@ def test_budget_flags_accepted(run):
 
 
 @pytest.mark.parametrize("args", [("--timeout", "nan"), ("--timeout", "0"),
-                                  ("--budget-size", "-3"), ("--budget-conv", "-2")])
+                                  ("--budget-size", "-3"), ("--budget-conv", "-2"),
+                                  ("--methods", ",")])
 def test_malformed_limits_rejected(run, args):
     code, out, err = run(COPS_254, *args)
     assert code == 2 and out == "" and "error" in err

@@ -2,7 +2,7 @@ import gc
 import random
 import time
 import weakref
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -765,10 +765,10 @@ def test_weight_decreasing_check_keeps_no_state_after_it_returns(monkeypatch):
             super().__init__(*args)
             alive.append(weakref.ref(self))
 
-        def check(self):
-            step1_keys.extend(list(self.step1)[-1:])
-            rank0_keys.extend(list(self.rank0)[-1:])
-            super().check()
+        def states(self, gamma, value):
+            step1_keys.extend(islice(reversed(self.step1), 1))
+            rank0_keys.extend(islice(reversed(self.rank0), 1))
+            return super().states(gamma, value)
 
     assert not any(hasattr(v, "cache_info") for v in vars(uncprover.criteria).values())
     monkeypatch.setattr(uncprover.criteria, "_RankedSearch", Recording)

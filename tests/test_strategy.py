@@ -147,6 +147,13 @@ def test_config_accepts_exactly_the_table_tags():
             StrategyConfig(methods=(tag,))
 
 
+def test_a_cut_before_the_first_method_is_a_timeout():
+    res = prove_unc(parse_cops("(RULES a -> b  a -> c)"), StrategyConfig(timeout=1e-9))
+    assert (res.answer, res.method) == ("MAYBE", None)
+    lines = res.certificate.splitlines()
+    assert "component 1: timeout" in lines and "reason: timeout" in lines
+
+
 #: The tags that disprove each system; neither is UNC.  On fxx_escape
 #: only the reversed runs find the witness.
 NO_TAGS = {"not_unc_escape": {"cp", "rev+cp", "sc", "rev+sc", "dc", "rev+dc"},
