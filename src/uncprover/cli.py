@@ -53,6 +53,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {args.file}: {e}", file=sys.stderr)
+        return 2
     try:
         problem = parse_cops(text)
     except CopsParseError as e:

@@ -131,7 +131,7 @@ def _pick_join(S: TRS, u: Term, v: Term, budgets: Budgets):
     """
     candidates = []
     for branch, (lhs, other) in enumerate(((v, u), (u, v))):
-        dev, _ = development_step_reducts(S, other, budgets.dev_cap, budgets=budgets)
+        dev, _ = development_step_reducts(S, other, budgets=budgets)
         for w, path in dev.items():
             if w == lhs or variables(w) - variables(lhs):
                 continue
@@ -174,7 +174,6 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
         for round_no in range(1, max_rounds + 1):
             budgets.check()
             new_rules: list[tuple[RewriteRule, Trace]] = []
-            handled_overlays: set[frozenset[str]] = set()
             known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
             all_closed = True
             for cp in pair_stream(current, budgets):
@@ -183,12 +182,6 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                         or pred.pair_closed(current, cp, budgets)[0] is not None):
                     continue
                 all_closed = False
-                if cp.overlay:
-                    key = frozenset((canonical_key((cp.left,)),
-                                     canonical_key((cp.right,))))
-                    if key in handled_overlays:
-                        continue
-                    handled_overlays.add(key)
                 # left <- peak -> right
                 base = (ConvStep(cp.left, cp.peak, cp.inner, cp.pos, False),
                         ConvStep(cp.peak, cp.right, cp.outer, (), True))

@@ -3,7 +3,8 @@
 The undecidable searches (many-step reachability, conversion search,
 completion) are bounded by these knobs; every bound errs on the side of
 answering "unknown" rather than guessing.  The integer caps cut with a
-truncation flag; past the deadline `check` raises `TimeoutError`.
+truncation flag; past the deadline `check` raises `TimeoutError`.  A
+multistep is finite, so only the clock bounds it.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ from typing import Optional
 class Budgets:
     #: depth bound for conversion / many-step reachability searches
     conv_depth: int = 5
-    #: iterations of parallel steps approximating a multistep (non-left-linear case)
-    dev_cap: int = 3
     #: maximal term size (symbol count) kept during searches, 0 for no cap
     size_cap: int = 40
     #: most terms one conversion class or bounded search keeps, 0 for no cap
@@ -27,7 +26,7 @@ class Budgets:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if min(self.conv_depth, self.dev_cap, self.size_cap, self.max_class) < 0:
+        if min(self.conv_depth, self.size_cap, self.max_class) < 0:
             raise ValueError("budgets must not be negative")
 
     def check(self) -> None:

@@ -156,8 +156,7 @@ PARALLEL_CLOSED = ConfluencePredicate(
 DEVELOPMENT_CLOSED = ConfluencePredicate(
     "development-closed", lambda S: S.left_linear and not S.conditional,
     _big_step_pair("development step",
-                   lambda S, t, holds, b: development_step_reducts(S, t, b.dev_cap,
-                                                                   budgets=b)))
+                   lambda S, t, holds, b: development_step_reducts(S, t, budgets=b)))
 
 
 def _closure_report(name: str, C: TRS, budgets: Budgets,

@@ -10,8 +10,9 @@ test; `reach` is the one bounded breadth-first search, over any one-step
 relation, and keeps the edge by which it first reached each node: it runs
 both joins of `strong_joins`, the conversion classes and the rank-0
 closures of `criteria`; and `_big_step` is the one recursion behind the
-parallel step and the multistep, which `development_step_reducts` returns
-with a path of single steps per reduct for `replay_path`.
+parallel step and the multistep.  `development_step_reducts` is that
+multistep on every system, left-linear or not, with a path of single steps
+per reduct for `replay_path`.
 
 All operations are pure; step budgets are per call, and the long searches
 call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
@@ -372,6 +373,7 @@ def bounded_reducts(R: TRS, t: Term, depth: int, size_cap: int = 0,
 
 
 #: A path of single steps: (redex position, rule index) to apply in order.
+#: A big step's path contracts a redex before the redexes in its contractum.
 DevPath = tuple[tuple[Position, int], ...]
 
 
@@ -388,8 +390,8 @@ def _big_step(R: TRS, t: Term, nested: bool, holds: Optional[Entails],
     if t in memo:
         return memo[t]
     out: dict[Term, DevPath] = {}
-    # reducts come by redex position set, then by rules, the order that a
-    # cut of iterated parallel steps follows: group each argument's by positions
+    # reducts come by redex position set, then by rules, the order of an
+    # enumeration of position sets: group each argument's by positions
     groups = [[list(g) for _, g in groupby(_big_step(R, a, nested, holds, memo, budgets)
                                            .items(), lambda e: [p for p, _ in e[1]])]
               for a in t.args]
@@ -442,25 +444,13 @@ def replay_path(R: TRS, start: Term, path: DevPath) -> list["ConvStep"]:
     return steps
 
 
-def development_step_reducts(R: TRS, t: Term, cap: int = 3, max_terms: int = 4096,
+def development_step_reducts(R: TRS, t: Term, max_terms: int = 4096,
                              budgets: Budgets = DEFAULT_BUDGETS,
                              ) -> tuple[dict[Term, DevPath], bool]:
-    """Multistep reducts of `t`, each with a path for `replay_path`, and a
-    truncation flag.
-
-    For left-linear systems this is one exact multistep.  Otherwise the
-    multistep is over-approximated by up to `cap` iterated parallel steps,
-    still a sound subset of many-step rewriting, and a path lists the
-    disjoint redexes of each parallel step in turn; that iteration stops and
-    reports truncation once it holds more than `max_terms` terms.
-    """
-    if R.left_linear:
-        out = _big_step(R, t, True, None, {}, budgets)
-        return out, len(out) > max_terms
-    reached, cut = reach(lambda u: ((rs, v) for v, rs in parallel_steps(R, u, None, budgets)
-                                    .items()), t, cap, 0, max_terms + 1, budgets)
-    return {w: tuple(e for rs in reach_path(reached, w) for e in rs)
-            for w in reached}, cut
+    """Reducts of `t` under one multistep, each with a path for
+    `replay_path`, and a flag set when there are more than `max_terms`."""
+    out = _big_step(R, t, True, None, {}, budgets)
+    return out, len(out) > max_terms
 
 
 def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
@@ -668,8 +658,10 @@ class ConversionClass:
     cut: bool
 
 
-def conversion_class(R: TRS, seed: Term, depth: int, size_cap: int = 40,
-                     max_class: int = 2000, budgets: Budgets = DEFAULT_BUDGETS,
+def conversion_class(R: TRS, seed: Term, depth: int,
+                     size_cap: int = DEFAULT_BUDGETS.size_cap,
+                     max_class: int = DEFAULT_BUDGETS.max_class,
+                     budgets: Budgets = DEFAULT_BUDGETS,
                      visit: Optional[Visit] = None) -> ConversionClass:
     """Terms within `depth` conversion steps of `seed`, up to renaming of
     the variables not in the seed; `max_class` and `visit` cut as `reach`'s

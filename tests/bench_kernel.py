@@ -46,7 +46,7 @@ def cops126_round3():
 def test_critical_pairs_cops126_round3(benchmark, cops126_round3):
     cps = benchmark.pedantic(critical_pairs, args=(cops126_round3,), rounds=3,
                              iterations=1)
-    assert len(cops126_round3.rules) == 42 and len(cps) == 10096
+    assert len(cops126_round3.rules) == 46 and len(cps) == 12437
 
 
 def test_weight_decreasing_unc_ac(benchmark):

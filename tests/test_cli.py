@@ -127,6 +127,16 @@ def test_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "prob.trs"
+    p.write_bytes(b"(VAR x)\n(RULES f(x) -> \xff(x))\n")
+    code = main(["prove", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: {p}: " in err
+
+
 def test_certificate_flag(run):
     code, out, _ = run(AB_AC, "--certificate")
     lines = out.splitlines()
@@ -246,7 +256,7 @@ def test_malformed_limits_rejected(run, args):
     assert code == 2 and out == "" and "error" in err
 
 
-@pytest.mark.parametrize("field", ["conv_depth", "dev_cap", "size_cap", "max_class"])
+@pytest.mark.parametrize("field", ["conv_depth", "size_cap", "max_class"])
 def test_negative_budget_rejected(field):
     with pytest.raises(ValueError):
         Budgets(**{field: -1})

@@ -198,7 +198,7 @@ def test_closure_searches_past_the_deadline_raise():
             _pick_join(R, g(b), a, past)
     # pairs <g(b), b> and <b, g(b)>: closed, but past the deadline the pair
     # tests raise rather than call them unclosed (h keeps the system
-    # non-left-linear, so dc iterates parallel steps)
+    # non-left-linear)
     S = TRS.of([RewriteRule(a, b), RewriteRule(a, g(b)), RewriteRule(g(x), x),
                 RewriteRule(h(x, x), x)])
     cps = critical_pairs(S)
@@ -310,6 +310,22 @@ def test_one_pass_rounds_agree_with_the_two_loop_oracle(rng):
     for R, rounds in cases:
         for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
             assert unc_complete(R, pred, rounds) == _two_loop_unc_complete(R, pred, rounds)
+
+
+def test_completion_never_certifies_a_non_left_linear_system(rng):
+    # completion only adds rules, so a non-left-linear system stays one, and
+    # neither closure criterion holds for it
+    statuses = set()
+    for _ in range(60):
+        R = random_system(rng)
+        if R.left_linear:
+            R = TRS.of(R.rules + (RewriteRule(f(x, x), x),))
+        for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+            verdict = unc_complete(R, pred, budgets=Budgets(deadline=time.monotonic() + 2))
+            statuses.add(verdict.status)
+            assert verdict.status != "UNC"
+            assert not TRS.of(R.rules + verdict.added_rules).left_linear
+    assert statuses == {"NOT_UNC", "MAYBE"}
 
 
 def test_a_disproving_pair_answers_before_later_pairs_are_built(monkeypatch):

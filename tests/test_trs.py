@@ -195,13 +195,13 @@ def test_multistep_checks_the_budget_once_per_combination():
 @given(term_strategy(max_leaves=5))
 def test_parallel_below_development(t):
     R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), x)])
-    devs, _ = development_step_reducts(R, t, cap=3)
+    devs, _ = development_step_reducts(R, t)
     assert parallel_step_reducts(R, t) <= devs.keys()
 
 
 @given(term_strategy(max_leaves=5))
 def test_development_paths_replay(t):
-    # one exact multistep, and iterated parallel steps for the non-left-linear
+    # one exact multistep, on a left-linear system and with the non-left-linear
     # f(x, x) -> x
     for R in (TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)),
                       RewriteRule(f(b, x), x)]),
@@ -214,16 +214,19 @@ def test_development_paths_replay(t):
             assert end == reduct
 
 
-def test_development_path_contracts_a_parallel_step_redex_by_redex():
+def test_development_path_contracts_the_root_then_the_copies():
     R = TRS.of([RewriteRule(a, b), RewriteRule(g(x), f(x, x)), RewriteRule(f(x, x), x)])
     assert not R.left_linear
     t = f(g(a), g(a))
-    # three parallel steps, the first two with two redexes each:
-    # f(g(a), g(a)) -> f(f(a, a), f(a, a)) -> f(a, a) -> a
-    path = development_step_reducts(R, t)[0][a]
-    assert path == (((1,), 1), ((2,), 1), ((1,), 2), ((2,), 2), ((), 2))
+    # one multistep: the root redex f(x, x) -> x leaves g(a), whose redex
+    # g(x) -> f(x, x) is contracted next, then the two copies of a:
+    # f(g(a), g(a)) -> g(a) -> f(a, a) -> f(b, a) -> f(b, b)
+    devs, _ = development_step_reducts(R, t)
+    path = devs[f(b, b)]
+    assert path == (((), 2), ((), 1), ((1,), 0), ((2,), 0))
     steps = replay_path(R, t, path)
-    assert trace_valid(R, steps) and steps[-1].dst == a
+    assert trace_valid(R, steps) and steps[-1].dst == f(b, b)
+    assert a not in devs  # f(g(a), g(a)) ->> f(a, a) ->> a takes two multisteps
 
 
 def test_critical_pairs_orthogonal_empty():
@@ -416,28 +419,6 @@ def _oracle_bounded_reducts(R, t, depth, size_cap=0, max_terms=0):
     return seen
 
 
-def _oracle_iterated_parallel_steps(R, t, cap=3, max_terms=4096):
-    """The non-left-linear branch of `development_step_reducts`."""
-    seen = {t}
-    frontier = [t]
-    truncated = False
-    for _ in range(cap):
-        nxt = []
-        for u in frontier:
-            for v in parallel_steps(R, u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                if len(seen) > max_terms:
-                    return seen, True
-        if not nxt:
-            break
-        frontier = nxt
-    else:
-        truncated = bool(frontier)
-    return seen, truncated
-
-
 def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
     past = Budgets(deadline=time.monotonic() - 1)
     for _ in range(150):
@@ -451,12 +432,16 @@ def test_bounded_reach_matches_loop_oracles_on_random_systems(rng):
                     == _oracle_bounded_reducts(R, t, depth, size_cap, max_terms)
             with pytest.raises(TimeoutError):
                 bounded_reducts(R, t, 3, budgets=past)
-            for cap, max_terms in product((0, 1, 3), (1, 2, 5, 4096)):
-                devs, truncated = development_step_reducts(R, t, cap, max_terms)
-                assert (set(devs), truncated) \
-                    == _oracle_iterated_parallel_steps(R, t, cap, max_terms)
-            with pytest.raises(TimeoutError):
-                development_step_reducts(R, t, budgets=past)
+            # a multistep on the same non-left-linear systems
+            oracle = _unindexed_multistep(R, t, {})
+            for max_terms in (1, 2, 5, 4096):
+                devs, truncated = development_step_reducts(R, t, max_terms)
+                assert (devs, truncated) == (oracle, len(oracle) > max_terms)
+            if isinstance(t, Var):  # no combination, so no clock check
+                assert development_step_reducts(R, t, budgets=past) == ({t: ()}, False)
+            else:
+                with pytest.raises(TimeoutError):
+                    development_step_reducts(R, t, budgets=past)
 
 
 _SEED_PROBE = """
@@ -465,7 +450,7 @@ from uncprover.trs import TRS, RewriteRule, bounded_reducts, development_step_re
 t = f(f(x, y), z)
 print(sorted(map(repr, bounded_reducts(AC, t, 3, 0, 6))))
 R = TRS.of(AC.rules + (RewriteRule(h(x, x), x),))
-print(sorted(map(repr, development_step_reducts(R, t, 3, 5)[0])))
+print(sorted(map(repr, development_step_reducts(R, t)[0])))
 """
 
 
