@@ -216,7 +216,7 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
                                round_no)
             for rule, trace in new_rules:
                 expanded = _expand_trace(trace, n_original, added_traces)
-                current = TRS(current.signature, current.rules + (rule,))
+                current = TRS(current.rules + (rule,))
                 added.append(rule)
                 added_traces.append(expanded)
     except TimeoutError:
@@ -258,7 +258,7 @@ def rule_reverse_mapped(R: TRS) -> tuple[TRS, tuple[tuple[str, int], ...]]:
                 and not is_normal_form(cur, rule.rhs))
 
     while True:
-        cur = TRS(R.signature, tuple(rules))
+        cur = TRS(tuple(rules))
         i = next((i for i, rule in enumerate(rules) if flips(i, rule, cur)), None)
         if i is None:
             break
@@ -269,14 +269,14 @@ def rule_reverse_mapped(R: TRS) -> tuple[TRS, tuple[tuple[str, int], ...]]:
     while i < len(rules):
         lhs, rhs = rules[i].lhs, rules[i].rhs
         if lhs == rhs and not is_normal_form(
-                TRS(R.signature, tuple(rules[:i] + rules[i + 1:])), lhs):
+                TRS(tuple(rules[:i] + rules[i + 1:])), lhs):
             del rules[i], origin[i]
         else:
             i += 1
     first_origin: dict[RewriteRule, tuple[str, int]] = {}
     for rule, org in zip(rules, origin):
         first_origin.setdefault(rule, org)
-    return TRS(R.signature, tuple(first_origin)), tuple(first_origin.values())
+    return TRS(tuple(first_origin)), tuple(first_origin.values())
 
 
 def translate_trace(steps: Iterable[ConvStep], origin: tuple[tuple[str, int], ...],
@@ -407,7 +407,7 @@ def _connect(reached: Reached, a: Term, b: Term) -> Trace:
 
 
 def direct_sum_decompose(R: TRS) -> tuple[TRS, ...]:
-    """Finest partition of the rules into systems over disjoint signatures."""
+    """Finest partition of the rules into systems over disjoint symbols."""
     if not R.rules:
         return (R,)
     parent: dict[str, str] = {}
@@ -418,11 +418,8 @@ def direct_sum_decompose(R: TRS) -> tuple[TRS, ...]:
         rule_syms.append(syms)
         for a, b in zip(syms, syms[1:]):
             parent[find(parent, a)] = find(parent, b)
-    # root -> (rules, symbols) of one component, in order of first rule
-    groups: dict[str, tuple[list[RewriteRule], set[str]]] = {}
+    # root -> rules of one component, in order of first rule
+    groups: dict[str, list[RewriteRule]] = {}
     for rule, syms in zip(R.rules, rule_syms):
-        rules, group_syms = groups.setdefault(find(parent, syms[0]), ([], set()))
-        rules.append(rule)
-        group_syms.update(syms)
-    return tuple(TRS(R.signature.restrict(syms), tuple(rules))
-                 for rules, syms in groups.values())
+        groups.setdefault(find(parent, syms[0]), []).append(rule)
+    return tuple(TRS(tuple(rules)) for rules in groups.values())

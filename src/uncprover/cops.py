@@ -5,8 +5,9 @@ A problem is a sequence of parenthesised blocks, in any order: an optional
 `lhs -> rhs` rules, and an optional `(COMMENT ...)` block kept as its
 tokens joined by spaces.  Identifiers not declared as variables are
 function symbols; arities are inferred from first use and checked
-globally.  A term nests at most `MAX_DEPTH` argument lists.  Every error
-is a `CopsParseError` that carries the line and column where it was found.
+globally.  A term nests at most `MAX_DEPTH` argument lists.  Having checked
+what `TRS.of` checks, the reader builds its `TRS` directly.  Every error is
+a `CopsParseError` that carries the line and column where it was found.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn, Optional
 
-from .terms import MAX_DEPTH, App, Signature, Term, Var, variables
+from .terms import MAX_DEPTH, App, Term, Var, variables
 from .trs import TRS, RewriteRule
 
 
@@ -122,8 +123,7 @@ class _Parser:
             if extra:
                 _fail(f"rule introduces fresh variables {sorted(extra)} on the right", at)
             rules.append(RewriteRule(lhs, rhs))
-        sig = Signature.of({name: ar for name, (ar, _) in self.arities.items()})
-        return ProblemFile(tuple(var_names), TRS(sig, tuple(dict.fromkeys(rules))), comment)
+        return ProblemFile(tuple(var_names), TRS(tuple(dict.fromkeys(rules))), comment)
 
     def term(self, depth: int) -> Term:
         tok = self.take()

@@ -38,11 +38,12 @@ def conditional_linearize(R: TRS) -> TRS:
     rules pass through unchanged.
     """
     out = []
+    symbols = R.symbols()
     for rule in R.rules:
         if rule.left_linear:
             out.append(rule)
             continue
-        used = variables(rule.lhs) | variables(rule.rhs) | set(R.signature.symbols())
+        used = variables(rule.lhs) | variables(rule.rhs) | symbols
         occ_names = var_occurrences(rule.lhs)
         copies: dict[str, list[str]] = {}
         new_names: list[str] = []
@@ -63,15 +64,16 @@ def conditional_linearize(R: TRS) -> TRS:
             cs = copies[name]
             conds.extend(Equation(Var(a), Var(b)) for a, b in zip(cs, cs[1:]))
         out.append(RewriteRule(lhs, rhs, tuple(conds)))
-    return TRS(R.signature, tuple(out))
+    return TRS(tuple(out))
 
 
 def lr_separated_linearize(R: TRS) -> TRS:
     """Separate every lhs variable occurrence from the rhs via a fresh
     variable and a condition equating it with the original variable."""
     out = []
+    symbols = R.symbols()
     for rule in R.rules:
-        used = variables(rule.lhs) | variables(rule.rhs) | set(R.signature.symbols())
+        used = variables(rule.lhs) | variables(rule.rhs) | symbols
         occ_names = var_occurrences(rule.lhs)
         new_names = []
         conds = []
@@ -82,7 +84,7 @@ def lr_separated_linearize(R: TRS) -> TRS:
             conds.append(Equation(Var(fresh), Var(name)))
         lhs = _relabel_occurrences(rule.lhs, new_names)
         out.append(RewriteRule(lhs, rule.rhs, tuple(conds)))
-    return TRS(R.signature, tuple(out))
+    return TRS(tuple(out))
 
 
 def _relabel_occurrences(t: Term, names: list[str]) -> Term:

@@ -25,9 +25,11 @@ The timeout becomes the deadline of the one `config.Budgets` every method
 receives; it is checked here between methods, and inside every method but
 `rr`.  `cp`, `pcl`, `scl`, `wd`, `sc` and `dc` catch their own clock cuts,
 and `_run_method` catches those of `sno` and `omega`, which have no report
-to carry one; a cut answers MAYBE.  `pcl` and `scl` run a closure predicate
-of `criteria` on a linearization, and `sc` and `dc` run
-`completion.unc_complete` with one.
+to carry one; a cut answers MAYBE.  A search that builds terms too deep
+for Python's stack raises `RecursionError`; `_run_method` catches it too,
+so that method gives no answer and the portfolio goes on.  `pcl` and `scl`
+run a closure predicate of `criteria` on a linearization, and `sc` and `dc`
+run `completion.unc_complete` with one.
 """
 from __future__ import annotations
 
@@ -174,12 +176,13 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
 
     A witness found on the reversed system is translated back, and every
     witness is replayed over `R`'s own rules before it counts as a NO.  A
-    clock cut that a prover does not catch itself gives None."""
+    clock cut that a prover does not catch itself, or a stack overflow,
+    gives None."""
     base = tag.removeprefix("rev+")
     system, origin = rule_reverse_mapped(R) if tag != base else (R, None)
     try:
         found = METHODS[base].run(system, config, budgets)
-    except TimeoutError:
+    except (TimeoutError, RecursionError):
         return None
     if not isinstance(found, Witness):
         return None if found is None else ("YES", found)

@@ -1,4 +1,4 @@
-"""First-order terms over a fixed-arity signature.
+"""First-order terms: variables and applications of function symbols.
 
 Terms are immutable values; variables are identified by name and names are
 disjoint from function symbols.  Positions are tuples of 1-based argument
@@ -7,7 +7,6 @@ indices, the empty tuple being the root.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 # Tuples, so the sets and memos of the searches hash and compare terms in C;
@@ -36,56 +35,10 @@ Subst = Mapping[str, Term]
 Position = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Immutable map from function symbol to arity."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        table = {}
-        for sym, ar in self.entries:
-            if "\x00" in sym:  # reserved for canonical variable names
-                raise ValueError(f"symbol {sym!r} contains NUL")
-            if ar < 0:
-                raise ValueError(f"negative arity for {sym}")
-            if sym in table and table[sym] != ar:
-                raise ValueError(f"conflicting arities for {sym}")
-            table[sym] = ar
-        object.__setattr__(self, "_table", table)
-
-    @staticmethod
-    def of(mapping: Mapping[str, int]) -> "Signature":
-        return Signature(tuple(sorted(mapping.items())))
-
-    def arity(self, sym: str) -> int:
-        return self._table[sym]
-
-    def __contains__(self, sym: str) -> bool:
-        return sym in self._table
-
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(sorted(self._table))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._table)
-
-    def restrict(self, syms: Iterable[str]) -> "Signature":
-        keep = set(syms)
-        return Signature(tuple((s, a) for s, a in sorted(self._table.items()) if s in keep))
-
-
-def well_formed(t: Term, sig: Signature) -> bool:
-    """True iff every symbol of `t` is declared with matching arity."""
-    if isinstance(t, Var):
-        return True
-    if t.sym not in sig or sig.arity(t.sym) != len(t.args):
-        return False
-    return all(well_formed(a, sig) for a in t.args)
-
-
-def infer_signature(terms: Iterable[Term]) -> Signature:
-    """Signature read off from symbol uses; raises on arity conflicts."""
+def arities(terms: Iterable[Term]) -> dict[str, int]:
+    """Arity of every function symbol used in `terms`; `ValueError` on a
+    symbol used with two arities or one that contains NUL, which is
+    reserved for canonical variable names."""
     table: dict[str, int] = {}
     stack = list(terms)
     while stack:
@@ -94,7 +47,10 @@ def infer_signature(terms: Iterable[Term]) -> Signature:
             if table.setdefault(t.sym, len(t.args)) != len(t.args):
                 raise ValueError(f"conflicting arities for {t.sym}")
             stack.extend(t.args)
-    return Signature.of(table)
+    for sym in table:
+        if "\x00" in sym:
+            raise ValueError(f"symbol {sym!r} contains NUL")
+    return table
 
 
 #: Deepest nesting of argument lists a term may have.  The prover recurses

@@ -1,10 +1,11 @@
 """Rewrite systems: rewriting, closures of steps, critical pairs.
 
 There is one rule type and one system type: a `RewriteRule` carries a
-(possibly empty) tuple of `Equation` conditions, and a conditional system
-is a `TRS` some of whose rules have conditions.  The searches here serve
-the conditional systems of `ctrs` and `criteria` as well:
-`redexes` is the one root-indexed match loop, conditions included;
+(possibly empty) tuple of `Equation` conditions, and a `TRS` is its rules
+alone, conditional when some rule has conditions.  `TRS.of` checks the
+rules' depth and arities, raising `ValueError`; `TRS(rules)` trusts them.
+The searches here serve the conditional systems of `ctrs` and `criteria`
+as well: `redexes` is the one root-indexed match loop, conditions included;
 `overlaps` yields the overlap sites of `critical_pairs` and of the omega
 test; `reach` is the one bounded breadth-first search, over any one-step
 relation, and keeps the edge by which it first reached each node: it runs
@@ -30,15 +31,14 @@ from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
     App,
     Position,
-    Signature,
     Term,
     Var,
+    arities,
     canonical_key,
     canonical_renaming,
     check_depth,
     count_var,
     fn_subterms,
-    infer_signature,
     is_linear,
     match,
     mgu,
@@ -49,7 +49,6 @@ from .terms import (
     subterms,
     term_size,
     variables,
-    well_formed,
 )
 
 
@@ -158,20 +157,16 @@ class RewriteRule:
 class TRS:
     """A rewrite system; it is conditional when some rule has conditions."""
 
-    signature: Signature
     rules: tuple[RewriteRule, ...]
 
     @staticmethod
-    def of(rules: Iterable[RewriteRule], signature: Optional[Signature] = None) -> "TRS":
+    def of(rules: Iterable[RewriteRule]) -> "TRS":
+        """`TRS(rules)` without duplicates, once `check_depth` and `arities` pass."""
         rules = tuple(rules)
         check_depth(t for r in rules for t in r.sides())
         deduped = tuple(dict.fromkeys(rules))
-        if signature is None:
-            signature = infer_signature([t for r in deduped for t in r.sides()])
-        for r in deduped:
-            if not all(well_formed(t, signature) for t in r.sides()):
-                raise ValueError(f"rule {r!r} not well-formed over the signature")
-        return TRS(signature, deduped)
+        arities([t for r in deduped for t in r.sides()])
+        return TRS(deduped)
 
     @property
     def conditional(self) -> bool:
@@ -216,10 +211,14 @@ class TRS:
                      for r in self.rules)
 
     def symbols(self) -> set[str]:
+        """The function symbols of the rules, conditions included."""
         out: set[str] = set()
-        for r in self.rules:
-            for t in r.sides():
-                out.update(s.sym for _, s in fn_subterms(t))
+        stack = [t for r in self.rules for t in r.sides()]
+        while stack:
+            t = stack.pop()
+            if type(t) is App:
+                out.add(t.sym)
+                stack.extend(t.args)
         return out
 
 
@@ -237,12 +236,15 @@ class CriticalPair:
 
     left: Term
     right: Term
-    overlay: bool
     outer: int
     inner: int
     pos: Position
     peak: Term
     conditions: tuple[Equation, ...] = ()
+
+    @property
+    def overlay(self) -> bool:
+        return self.pos == ()
 
     @property
     def kind(self) -> str:
@@ -519,7 +521,7 @@ def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Critical
         if key in seen:
             continue
         seen.add(key)
-        yield CriticalPair(left, right, pos == (), oi, ii, pos, peak, conds)
+        yield CriticalPair(left, right, oi, ii, pos, peak, conds)
 
 
 def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:

@@ -40,7 +40,7 @@ def cops126_round3():
     """The system the third completion round of rev+dc sees on COPS_126."""
     R = rule_reverse_mapped(COPS_126)[0]
     verdict = unc_complete(R, DEVELOPMENT_CLOSED, max_rounds=2)
-    return TRS(R.signature, R.rules + verdict.added_rules)
+    return TRS(R.rules + verdict.added_rules)
 
 
 def test_critical_pairs_cops126_round3(benchmark, cops126_round3):

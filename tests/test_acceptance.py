@@ -479,7 +479,7 @@ def test_criterion_9_metamorphic():
                         violations += 1
                     if is_normal_form(grown, rule.lhs):
                         violations += 1
-                    grown = TRS(grown.signature, grown.rules + (rule,))
+                    grown = TRS(grown.rules + (rule,))
         # conditional closure checks match plain ones on lifted systems
         for _ in range(120):
             R = TRS.of([_random_rule(rnd) for _ in range(rnd.randint(1, 3))])

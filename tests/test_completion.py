@@ -114,7 +114,7 @@ def test_completion_added_rules_replay_over_original(rng):
                 assert trace_valid(R, trace)
                 assert trace[0].src == rule.lhs and trace[-1].dst == rule.rhs
                 assert not is_normal_form(grown, rule.lhs)
-                grown = TRS(grown.signature, grown.rules + (rule,))
+                grown = TRS(grown.rules + (rule,))
 
 
 def test_completion_round_budget():
@@ -290,7 +290,7 @@ def _two_loop_unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 
                                round_no)
             for rule, trace in new_rules:
                 expanded = _expand_trace(trace, n_original, added_traces)
-                current = TRS(current.signature, current.rules + (rule,))
+                current = TRS(current.rules + (rule,))
                 added.append(rule)
                 added_traces.append(expanded)
     except TimeoutError:
@@ -409,7 +409,7 @@ def _restarting_rule_reverse(R: TRS):
     changed = True
     while changed:
         changed = False
-        cur = TRS(R.signature, tuple(rules))
+        cur = TRS(tuple(rules))
         for i, rule in enumerate(rules):
             tag, orig = origin[i]
             if tag != "kept" or rule.lhs == rule.rhs:
@@ -430,7 +430,7 @@ def _restarting_rule_reverse(R: TRS):
         for i, rule in enumerate(rules):
             if rule.lhs != rule.rhs:
                 continue
-            rest = TRS(R.signature, tuple(r for j, r in enumerate(rules) if j != i))
+            rest = TRS(tuple(r for j, r in enumerate(rules) if j != i))
             if not is_normal_form(rest, rule.lhs):
                 del rules[i]
                 del origin[i]
@@ -439,7 +439,7 @@ def _restarting_rule_reverse(R: TRS):
     first_origin = {}
     for rule, org in zip(rules, origin):
         first_origin.setdefault(rule, org)
-    return TRS(R.signature, tuple(first_origin)), tuple(first_origin.values())
+    return TRS(tuple(first_origin)), tuple(first_origin.values())
 
 
 def test_rule_reverse_matches_the_restarting_loop(rng):
@@ -681,7 +681,7 @@ def test_unc_verdict_recheck_on_final_system():
     # and the pair test independently
     verdict = unc_complete(COPS_254, STRONGLY_CLOSED, max_rounds=3)
     assert verdict.status == "UNC"
-    final = TRS(COPS_254.signature, COPS_254.rules + verdict.added_rules)
+    final = TRS(COPS_254.rules + verdict.added_rules)
     assert STRONGLY_CLOSED.guard(final)
     from uncprover.trs import critical_pairs
     from uncprover.config import DEFAULT_BUDGETS

@@ -65,6 +65,18 @@ def test_linearize_triple_occurrence_chain():
     assert cc.entails(v1, v2) and cc.entails(v2, v3)
 
 
+def test_fresh_names_avoid_the_symbols_of_every_rule():
+    # the constants x1 and x2, one in the linearized rule and one in another
+    R = TRS.of([RewriteRule(f(x, x), App("x1")), RewriteRule(g(App("x2")), a)])
+    x3, x4 = Var("x3"), Var("x4")
+    assert conditional_linearize(R).rules[0] == \
+        RewriteRule(f(x3, x4), App("x1"), (Equation(x3, x4),))
+    assert lr_separated_linearize(R).rules[0] == \
+        RewriteRule(f(x3, x4), App("x1"), (Equation(x3, x), Equation(x4, x)))
+    for C in (conditional_linearize(R), lr_separated_linearize(R)):
+        assert not any(r.all_variables() & R.symbols() for r in C.rules)
+
+
 def _var_occs(t):
     from uncprover.terms import subterms
     return [(p, s) for p, s in subterms(t) if isinstance(s, Var)]

@@ -18,7 +18,7 @@ from uncprover.strategy import (
     _run_method,
     prove_unc,
 )
-from uncprover.terms import MAX_DEPTH, App, Var, infer_signature
+from uncprover.terms import MAX_DEPTH, App, Var
 from uncprover.trs import TRS, Equation, RewriteRule
 
 from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, random_system
@@ -131,9 +131,8 @@ def test_deeper_rules_are_refused(shape, depth):
     with pytest.raises(ValueError, match="deeper than"):
         TRS.of(rules)
     # a system built without `TRS.of` is refused by the prover itself
-    sig = infer_signature([t for r in rules for t in r.sides()])
     with pytest.raises(ValueError, match="deeper than"):
-        prove_unc(TRS(sig, rules))
+        prove_unc(TRS(rules))
 
 
 def test_config_accepts_exactly_the_table_tags():

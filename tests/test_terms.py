@@ -3,8 +3,8 @@ from hypothesis import strategies as st
 
 from uncprover.terms import (
     App,
-    Signature,
     Var,
+    arities,
     canonical_key,
     canonical_renaming,
     match,
@@ -15,7 +15,6 @@ from uncprover.terms import (
     replace_at,
     unifiable_rational,
     variables,
-    well_formed,
 )
 from uncprover.trs import TRS, RewriteRule
 
@@ -160,10 +159,10 @@ def test_positions_roundtrip(t):
 
 @given(term_strategy())
 def test_substitution_preserves_well_formedness(t):
-    sig = Signature.of({"f": 2, "g": 1, "a": 0, "b": 0})
-    assert well_formed(t, sig)
+    sig = {"f": 2, "g": 1, "a": 0, "b": 0}
+    assert arities([t]).items() <= sig.items()
     image = substitute(t, {"x": g(a), "y": f(a, b)})
-    assert well_formed(image, sig)
+    assert arities([image]).items() <= sig.items()
     assert variables(image) <= variables(t) | set()
 
 
@@ -215,14 +214,19 @@ def test_canonical_key_keeps_kept_names():
 
 def test_signature_rejects_nul_in_symbols():
     import pytest
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="contains NUL"):
+        arities([g(App("\x00v1"))])
+    with pytest.raises(ValueError, match="contains NUL"):
         TRS.of([RewriteRule(App("\x00v1"), a)])
 
 
 def test_signature_rejects_conflicts():
     import pytest
-    with pytest.raises(ValueError):
-        Signature(entries=(("f", 2), ("f", 1)))
+    with pytest.raises(ValueError, match="conflicting arities for f"):
+        arities([f(x, f(a))])
+    with pytest.raises(ValueError, match="conflicting arities for f"):
+        TRS.of([RewriteRule(f(x, y), x), RewriteRule(f(a), b)])
+    assert arities([f(x, g(a)), g(b)]) == {"f": 2, "g": 1, "a": 0, "b": 0}
 
 
 @given(term_strategy(XYZ))
