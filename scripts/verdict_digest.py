@@ -8,8 +8,7 @@ The items are those of `bench/workloads.py` (all workloads by default)
 that run at its common `TIMEOUT`; the deadline probes are left out, since
 how far they get follows the machine's speed.  The output of two source
 trees is the same exactly when every such verdict, method and certificate
-is, so a diff of two runs checks that a change kept them.  Some searches
-follow the hash seed, so compare runs made under the same PYTHONHASHSEED.
+is, so a diff of two runs checks that a change kept them.
 """
 import argparse
 import hashlib

@@ -43,6 +43,7 @@ from .trs import (
     is_normal_form,
     pair_stream,
     reach_path,
+    redexes,
     replay_path,
     reverse_trace,
     trace_valid,
@@ -236,46 +237,39 @@ def _add_rule(new_rules, known, rule: RewriteRule, trace: Trace) -> None:
 # rule reversing
 
 
-def rule_reverse_mapped(R: TRS) -> tuple[TRS, tuple[tuple[str, int], ...]]:
+def rule_reverse_mapped(R: TRS, budgets: Budgets = DEFAULT_BUDGETS,
+                        ) -> tuple[TRS, tuple[tuple[str, int], ...]]:
     """Reverse rules with reducible right-hand sides and drop redundant
-    identity rules; returns the new system plus per-rule provenance.
+    identity rules; returns the new system and per-rule provenance, each
+    ("kept" | "loop" | "flip", original rule index).
 
-    A rule l -> r is reversed (into l -> l and r -> l) only when r is
-    reducible, r -> l is well-formed, and l is strictly smaller than r;
-    the first such rule is reversed until none is left.  Then an identity
-    rule l -> l is dropped, in order, when the remaining rules still
-    reduce l.  Reversing only makes more terms reducible and dropping only
-    fewer, so neither step undoes the other.  Provenance tags: ("kept", i),
-    ("loop", i), ("flip", i) with i the original rule index.
+    A rule l -> r becomes l -> l and r -> l, in its place, when `R` reduces
+    r, l is smaller than r and r -> l is well-formed.  One pass suffices: an
+    instance of a reversed r holds an instance of the redex inside r, which
+    `R` reduces, so no reversal makes another rhs reducible.  Then an
+    identity rule is dropped, in order, when a rule neither it nor dropped
+    reduces its lhs.  Both passes check the budget's clock once per rule.
     """
-    rules: list[RewriteRule] = list(R.rules)
-    origin: list[tuple[str, int]] = [("kept", i) for i in range(len(rules))]
-
-    def flips(i: int, rule: RewriteRule, cur: TRS) -> bool:
-        return (origin[i][0] == "kept" and term_size(rule.lhs) < term_size(rule.rhs)
-                and not isinstance(rule.rhs, Var)
-                and not variables(rule.lhs) - variables(rule.rhs)
-                and not is_normal_form(cur, rule.rhs))
-
-    while True:
-        cur = TRS(tuple(rules))
-        i = next((i for i, rule in enumerate(rules) if flips(i, rule, cur)), None)
-        if i is None:
-            break
-        lhs, rhs = rules[i].lhs, rules[i].rhs
-        rules[i:i + 1] = [RewriteRule(lhs, lhs), RewriteRule(rhs, lhs)]
-        origin[i:i + 1] = [("loop", origin[i][1]), ("flip", origin[i][1])]
-    i = 0
-    while i < len(rules):
-        lhs, rhs = rules[i].lhs, rules[i].rhs
-        if lhs == rhs and not is_normal_form(
-                TRS(tuple(rules[:i] + rules[i + 1:])), lhs):
-            del rules[i], origin[i]
+    rules: list[tuple[RewriteRule, tuple[str, int]]] = []
+    for i, rule in enumerate(R.rules):
+        budgets.check()
+        lhs, rhs = rule.lhs, rule.rhs
+        if (term_size(lhs) < term_size(rhs) and not variables(lhs) - variables(rhs)
+                and not is_normal_form(R, rhs)):
+            rules += [(RewriteRule(lhs, lhs), ("loop", i)),
+                      (RewriteRule(rhs, lhs), ("flip", i))]
         else:
-            i += 1
+            rules.append((rule, ("kept", i)))
+    grown = TRS(tuple(rule for rule, _ in rules))
+    dropped: set[int] = set()
     first_origin: dict[RewriteRule, tuple[str, int]] = {}
-    for rule, org in zip(rules, origin):
-        first_origin.setdefault(rule, org)
+    for k, (rule, org) in enumerate(rules):
+        budgets.check()
+        if rule.lhs == rule.rhs and any(
+                j != k and j not in dropped for _, j, _, _ in redexes(grown, rule.lhs)):
+            dropped.add(k)
+        else:
+            first_origin.setdefault(rule, org)
     return TRS(tuple(first_origin)), tuple(first_origin.values())
 
 

@@ -89,9 +89,13 @@ def non_omega_overlapping(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
                    for _, _, _, inner, sub in overlaps(R.rules, budgets))
 
 
-def right_reducible(R: TRS) -> bool:
-    """Every rule's right-hand side is reducible."""
-    return all(not is_normal_form(R, r.rhs) for r in R.rules)
+def right_reducible(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+    """Every rule's right-hand side is reducible; checks the clock per rule."""
+    for r in R.rules:
+        budgets.check()
+        if is_normal_form(R, r.rhs):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

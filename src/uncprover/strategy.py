@@ -22,14 +22,14 @@ With a short timeout the deferral shows: a deferred `cp` starts later than
 its place in the list, and may run out of time where it would have answered.
 
 The timeout becomes the deadline of the one `config.Budgets` every method
-receives; it is checked here between methods, and inside every method but
-`rr`.  `cp`, `pcl`, `scl`, `wd`, `sc` and `dc` catch their own clock cuts,
-and `_run_method` catches those of `sno` and `omega`, which have no report
-to carry one; a cut answers MAYBE.  A search that builds terms too deep
-for Python's stack raises `RecursionError`; `_run_method` catches it too,
-so that method gives no answer and the portfolio goes on.  `pcl` and `scl`
-run a closure predicate of `criteria` on a linearization, and `sc` and `dc`
-run `completion.unc_complete` with one.
+receives; it is checked here between methods, inside every method and in
+the reversal of a "rev+" tag.  `cp`, `pcl`, `scl`, `wd`, `sc` and `dc`
+catch their own clock cuts, and `_run_method` the others, which have no
+report to carry one; a cut answers MAYBE.  A search that builds terms too
+deep for Python's stack raises `RecursionError`; `_run_method` catches it
+too, so that method gives no answer and the portfolio goes on.  `pcl` and
+`scl` run a closure predicate of `criteria` on a linearization, and `sc`
+and `dc` run `completion.unc_complete` with one.
 """
 from __future__ import annotations
 
@@ -154,7 +154,7 @@ METHODS = {
         if non_omega_overlapping(S, b) else None)),
     "rr": Method(PROVES, lambda S, c, b: (
         ["every right-hand side is reducible"]
-        if S.rules and right_reducible(S) else None)),
+        if S.rules and right_reducible(S, b) else None)),
     "pcl": Method(PROVES, lambda S, c, b: _report(
         "linearization is parallel-closed",
         parallel_closed_check(conditional_linearize(S), b))),
@@ -177,10 +177,10 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     A witness found on the reversed system is translated back, and every
     witness is replayed over `R`'s own rules before it counts as a NO.  A
     clock cut that a prover does not catch itself, or a stack overflow,
-    gives None."""
+    gives None; so does a cut reversal."""
     base = tag.removeprefix("rev+")
-    system, origin = rule_reverse_mapped(R) if tag != base else (R, None)
     try:
+        system, origin = rule_reverse_mapped(R, budgets) if tag != base else (R, None)
         found = METHODS[base].run(system, config, budgets)
     except (TimeoutError, RecursionError):
         return None

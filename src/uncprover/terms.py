@@ -96,14 +96,19 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
+    """`t` with `s` at `pos`, rebuilt bottom-up without recursion."""
     if not pos:
         return s
-    if isinstance(t, Var):
-        raise IndexError(f"position {pos} not in term")
-    i = pos[0]
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], pos[1:], s)
-    return App(t.sym, tuple(args))
+    path: list[tuple[str, list[Term], int]] = []
+    for i in pos:
+        if type(t) is Var:
+            raise IndexError(f"position {pos} not in term")
+        path.append((t.sym, list(t.args), i))
+        t = t.args[i - 1]
+    for sym, args, i in reversed(path):
+        args[i - 1] = s
+        s = App(sym, tuple(args))
+    return s
 
 
 def variables(t: Term) -> set[str]:
@@ -120,12 +125,7 @@ def variables(t: Term) -> set[str]:
 
 def var_occurrences(t: Term) -> list[str]:
     """Variable names of `t` in left-to-right occurrence order."""
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[str] = []
-    for a in t.args:
-        out.extend(var_occurrences(a))
-    return out
+    return [s.name for _, s in subterms(t) if type(s) is Var]
 
 
 def count_var(t: Term, name: str) -> int:

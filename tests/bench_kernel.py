@@ -1,5 +1,5 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
-and of the weight-decreasing check.
+of the weight-decreasing check and of rule reversal.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -11,7 +11,7 @@ from uncprover.criteria import DEVELOPMENT_CLOSED, weight_decreasing_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
 
-from conftest import a, b, c, f, x, y, z
+from conftest import a, b, c, f, ground_chain, x, y, z
 
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
@@ -55,3 +55,12 @@ def test_weight_decreasing_unc_ac(benchmark):
     assert report.failure == (
         "unclosed critical pair x11 = x2, y11 = y2, y1 = z2, f(x11,y11) = x, "
         "y1 = y, z1 = z => <f(f(x2,f(y2,z2)),z1), f(x,f(y,z))> [inner-outer]")
+
+
+def test_rule_reverse_mapped_ground_chain(benchmark):
+    # every c_i -> h(c_j) of the 800 rules is reversed into two rules, and
+    # no loop c_i -> c_i is dropped, as nothing else reduces c_i
+    R = ground_chain(400)
+    reversed_, _ = benchmark.pedantic(rule_reverse_mapped, args=(R,), rounds=3,
+                                      iterations=1)
+    assert len(R.rules) == 800 and len(reversed_.rules) == 1200

@@ -52,6 +52,15 @@ AC_G = TRS.of(AC.rules + (RewriteRule(g(x), g(g(x))),))
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 
 
+def ground_chain(n: int) -> TRS:
+    """h(c_i) -> c_{i+1} and c_i -> h(c_{7i}), indices mod n: 2n ground
+    rules, each rhs reducible, each c_i -> h(c_{7i}) reversible, and one root
+    bucket of 2n rules for h once they are reversed."""
+    c = [App(f"c{i}") for i in range(n)]
+    return TRS(tuple(rule for i in range(n) for rule in (
+        RewriteRule(h(c[i]), c[(i + 1) % n]), RewriteRule(c[i], h(c[7 * i % n])))))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -105,9 +105,9 @@ def test_searches_past_the_nesting_bound_without_a_size_cap(run):
 @pytest.mark.parametrize("methods, code, first", [(("--methods", "pcl"), 1, "MAYBE"),
                                                   ((), 0, "NO")])
 def test_search_that_outgrows_the_stack_gives_no_answer(run, methods, code, first):
-    # with conversions 12 deep, `pcl`'s many-step join builds terms so deep
-    # that `replace_at` recurses past Python's stack; that method answers
-    # nothing and the default portfolio goes on to `cp`'s NO
+    # with conversions 12 deep, `pcl`'s many-step join builds terms over a
+    # thousand levels deep and closes no pair within its budget; that method
+    # answers nothing and the default portfolio goes on to `cp`'s NO
     got, out, err = run(f"(RULES a -> {_nest(MAX_DEPTH, 'a')}  a -> b)",
                         "--budget-size", "0", "--budget-conv", "12", *methods)
     assert got == code, err

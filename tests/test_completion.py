@@ -9,6 +9,7 @@ import pytest
 
 import uncprover.completion
 import uncprover.trs
+from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import (Var, canonical_key, canonical_renaming, substitute, term_size,
                              variables)
@@ -45,6 +46,8 @@ from uncprover.config import DEFAULT_BUDGETS, Budgets
 
 from conftest import (AC, AC_G, COPS_126, CL, a, b, c, d, f, g, h, random_system,
                       random_term, x, y)
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
                    RewriteRule(f(x), h(f(x)))])
@@ -459,6 +462,44 @@ def test_rule_reverse_matches_the_restarting_loop(rng):
         assert got == _restarting_rule_reverse(R)
         reversed_ += got[0] != R
     assert reversed_ >= 40
+
+
+def _reversal_system(rng):
+    """1-5 rules, some identity rules, some sharing a lhs and some repeated;
+    built with `TRS(...)`, which keeps the repeats."""
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        pick = rng.random()
+        if rules and pick < 0.15:
+            rules.append(rng.choice(rules))
+            continue
+        lhs = random_term(rng, depth=2)
+        while isinstance(lhs, Var):
+            lhs = random_term(rng, depth=2)
+        if rules and pick < 0.3:
+            lhs = rng.choice(rules).lhs
+        rhs = lhs if pick > 0.85 else random_term(rng, depth=rng.randint(1, 3))
+        if variables(rhs) - variables(lhs):
+            rhs = b
+        rules.append(RewriteRule(lhs, rhs))
+    return TRS(tuple(rules))
+
+
+def test_rule_reverse_matches_the_restarting_loop_on_the_corpus_and_repeats(rng):
+    corpus = [parse_cops(p.read_text()).trs for p in sorted(CORPUS.glob("*.trs"))]
+    systems = [S for R in corpus for S in (R, *direct_sum_decompose(R))]
+    systems += [_reversal_system(rng) for _ in range(1500)]
+    dropped = kept = 0
+    for R in systems:
+        got = rule_reverse_mapped(R)
+        assert got == _restarting_rule_reverse(R), R
+        loops = sum(r.lhs == r.rhs for r in R.rules) + len(
+            {i for tag, i in got[1] if tag != "kept"})
+        kept_loops = sum(r.lhs == r.rhs for r in got[0].rules)
+        dropped += kept_loops < loops
+        kept += kept_loops > 0
+    # the drop pass both drops and keeps identity rules, on about half the systems each
+    assert dropped >= 500 and kept >= 500
 
 
 def test_translate_trace_maps_reversed_witness():

@@ -13,6 +13,7 @@ import uncprover.criteria
 import uncprover.trs
 from uncprover.config import Budgets
 from uncprover.terms import (
+    MAX_DEPTH,
     App,
     Var,
     fn_subterms,
@@ -151,6 +152,19 @@ def test_closure_checks_stop_at_the_deadline(check):
     C = conditional_linearize(SEC32)
     report = check(C, Budgets(deadline=time.monotonic() - 1))
     assert (report.holds, report.failure, report.truncated) == (False, "timeout", True)
+
+
+@pytest.mark.parametrize("check", [parallel_closed_check, strongly_closed_check])
+def test_closure_checks_report_on_joins_deeper_than_the_stack(check):
+    # a -> f^100(a) and a -> b: 12 steps deep, the joins of <f^100(a), b>
+    # build terms over a thousand levels deep, past Python's recursion limit
+    deep = a
+    for _ in range(MAX_DEPTH):
+        deep = f(deep)
+    C = conditional_linearize(TRS.of([RewriteRule(a, deep), RewriteRule(a, b)]))
+    report = check(C, Budgets(conv_depth=12, size_cap=0))
+    assert (report.holds, report.truncated) == (False, True)
+    assert report.failure.startswith("unclosed critical pair")
 
 
 def test_parallel_closed_semi_equational():

@@ -21,7 +21,7 @@ from uncprover.strategy import (
 from uncprover.terms import MAX_DEPTH, App, Var
 from uncprover.trs import TRS, Equation, RewriteRule
 
-from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, random_system
+from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, ground_chain, random_system
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
 ALL_TAGS = tuple(p + base for base in METHODS for p in ("", "rev+"))
@@ -73,6 +73,29 @@ def test_multistep_enumeration_stops_at_the_deadline(tag):
     res, elapsed = _elapsed(multistep(12, True), (tag,), timeout)
     assert res.answer == "MAYBE"
     assert elapsed < timeout + 0.3
+
+
+@pytest.mark.parametrize("tag", ["rev+sno", "rev+sc", "rr"])
+def test_normal_form_scans_over_every_rule_stop_at_the_deadline(tag):
+    # the reversal and rr test each rhs for a redex, and each test of a
+    # rhs h(c_j) matches the whole h bucket: seconds of work on 3200 rules,
+    # and rr would answer YES at the end of it
+    timeout = 0.3
+    res, elapsed = _elapsed(ground_chain(1600), (tag,), timeout)
+    assert res.answer == "MAYBE"
+    assert elapsed < timeout + 0.5
+
+
+def test_a_method_that_outgrows_the_stack_gives_no_answer(monkeypatch):
+    def overflow(S, budgets):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(uncprover.strategy, "strongly_non_overlapping", overflow)
+    R = parse_cops("(RULES a -> b)").trs
+    config = StrategyConfig(methods=("sno", "omega"))
+    assert _run_method("sno", R, config, config.budgets) is None
+    res = prove_unc(R, config)
+    assert (res.answer, res.method) == ("YES", "omega")
 
 
 @pytest.mark.parametrize("tag", ["sc", "dc", "rev+dc"])
