@@ -8,7 +8,10 @@ The items are those of `bench/workloads.py` (all workloads by default)
 that run at its common `TIMEOUT`; the deadline probes are left out, since
 how far they get follows the machine's speed.  The output of two source
 trees is the same exactly when every such verdict, method and certificate
-is, so a diff of two runs checks that a change kept them.
+is, so a diff of two runs checks that a change kept them.  The output for
+all workloads is pinned in `tests/data/verdict_digest.txt`, which
+`tests/test_scripts.py` compares with a fresh run; a change that alters a
+certificate on purpose regenerates that file and lists the diff.
 """
 import argparse
 import hashlib

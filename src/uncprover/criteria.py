@@ -5,23 +5,26 @@
   unifies the overlap sites of `trs.overlaps` over rational trees.
 
 * A `ConfluencePredicate` is a rule-shape guard plus a critical-pair test
-  that describes the join it finds: `STRONGLY_CLOSED` (`trs.strong_joins`),
-  and `PARALLEL_CLOSED` and `DEVELOPMENT_CLOSED`, one big step from the
-  left (`trs.parallel_steps`, `trs.development_step_reducts`) meeting many
-  steps from the right.  They serve `pcl` and `scl` on a linearization,
-  whose conditions congruence closure decides, and `sc` and `dc` in
-  `completion`.  One critical-pair loop reports `pcl`, `scl` and the
-  weight-decreasing check, which works with ranked conversion sets:
-  states pair a multiset of still-usable assumption equations with a term,
-  one rewrite step costs one rank unit, and equations are consumed one use
-  each; a rank-0 closure, which only swaps equation sides, is a
-  `trs.reach` search.  One check renames the rules once, keeps the memos
-  of its rank-0 closures and rank-1 step queries, and drops them when it
-  returns; one step enumerator serves its rank-1 and rank-2 queries, and
-  matches a step constrained by its target only where the two terms share
-  the context.  These three criteria read the `config.Budgets` deadline
-  and answer a truncated "timeout" report past it; the two overlap tests
-  read it too, and past it raise `TimeoutError`.
+  that describes the join it finds.  Each test is a meet (`_meet`) of
+  candidate terms with the terms many steps from the other side:
+  `STRONGLY_CLOSED` takes it from each side, with the terms at most one
+  step away as candidates, and `PARALLEL_CLOSED` and `DEVELOPMENT_CLOSED`
+  from the left, one big step away (`trs.parallel_steps`,
+  `trs.development_step_reducts`).  They serve `pcl` and `scl` on a
+  linearization, whose conditions congruence closure decides, and `sc`
+  and `dc` in `completion`.  One critical-pair loop reports `pcl`, `scl`
+  and the weight-decreasing check, which works with ranked conversion
+  sets: states pair a multiset of still-usable assumption equations with
+  a term, one rewrite step costs one rank unit, and equations are
+  consumed one use each; a rank-0 closure, which only swaps equation
+  sides, is a `trs.reach` search.  One check renames the rules once,
+  keeps the memos of its rank-0 closures and rank-1 step queries, and
+  drops them when it returns; one step enumerator serves its rank-1 and
+  rank-2 queries and matches through `trs.redexes`, a step constrained by
+  its target only where the two terms share the context.  These three
+  criteria read the `config.Budgets` deadline and answer a truncated
+  "timeout" report past it; the two overlap tests read it too, and past
+  it raise `TimeoutError`.
 """
 from __future__ import annotations
 
@@ -40,13 +43,14 @@ from .terms import (
     match,
     replace_at,
     substitute,
+    subterm_at,
     subterms,
     unifiable_rational,
     variables,
 )
-from .trs import (TRS, CriticalPair, Entails, Equation, RewriteRule, critical_pairs,
+from .trs import (TRS, CriticalPair, Entails, Equation, critical_pairs,
                   development_step_reducts, is_normal_form, overlaps, parallel_steps,
-                  reach, single_steps, strong_joins)
+                  reach, redexes, reducts, single_steps)
 
 Multiset = tuple[Equation, ...]
 
@@ -124,10 +128,22 @@ def _entails(S: TRS, cp: CriticalPair) -> Optional[Entails]:
     return CongruenceClosure(cp.conditions).entails if S.conditional else None
 
 
+def _meet(S: TRS, holds: Optional[Entails], candidates: Iterable[Term], t: Term,
+          budgets: Budgets) -> tuple[Optional[Term], bool]:
+    """The least of `candidates` by `repr` within `budgets.conv_depth` steps
+    of `t`, None if there is none, and whether that search was cut."""
+    joins, cut = reach(single_steps(S, holds), t, budgets.conv_depth, budgets.size_cap,
+                       budgets.max_class, budgets)
+    return min((w for w in candidates if w in joins), key=repr, default=None), cut
+
+
 def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[str], bool]:
-    """Both strong-closure joins of `trs.strong_joins`."""
-    a, b, cut = strong_joins(S, cp.left, cp.right, budgets, _entails(S, cp))
-    return (None if a is None or b is None else f"joins at {a!r} / {b!r}"), cut
+    """Both strong-closure joins: from each side, the terms at most one step
+    away meeting many steps from the other side."""
+    holds = _entails(S, cp)
+    a, cut_a = _meet(S, holds, {cp.right} | reducts(S, cp.right, holds), cp.left, budgets)
+    b, cut_b = _meet(S, holds, {cp.left} | reducts(S, cp.left, holds), cp.right, budgets)
+    return (None if a is None or b is None else f"joins at {a!r} / {b!r}"), cut_a or cut_b
 
 
 def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
@@ -140,9 +156,7 @@ def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
         big, cut = big_step(S, cp.left, holds, budgets)
         if not cp.overlay:
             return (f"{label} {list(big[cp.right])}" if cp.right in big else None), cut
-        joins, trunc = reach(single_steps(S, holds), cp.right, budgets.conv_depth,
-                             budgets.size_cap, budgets.max_class, budgets)
-        meet = min((w for w in big if w in joins), key=repr, default=None)
+        meet, trunc = _meet(S, holds, big, cp.right, budgets)
         return (None if meet is None else f"joined at {meet!r}"), cut or trunc
     return pair_closed
 
@@ -247,20 +261,17 @@ class _RankedSearch:
     """State of one weight-decreasing check, dropped when the check ends.
 
     It holds the rules of the LR-separated CTRS renamed once into the
-    `_RULE_VAR` namespace and grouped by lhs root symbol, each with its
-    variable set; the memos of the rank-0 closures (`states`) and of
-    `step1_remainders`; and the budgets, checked on every `step1_remainders`
-    memo miss.  The ranked-search functions below take one in place of the
-    CTRS, and make a throwaway one when given a CTRS.
+    `_RULE_VAR` namespace, as a `TRS` whose conditions `_steps` settles,
+    with each renamed rule's variable set; the memos of the rank-0 closures
+    (`states`) and of `step1_remainders`; and the budgets, checked on every
+    `step1_remainders` memo miss.  The ranked-search functions below take
+    one in place of the CTRS, and make a throwaway one when given a CTRS.
     """
 
     def __init__(self, C: TRS, budgets: Budgets = DEFAULT_BUDGETS):
-        self.by_root: dict[str, list[tuple[RewriteRule, frozenset[str]]]] = {}
-        for rule in C.rules:
-            names = rule.all_variables()
-            renamed = rule.rename({n: Var(_RULE_VAR + n) for n in names})
-            self.by_root.setdefault(rule.lhs.sym, []).append(
-                (renamed, frozenset(_RULE_VAR + n for n in names)))
+        self.rules = TRS(tuple(r.rename({n: Var(_RULE_VAR + n) for n in r.all_variables()})
+                               for r in C.rules))
+        self.rule_vars = tuple(frozenset(r.all_variables()) for r in self.rules.rules)
         self.budgets = budgets
         self.rank0: dict[tuple[Multiset, Term], frozenset[SimState]] = {}
         self.step1: dict[tuple[Multiset, Term, Term], frozenset[Multiset]] = {}
@@ -281,22 +292,17 @@ def _search(C: _Rules) -> _RankedSearch:
     return C if isinstance(C, _RankedSearch) else _RankedSearch(C)
 
 
-def _sites(s: Term, t: Optional[Term]):
-    """(p, s|p, t|p) for every position p of `s` at which `s` and `t` share
-    the context (s[□]p == t[□]p); t|p is None when no `t` is given.
+def _sites(s: Term, t: Term):
+    """(p, s|p) for every function position p of `s` at which `s` and a
+    different term `t` share the context (s[□]p == t[□]p).
 
-    Unless s == t, such positions form one path from the root: it goes on
-    while both terms have the same head and differ in exactly one argument.
+    Such positions form one path from the root: it goes on while both terms
+    have the same head and differ in exactly one argument.
     """
-    if t is None or s == t:
-        for pos, sub in subterms(s):
-            yield pos, sub, (None if t is None else sub)
-        return
     pos: tuple[int, ...] = ()
-    while True:
-        yield pos, s, t
-        if (type(s) is not App or type(t) is not App or s.sym != t.sym
-                or len(s.args) != len(t.args)):
+    while type(s) is App:
+        yield pos, s
+        if type(t) is not App or s.sym != t.sym or len(s.args) != len(t.args):
             return
         diff = [i for i, (u, v) in enumerate(zip(s.args, t.args)) if u != v]
         if len(diff) != 1:
@@ -307,26 +313,17 @@ def _sites(s: Term, t: Optional[Term]):
 
 
 def _rule_matches(W: _RankedSearch, s: Term, t: Optional[Term]):
-    """Rule matches of `s` at some position, constrained to share the
-    surrounding context with `t` when `t` is given.
-
-    Yields (pos, rule, theta, rule_vars) where `theta` binds the renamed
-    rule's lhs (and, for constrained matches, its rhs against `t`), and
-    `rule_vars` is the renamed rule's variable set (so unbound rule
-    variables can be told apart from query variables).
-    """
-    for pos, sub, t_sub in _sites(s, t):
-        if type(sub) is not App:
-            continue
-        for rule, rule_vars in W.by_root.get(sub.sym, ()):
-            theta = match(rule.lhs, sub)
-            if theta is None:
+    """Rule matches (pos, rule, theta, rule_vars) of `s`, where `s` shares
+    the context with `t` when `t` is given: `theta` binds the renamed
+    rule's lhs, and its rhs against `t` too, and `rule_vars`, the renamed
+    rule's variables, tells the unbound rule variables from the query's."""
+    sites = None if t is None or s == t else _sites(s, t)
+    for pos, i, rule, theta in redexes(W.rules, s, sites=sites):
+        if t is not None:
+            sr = match(rule.rhs, subterm_at(t, pos))
+            if sr is None or any(theta.setdefault(k, v) != v for k, v in sr.items()):
                 continue
-            if t is not None:
-                sr = match(rule.rhs, t_sub)
-                if sr is None or any(theta.setdefault(k, v) != v for k, v in sr.items()):
-                    continue
-            yield pos, rule, theta, rule_vars
+        yield pos, rule, theta, W.rule_vars[i]
 
 
 def _steps(W: _RankedSearch, gamma: Multiset, s: Term, t: Optional[Term],

@@ -5,11 +5,13 @@ There is one rule type and one system type: a `RewriteRule` carries a
 alone, conditional when some rule has conditions.  `TRS.of` checks the
 rules' depth and arities, raising `ValueError`; `TRS(rules)` trusts them.
 The searches here serve the conditional systems of `ctrs` and `criteria`
-as well: `redexes` is the one root-indexed match loop, conditions included;
+as well: `redexes` is the one root-indexed match loop, conditions included,
+at every function position or at the sites a caller picks (the root, for
+`_big_step`; the shared-context path, for `criteria`'s ranked steps);
 `overlaps` yields the overlap sites of `critical_pairs` and of the omega
 test; `reach` is the one bounded breadth-first search, over any one-step
 relation, and keeps the edge by which it first reached each node: it runs
-both joins of `strong_joins`, the conversion classes and the rank-0
+the joins of the closure tests, the conversion classes and the rank-0
 closures of `criteria`; and `_big_step` is the one recursion behind the
 parallel step and the multistep.  `development_step_reducts` is that
 multistep on every system, left-linear or not, with a path of single steps
@@ -260,25 +262,24 @@ Entails = Callable[[Term, Term], bool]
 
 
 def redexes(R: TRS, t: Term, holds: Optional[Entails] = None,
+            sites: Optional[Iterable[tuple[Position, App]]] = None,
             ) -> Iterator[tuple[Position, int, RewriteRule, dict[str, Term]]]:
     """Redexes of `t` in a `TRS` `R`: (position, rule index, rule,
-    matcher) by position (root first, left to right), then rule index.
+    matcher) by site, then rule index.  The sites are (position, subterm)
+    pairs of function positions of `t`, by default all of them, root
+    first, left to right.
 
     Only rules whose lhs root is the subterm's symbol are matched.  Given
     `holds`, every instantiated condition of the rule must hold; without it
-    conditions are not read, so `R` must be unconditional."""
+    no condition is read, and a caller with conditional rules settles them."""
     by_root = R.rules_by_root
-    for pos, sub in fn_subterms(t):
+    for pos, sub in fn_subterms(t) if sites is None else sites:
         for i, rule in by_root.get(sub.sym, ()):
             sigma = match(rule.lhs, sub)
-            if sigma is not None and _conditions_hold(rule, sigma, holds):
+            if sigma is not None and (holds is None or all(
+                    holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
+                    for c in rule.conditions)):
                 yield pos, i, rule, sigma
-
-
-def _conditions_hold(rule: RewriteRule, sigma: dict, holds: Optional[Entails]) -> bool:
-    """Every instantiated condition of `rule` holds; without `holds` none is read."""
-    return holds is None or all(holds(substitute(c.lhs, sigma), substitute(c.rhs, sigma))
-                                for c in rule.conditions)
 
 
 def rewrite_steps(R: TRS, t: Term, holds: Optional[Entails] = None,
@@ -401,10 +402,7 @@ def _big_step(R: TRS, t: Term, nested: bool, holds: Optional[Entails],
         budgets.check()
         out.setdefault(App(t.sym, tuple(u for u, _ in combo)), tuple(
             ((i,) + p, ri) for i, (_, path) in enumerate(combo, 1) for p, ri in path))
-    for ri, rule in R.rules_by_root.get(t.sym, ()):
-        sigma = match(rule.lhs, t)
-        if sigma is None or not _conditions_hold(rule, sigma, holds):
-            continue
+    for _, ri, rule, sigma in redexes(R, t, holds, (((), t),)):
         names = sorted(variables(rule.rhs))
         maps = [_big_step(R, sigma.get(n, Var(n)), nested, holds, memo, budgets) if nested
                 else {sigma.get(n, Var(n)): ()} for n in names]
@@ -530,22 +528,6 @@ def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[Critical
     return tuple(pair_stream(R, budgets))
 
 
-def strong_joins(R: TRS, u: Term, v: Term, budgets: Budgets = DEFAULT_BUDGETS,
-                 holds: Optional[Entails] = None,
-                 ) -> tuple[Optional[Term], Optional[Term], bool]:
-    """Strong-closure joins of <u, v> in a `TRS`, a conditional one given
-    `holds`: the least term by `repr` within `budgets.conv_depth` steps of
-    `u` and at most one step from `v` and the same swapped, None if there is
-    none, and whether either search was cut with its frontier open."""
-    (reach_u, cut_u), (reach_v, cut_v) = (
-        reach(single_steps(R, holds), s, budgets.conv_depth, budgets.size_cap,
-              budgets.max_class, budgets)
-        for s in (u, v))
-    a = min(reach_u.keys() & ({v} | reducts(R, v, holds)), key=repr, default=None)
-    b = min(({u} | reducts(R, u, holds)) & reach_v.keys(), key=repr, default=None)
-    return a, b, cut_u or cut_v
-
-
 @dataclass(frozen=True)
 class ConvStep:
     """One conversion edge: src -> dst if forward, else dst -> src."""
@@ -571,17 +553,13 @@ def reverse_trace(trace: Sequence[ConvStep]) -> tuple[ConvStep, ...]:
 
 def step_valid(R: TRS, step: ConvStep) -> bool:
     src, dst = (step.src, step.dst) if step.forward else (step.dst, step.src)
-    try:
-        sub = subterm_at(src, step.pos)
-    except IndexError:
-        return False
+    # a negative index would pick a rule from the end
     if not 0 <= step.rule < len(R.rules):
         return False
-    rule = R.rules[step.rule]
-    sigma = match(rule.lhs, sub)
-    if sigma is None:
+    try:
+        return replay_path(R, src, ((step.pos, step.rule),))[0].dst == dst
+    except (IndexError, ValueError):
         return False
-    return replace_at(src, step.pos, substitute(rule.rhs, sigma)) == dst
 
 
 def trace_valid(R: TRS, trace: Iterable[ConvStep]) -> bool:

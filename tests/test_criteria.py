@@ -2,11 +2,13 @@ import gc
 import random
 import time
 import weakref
+from collections import Counter
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import uncprover.criteria
@@ -21,7 +23,6 @@ from uncprover.terms import (
     renaming_apart,
     replace_at,
     substitute,
-    subterm_at,
     subterms,
     term_size,
     unifiable_rational,
@@ -36,8 +37,10 @@ from uncprover.ctrs import (
     conditional_linearize,
     lr_separated_linearize,
 )
+from uncprover.cops import parse_cops
 from uncprover.criteria import (
     DEVELOPMENT_CLOSED,
+    STRONGLY_CLOSED,
     SimState,
     conv1_remainders,
     eq_states,
@@ -57,6 +60,8 @@ from uncprover.strategy import StrategyConfig, prove_unc
 
 from conftest import AC, AC_G, CL, a, b, c, d, f, g, h, c1, random_system, random_term, \
     term_strategy, x, y, z
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 # --- overlap criteria ---------------------------------------------------------
@@ -225,6 +230,52 @@ def test_strongly_closed_requires_linearity():
     C = TRS.of([RewriteRule(f(x, y), f(y, f(y, x)))])
     report = strongly_closed_check(C)
     assert not report.holds and "linear" in report.failure
+
+
+def test_parallel_closed_describes_an_inner_outer_join_by_its_path():
+    R = TRS.of([RewriteRule(h(App("k", (x,)), b, b), h(x, a, a)),
+                RewriteRule(App("k", (x,)), x), RewriteRule(b, a)])
+    report = parallel_closed_check(R)
+    assert report.holds
+    assert report.details[0] == (
+        "{} => <h(x,b,b), h(x,a,a)> [inner-outer]: parallel step [((2,), 2), ((3,), 2)]")
+
+
+def _oracle_strong_joins(R, u, v, budgets, holds):
+    """The strong-closure joins as `trs.strong_joins` gave them before the
+    closure tests shared one meet: the least term by `repr` within
+    `conv_depth` steps of `u` and at most one step from `v` and the same
+    swapped, None if there is none, and whether either search was cut."""
+    (reach_u, cut_u), (reach_v, cut_v) = (
+        reach(single_steps(R, holds), s, budgets.conv_depth, budgets.size_cap,
+              budgets.max_class, budgets)
+        for s in (u, v))
+    a = min(reach_u.keys() & ({v} | reducts(R, v, holds)), key=repr, default=None)
+    b = min(({u} | reducts(R, u, holds)) & reach_v.keys(), key=repr, default=None)
+    return a, b, cut_u or cut_v
+
+
+def test_strong_closure_gives_the_joins_of_the_two_search_oracle(rng):
+    # plain, linearized with congruence-closure entailment, and with caps
+    # small enough to cut
+    corpus = [parse_cops(p.read_text()).trs for p in sorted(CORPUS.glob("*.trs"))]
+    systems = corpus + [random_system(rng) for _ in range(300)]
+    seen = Counter()
+    for R in systems:
+        for S in (R, conditional_linearize(R)):
+            for cp in critical_pairs(S):
+                holds = CongruenceClosure(cp.conditions).entails if S.conditional else None
+                for budgets in (Budgets(), Budgets(conv_depth=2, max_class=5)):
+                    a, b, cut = _oracle_strong_joins(S, cp.left, cp.right, budgets, holds)
+                    want = None if a is None or b is None else f"joins at {a!r} / {b!r}"
+                    assert STRONGLY_CLOSED.pair_closed(S, cp, budgets) == (want, cut), (S, cp)
+                    seen["cut" if cut else "whole"] += 1
+                    seen["one side" if (a is None) != (b is None) else
+                         "neither" if a is None else
+                         "same" if a == b else "two joins"] += 1
+                    seen["conditional"] += S.conditional
+    assert all(seen[k] >= 20 for k in (
+        "cut", "whole", "one side", "neither", "same", "two joins", "conditional")), seen
 
 
 def plain_parallel_closed(R, budgets_depth=5):
@@ -725,12 +776,12 @@ def test_context_sites_are_the_positions_with_a_shared_context(data):
     pos = data.draw(st.sampled_from(_positions(s)))
     t = data.draw(st.one_of(term_strategy(max_leaves=4).map(lambda u: replace_at(s, pos, u)),
                             term_strategy(max_leaves=8)))
-    want = [(p, subterm_at(s, p), _maybe_subterm(t, p)) for p in _positions(s)
+    assume(s != t)
+    # the function positions, root first: the sites `redexes` tries
+    want = [(p, u) for p, u in fn_subterms(s)
             if _maybe_subterm(t, p) is not None
             and replace_at(s, p, _HOLE) == replace_at(t, p, _HOLE)]
-    got = list(uncprover.criteria._sites(s, t))
-    assert sorted(got, key=repr) == sorted(want, key=repr)
-    assert [(p, u, None) for p, u in subterms(s)] == list(uncprover.criteria._sites(s, None))
+    assert list(uncprover.criteria._sites(s, t)) == want
 
 
 def _g_tower(n, t):
@@ -747,7 +798,9 @@ def test_constrained_matches_follow_the_context_path(monkeypatch):
         calls.append(subject)
         return real(pattern, subject)
 
-    monkeypatch.setattr(uncprover.criteria, "match", counting)
+    # `trs.redexes` matches the lhs's, `criteria` the rhs's
+    for module in (uncprover.trs, uncprover.criteria):
+        monkeypatch.setattr(module, "match", counting)
     C = lr_separated_linearize(TRS.of([RewriteRule(f(x, y), x), RewriteRule(g(x), x)]))
     counts = {}
     for depth in (1, 4, 8):

@@ -46,3 +46,8 @@ def test_verdict_digest():
     assert (answer, method) == ("NO", "sc")
     assert len(digest) == 40 and set(digest) <= set("0123456789abcdef")
     assert _run("verdict_digest.py", "no-such-workload").returncode == 2
+    # every non-probe verdict, method and certificate of all workloads, as
+    # pinned; a change that alters them on purpose regenerates the file
+    proc = _run("verdict_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / "verdict_digest.txt").read_text()

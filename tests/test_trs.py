@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import uncprover.trs
 from uncprover.config import Budgets
-from uncprover.ctrs import conditional_linearize, lr_separated_linearize
+from uncprover.ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
 from uncprover.terms import (
     App,
     Var,
@@ -45,6 +45,7 @@ from uncprover.trs import (
     parallel_steps,
     reach,
     reach_path,
+    redexes,
     replay_path,
     rewrite_steps,
     single_steps,
@@ -845,3 +846,30 @@ def test_rewrite_steps_matches_only_rules_with_the_subterm_root(monkeypatch):
     assert all(isinstance(s, App) and s.sym == root for root, s in calls)
     # f at the root, g below it, then n times a (two rules each)
     assert len(calls) == 1 + 1 + 2 * n
+
+
+def test_redexes_at_given_sites_are_the_full_enumeration_at_those_sites(rng):
+    # plain and conditional systems; a conditional one with no entailment
+    # test reads no condition
+    counts = {"redexes": 0, "conditional": 0}
+    for _ in range(150):
+        R = random_system(rng)
+        for S in (R, conditional_linearize(R), lr_separated_linearize(R)):
+            tests = (None, CongruenceClosure([Equation(a, b)]).entails) if S.conditional \
+                else (None,)
+            for _ in range(3):
+                t = random_term(rng, depth=3)
+                rule = rng.choice(S.rules)
+                instance = substitute(rule.lhs, {n: random_term(rng, depth=1)
+                                                 for n in variables(rule.lhs)})
+                t = replace_at(t, rng.choice([p for p, _ in subterms(t)]), instance)
+                for holds in tests:
+                    full = list(redexes(S, t, holds))
+                    sites = [site for site in fn_subterms(t) if rng.random() < 0.6]
+                    if rng.random() < 0.5:
+                        rng.shuffle(sites)
+                    want = [r for pos, _ in sites for r in full if r[0] == pos]
+                    assert list(redexes(S, t, holds, sites)) == want
+                    counts["redexes"] += len(want)
+                    counts["conditional"] += bool(want and S.conditional and holds)
+    assert counts["redexes"] >= 500 and counts["conditional"] >= 30, counts
