@@ -347,7 +347,9 @@ class _ClassScan:
     is found.  A new member `m` is tried, in this order: as a normal form
     with a variable that an earlier member lacks (a second witness then
     arises by renaming), as a member that lacks a variable of an earlier
-    normal form, and as a normal form distinct from an earlier one."""
+    normal form, and as a normal form distinct from an earlier one.  Only
+    the seed and members reached by a forward step are scanned for a
+    redex: an expansion edge puts one into the member it reaches."""
 
     def __init__(self, R: TRS, budgets: Budgets):
         self.R = R
@@ -362,7 +364,7 @@ class _ClassScan:
         self.budgets.check()
         vs = frozenset(variables(m))
         m_vars = self.var_sets.setdefault(vs, vs)
-        m_nf = is_normal_form(self.R, m)
+        m_nf = (reached[m] is None or reached[m][1].forward) and is_normal_form(self.R, m)
         for w in self._candidates(m, m_vars, m_nf, reached):
             if validate_witness(self.R, w):
                 self.witness = w

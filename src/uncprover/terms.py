@@ -310,44 +310,51 @@ def canonical_renaming(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
     return out
 
 
-def canonical_key(ts: Iterable[Term], keep: frozenset[str] = frozenset()) -> str:
-    """String identifying the sequence `ts` up to renaming of non-kept variables.
+def canonical_walk(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
+                   ) -> tuple[str, int, set[str]]:
+    """Key identifying the sequence `ts` up to renaming of non-kept
+    variables, its number of symbol and variable occurrences, and its
+    variable names, from one walk without recursion.
 
-    Equals the comma-joined reprs of `ts` under `canonical_renaming(ts,
-    keep, prefix="\x00v")`, written in one pass; the \x00 prefix keeps
-    canonical names clear of symbol and variable names.
+    The key is the comma-joined reprs of `ts` under `canonical_renaming(ts,
+    keep, prefix="\x00v")`; the \x00 prefix keeps canonical names clear of
+    symbol and variable names.
     """
     names: dict[str, str] = {}
-    k = 0
     out: list[str] = []
     emit = out.append
-
-    def write(t: Term) -> None:
-        nonlocal k
-        if isinstance(t, Var):
-            name = t.name
-            if name in keep:
-                emit(name)
-                return
-            alias = names.get(name)
+    size = k = 0
+    # terms, separators and closing parentheses left to write, next on top
+    stack: list = [u for t in ts for u in (",", t)][:0:-1]
+    push = stack.append
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            emit(t)
+            continue
+        size += 1
+        if type(t) is Var:
+            alias = names.get(t.name)
             if alias is None:
-                k += 1
-                while f"\x00v{k}" in keep:
+                alias = t.name
+                if alias not in keep:
                     k += 1
-                alias = names[name] = f"\x00v{k}"
+                    while f"\x00v{k}" in keep:
+                        k += 1
+                    alias = f"\x00v{k}"
+                names[t.name] = alias
             emit(alias)
         elif t.args:
             emit(t.sym + "(")
-            write(t.args[0])
-            for a in t.args[1:]:
-                emit(",")
-                write(a)
-            emit(")")
+            push(")")
+            for a in t.args[:0:-1]:
+                stack += (a, ",")
+            push(t.args[0])
         else:
             emit(t.sym)
+    return "".join(out), size, set(names)
 
-    for i, t in enumerate(ts):
-        if i:
-            emit(",")
-        write(t)
-    return "".join(out)
+
+def canonical_key(ts: Iterable[Term], keep: frozenset[str] = frozenset()) -> str:
+    """The key of `canonical_walk`."""
+    return canonical_walk(ts, keep)[0]

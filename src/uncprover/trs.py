@@ -38,6 +38,7 @@ from .terms import (
     arities,
     canonical_key,
     canonical_renaming,
+    canonical_walk,
     check_depth,
     count_var,
     fn_subterms,
@@ -575,23 +576,28 @@ def expansion_steps(R: TRS, t: Term, used_names: set[str],
     """Predecessors of `t`: terms u with u -> t in one step.
 
     Rule variables absent from the rhs are instantiated with the first
-    fresh variables w1, w2, ... outside `used_names` and the matched
-    subterm, giving the most general predecessor at each position.
+    fresh variables w1, w2, ... outside `used_names` and the variables of
+    `t`, giving the most general predecessor at each position.  A rule
+    whose rhs root is not the subterm's is passed over before matching.
     """
     dropped = R.dropped_variables
+    taken = variables(t)
+    fresh: list[Term] = []
+    k = 0
+    for _ in range(max(map(len, dropped), default=0)):
+        k += 1
+        while f"w{k}" in used_names or f"w{k}" in taken:
+            k += 1
+        fresh.append(Var(f"w{k}"))
     for pos, sub in subterms(t):
         for i, rule in enumerate(R.rules):
-            sigma = match(rule.rhs, sub)
+            rhs = rule.rhs
+            if type(rhs) is App and (type(sub) is Var or rhs.sym != sub.sym):
+                continue
+            sigma = match(rhs, sub)
             if sigma is None:
                 continue
-            if dropped[i]:
-                taken = {n for u in sigma.values() for n in variables(u)}
-                k = 0
-                for x in dropped[i]:
-                    k += 1
-                    while f"w{k}" in used_names or f"w{k}" in taken:
-                        k += 1
-                    sigma[x] = Var(f"w{k}")
+            sigma.update(zip(dropped[i], fresh))
             yield pos, i, replace_at(t, pos, substitute(rule.lhs, sigma))
 
 
@@ -602,7 +608,8 @@ def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
     (`ConvStep`, term) pairs.  It drops terms above `size_cap`, yields only
     terms new up to renaming of the variables not in `seed`, and picks fresh
     variables away from those of the terms it yielded before.  A candidate
-    tried before, literally, is passed over before it is measured."""
+    tried before, literally, is passed over before it is walked; any other
+    is walked once, by `canonical_walk`, for its key, size and variables."""
     keep = frozenset(variables(seed))
     keys = {canonical_key((seed,), keep)}
     names = set(keep)
@@ -616,13 +623,11 @@ def conversion_steps(R: TRS, seed: Term, size_cap: int = 0,
                 if v in tried:
                     continue
                 tried.add(v)
-                if size_cap and term_size(v) > size_cap:
-                    continue
-                k = canonical_key((v,), keep)
-                if k in keys:
+                k, size, vs = canonical_walk((v,), keep)
+                if size_cap and size > size_cap or k in keys:
                     continue
                 keys.add(k)
-                names.update(variables(v))
+                names.update(vs)
                 yield ConvStep(u, v, i, pos, forward), v
     return step
 

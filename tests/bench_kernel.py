@@ -1,17 +1,19 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
-of the weight-decreasing check and of rule reversal.
+of the weight-decreasing check, of rule reversal and of the conversion
+classes of the disproof search.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
 """
 import pytest
 
-from uncprover.completion import rule_reverse_mapped, unc_complete
+from uncprover.completion import disprove_search, rule_reverse_mapped, unc_complete
+from uncprover.config import DEFAULT_BUDGETS
 from uncprover.criteria import DEVELOPMENT_CLOSED, weight_decreasing_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
-from uncprover.trs import TRS, RewriteRule, critical_pairs, rewrite_steps
+from uncprover.trs import TRS, RewriteRule, conversion_class, critical_pairs, rewrite_steps
 
-from conftest import a, b, c, f, ground_chain, x, y, z
+from conftest import CL, a, b, c, f, ground_chain, x, y, z
 
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
@@ -64,3 +66,17 @@ def test_rule_reverse_mapped_ground_chain(benchmark):
     reversed_, _ = benchmark.pedantic(rule_reverse_mapped, args=(R,), rounds=3,
                                       iterations=1)
     assert len(R.rules) == 800 and len(reversed_.rules) == 1200
+
+
+def test_conversion_class_cl(benchmark):
+    # the class of S's rhs, cut at `max_class` as under `cp`
+    b_ = DEFAULT_BUDGETS
+    cls = benchmark.pedantic(conversion_class, args=(
+        CL, CL.rules[0].rhs, b_.conv_depth, b_.size_cap, b_.max_class), rounds=5,
+        iterations=1)
+    assert len(cls.members) == b_.max_class and cls.cut
+
+
+def test_disprove_search_cl(benchmark):
+    # CL is UNC: every seed's class is built to the cap and no witness found
+    assert benchmark.pedantic(disprove_search, args=(CL,), rounds=5, iterations=1) is None

@@ -79,6 +79,17 @@ def term_strategy(var_names=("x", "y"), max_leaves=6):
         max_leaves=max_leaves)
 
 
+@st.composite
+def small_systems(draw):
+    """1-3 rules over f/2, g/1, a and b, each rhs over its lhs variables."""
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(term_strategy(max_leaves=4).filter(lambda t: isinstance(t, App)))
+        rhs = draw(term_strategy(tuple(sorted(variables(lhs))), max_leaves=4))
+        rules.append(RewriteRule(lhs, rhs))
+    return TRS.of(rules)
+
+
 def random_term(rnd: random.Random, var_names=("x", "y"), depth=2) -> Term:
     syms = [("f", 2), ("g", 1), ("a", 0), ("b", 0)]
     if depth == 0 or rnd.random() < 0.35:

@@ -2,10 +2,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import given
 
 import uncprover.completion
 import uncprover.trs
@@ -30,6 +33,7 @@ from uncprover.completion import (
     Trace,
     Verdict,
     Witness,
+    _ClassScan,
     _add_rule,
     _connect,
     _escape_witness,
@@ -45,7 +49,7 @@ from uncprover.completion import (
 from uncprover.config import DEFAULT_BUDGETS, Budgets
 
 from conftest import (AC, AC_G, COPS_126, CL, a, b, c, d, f, g, h, random_system,
-                      random_term, x, y)
+                      random_term, small_systems, x, y)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
@@ -673,6 +677,81 @@ def test_disprove_witnesses_always_validate(rng):
             assert validate_witness(R, w)
         outcomes.add(w is None)
     assert outcomes == {True, False}
+
+
+class _FlagScan(_ClassScan):
+    """`_ClassScan` that records the normal-form flag of each member."""
+
+    def __init__(self, R, budgets):
+        super().__init__(R, budgets)
+        self.flags = {}
+
+    def _candidates(self, m, m_vars, m_nf, reached):
+        self.flags[m] = m_nf
+        return super()._candidates(m, m_vars, m_nf, reached)
+
+
+def _distinct_seeds(R):
+    seeds = [t for cp in critical_pairs(R) for t in (cp.left, cp.right)]
+    return list({canonical_key((t,)): t for t in seeds + [r.rhs for r in R.rules]}.values())
+
+
+def _scan_flags(R, budgets):
+    """Per member of every seed's class: (flag of the scan, whether it is a
+    normal form, whether a forward step reached it)."""
+    rows = []
+    for seed in _distinct_seeds(R):
+        scan = _FlagScan(R, budgets)
+        cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
+                               budgets.max_class, budgets, scan.visit)
+        assert list(scan.flags) == cls.members
+        rows += [(scan.flags[m], is_normal_form(R, m),
+                  cls.reached[m] is not None and cls.reached[m][1].forward)
+                 for m in cls.members]
+    return rows
+
+
+@pytest.mark.parametrize("R", [CL, AC, COPS_254], ids=["CL", "AC", "COPS_254"])
+def test_class_scan_reads_the_normal_form_flag_from_the_edge(R):
+    rows = _scan_flags(R, Budgets(conv_depth=4, size_cap=30, max_class=500))
+    assert all(flag == nf for flag, nf, _ in rows)
+    assert not all(fwd for _, _, fwd in rows)
+
+
+@given(small_systems())
+def test_class_scan_reads_the_normal_form_flag_from_the_edge_hypothesis(R):
+    rows = _scan_flags(R, Budgets(conv_depth=3, size_cap=20, max_class=150))
+    assert all(flag == nf for flag, nf, _ in rows)
+
+
+def test_class_scan_reads_the_normal_form_flag_from_the_edge_random(rng):
+    kinds = Counter()
+    for _ in range(100):
+        for flag, nf, fwd in _scan_flags(random_system(rng), Budgets(
+                conv_depth=3, size_cap=20, max_class=150)):
+            assert flag == nf
+            kinds[nf, fwd] += 1
+    # normal forms and redexes, each reached forward and not (seeds only for
+    # the normal forms); observed 41, 263, 77 and 969
+    assert min(kinds[k] for k in product((True, False), repeat=2)) >= 20
+
+
+def test_disprove_search_scans_only_forward_reached_members(monkeypatch):
+    calls = 0
+    real = uncprover.completion.is_normal_form
+
+    def counting(R, t):
+        nonlocal calls
+        calls += 1
+        return real(R, t)
+
+    monkeypatch.setattr(uncprover.completion, "is_normal_form", counting)
+    assert disprove_search(CL) is None
+    monkeypatch.undo()
+    rows = _scan_flags(CL, DEFAULT_BUDGETS)
+    forward = sum(fwd for _, _, fwd in rows)
+    # a scan of every member would make len(rows) calls
+    assert calls <= len(_distinct_seeds(CL)) + forward < len(rows) // 2
 
 
 # --- direct-sum decomposition ------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,12 +9,14 @@ from uncprover.terms import (
     arities,
     canonical_key,
     canonical_renaming,
+    canonical_walk,
     match,
     mgu,
     substitute,
     subterm_at,
     subterms,
     replace_at,
+    term_size,
     unifiable_rational,
     variables,
 )
@@ -210,6 +214,73 @@ def test_canonical_key_keeps_kept_names():
     assert canonical_key((f(x, y),), frozenset({"x"})) == "f(x,\x00v1)"
     assert canonical_key((f(x, y), g(y))) == canonical_key((f(y, z), g(z)))
     assert canonical_key((f(x, y), g(y))) != canonical_key((f(x, y), g(x)))
+
+
+def _recursive_key(ts, keep=frozenset()):
+    """The recursive writer that `canonical_walk`'s loop replaced."""
+    names = {}
+    k = 0
+    out = []
+    emit = out.append
+
+    def write(t):
+        nonlocal k
+        if isinstance(t, Var):
+            name = t.name
+            if name in keep:
+                emit(name)
+                return
+            alias = names.get(name)
+            if alias is None:
+                k += 1
+                while f"\x00v{k}" in keep:
+                    k += 1
+                alias = names[name] = f"\x00v{k}"
+            emit(alias)
+        elif t.args:
+            emit(t.sym + "(")
+            write(t.args[0])
+            for a in t.args[1:]:
+                emit(",")
+                write(a)
+            emit(")")
+        else:
+            emit(t.sym)
+
+    for i, t in enumerate(ts):
+        if i:
+            emit(",")
+        write(t)
+    return "".join(out)
+
+
+# variables named like canonical ones, and a ternary symbol besides f and g
+NAMES = ("x", "y", "\x00v1", "\x00v2")
+WIDE_TERMS = st.recursive(
+    st.sampled_from([Var(v) for v in NAMES] + [a, b]),
+    lambda kids: st.one_of(
+        st.builds(lambda l, r: App("f", (l, r)), kids, kids),
+        st.builds(lambda t: App("g", (t,)), kids),
+        st.builds(lambda *ts: App("h", ts), kids, kids, kids)),
+    max_leaves=10)
+
+
+@given(st.lists(WIDE_TERMS, max_size=4),
+       st.frozensets(st.sampled_from(NAMES + ("\x00v3", "z"))))
+def test_canonical_walk_gives_the_recursive_key_size_and_variables(ts, keep):
+    key, size, names = canonical_walk(ts, keep)
+    assert key == _recursive_key(ts, keep) == canonical_key(ts, keep)
+    assert size == sum(map(term_size, ts))
+    assert names == set().union(*map(variables, ts))
+    assert canonical_walk(iter(ts), keep) == (key, size, names)
+
+
+def test_canonical_key_of_a_term_deeper_than_the_stack():
+    depth = 3 * sys.getrecursionlimit()
+    t = x
+    for _ in range(depth):
+        t = App("g", (t,))
+    assert canonical_key((t, a)) == "g(" * depth + "\x00v1" + ")" * depth + ",a"
 
 
 def test_signature_rejects_nul_in_symbols():

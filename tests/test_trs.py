@@ -54,7 +54,8 @@ from uncprover.trs import (
 )
 
 from conftest import (
-    AC, COPS_126, CL, a, b, c, f, g, h, random_system, random_term, term_strategy, x, y,
+    AC, COPS_126, CL, a, b, c, f, g, h, random_system, random_term, small_systems,
+    term_strategy, x, y,
 )
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
@@ -592,16 +593,6 @@ def test_conversion_class_matches_quadratic_oracle(R):
         _assert_same_class(R, seed, 4, 30, 400)
 
 
-@st.composite
-def small_systems(draw):
-    rules = []
-    for _ in range(draw(st.integers(1, 3))):
-        lhs = draw(term_strategy(max_leaves=4).filter(lambda t: isinstance(t, App)))
-        rhs = draw(term_strategy(tuple(sorted(variables(lhs))), max_leaves=4))
-        rules.append(RewriteRule(lhs, rhs))
-    return TRS.of(rules)
-
-
 @given(small_systems())
 def test_conversion_class_matches_quadratic_oracle_random(R):
     for seed in _seeds(R)[:3]:
@@ -631,15 +622,18 @@ def test_conversion_class_max_class_zero_is_no_cap():
 
 
 def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
+    # each candidate's variables come from its key walk, so both are counted
     calls = 0
-    real = uncprover.trs.variables
 
-    def counting(t):
-        nonlocal calls
-        calls += 1
-        return real(t)
+    def counting(real):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(uncprover.trs, "variables", counting)
+    for name in ("variables", "canonical_walk"):
+        monkeypatch.setattr(uncprover.trs, name, counting(getattr(uncprover.trs, name)))
     seed = CL.rules[0].rhs
     counts = []
     for max_class in (500, 2000):
