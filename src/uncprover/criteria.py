@@ -10,9 +10,11 @@
   `STRONGLY_CLOSED` takes it from each side, with the terms at most one
   step away as candidates, and `PARALLEL_CLOSED` and `DEVELOPMENT_CLOSED`
   from the left, one big step away (`trs.parallel_steps`,
-  `trs.development_step_reducts`).  They serve `pcl` and `scl` on a
-  linearization, whose conditions congruence closure decides, and `sc`
-  and `dc` in `completion`.  One critical-pair loop reports `pcl`, `scl`
+  `trs.development_step_reducts`).  Before any meet a pair whose sides
+  differ above every redex, and so have no common reduct, is refuted
+  (`_joinable`).  They serve `pcl` and `scl` on a linearization, whose
+  conditions congruence closure decides, and `sc` and `dc` in
+  `completion`.  One critical-pair loop reports `pcl`, `scl`
   and the weight-decreasing check, which works with ranked conversion
   sets: states pair a multiset of still-usable assumption equations with
   a term, one rewrite step costs one rank unit, and equations are
@@ -114,7 +116,9 @@ class ConfluencePredicate:
     budgets)` gives a join description, not None, for each of its critical
     pairs, the system is confluent.  The pair test also tells whether a
     search was cut: the budgets' caps can only make a pair look unclosed,
-    and past the deadline it raises `TimeoutError`.
+    and past the deadline it raises `TimeoutError`.  A pair that
+    `_joinable` refutes gives (None, False) without a search, also past
+    the deadline; only a searched pair raises.
     """
 
     name: str
@@ -137,9 +141,29 @@ def _meet(S: TRS, holds: Optional[Entails], candidates: Iterable[Term], t: Term,
     return min((w for w in candidates if w in joins), key=repr, default=None), cut
 
 
+def _joinable(S: TRS, s: Term, t: Term) -> bool:
+    """False when `s` and `t` differ in symbol or arity at a position that
+    a walk of both from the root reaches; it stops at variables and at
+    subterms whose root starts an lhs of `S`.  Every step is at or below
+    such a stop, so the two never join (the CAP of Arts and Giesl); the
+    conditions of a conditional system only remove steps."""
+    roots = S.rules_by_root
+    stack = [(s, t)]
+    while stack:
+        s, t = stack.pop()
+        if s is t or type(s) is Var or type(t) is Var or s.sym in roots or t.sym in roots:
+            continue
+        if s.sym != t.sym or len(s.args) != len(t.args):
+            return False
+        stack.extend(zip(s.args, t.args))
+    return True
+
+
 def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[str], bool]:
     """Both strong-closure joins: from each side, the terms at most one step
     away meeting many steps from the other side."""
+    if not _joinable(S, cp.left, cp.right):
+        return None, False
     holds = _entails(S, cp)
     a, cut_a = _meet(S, holds, {cp.right} | reducts(S, cp.right, holds), cp.left, budgets)
     b, cut_b = _meet(S, holds, {cp.left} | reducts(S, cp.left, holds), cp.right, budgets)
@@ -152,6 +176,8 @@ def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
     steps from the right, described by the least meeting term by `repr`."""
     def pair_closed(S: TRS, cp: CriticalPair, budgets: Budgets,
                     ) -> tuple[Optional[str], bool]:
+        if not _joinable(S, cp.left, cp.right):
+            return None, False
         holds = _entails(S, cp)
         big, cut = big_step(S, cp.left, holds, budgets)
         if not cp.overlay:

@@ -1,6 +1,6 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
-of the weight-decreasing check, of rule reversal and of the conversion
-classes of the disproof search.
+of the weight-decreasing check, of rule reversal, of the conversion
+classes of the disproof search and of a parallel-closure check.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -9,14 +9,17 @@ import pytest
 
 from uncprover.completion import disprove_search, rule_reverse_mapped, unc_complete
 from uncprover.config import DEFAULT_BUDGETS
-from uncprover.criteria import DEVELOPMENT_CLOSED, weight_decreasing_unc
+from uncprover.criteria import DEVELOPMENT_CLOSED, parallel_closed_check, weight_decreasing_unc
+from uncprover.ctrs import conditional_linearize
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, conversion_class, critical_pairs, rewrite_steps
 
-from conftest import CL, a, b, c, f, ground_chain, x, y, z
+from conftest import CL, a, b, c, f, g, ground_chain, x, y, z
 
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
+#: random-190 of the benchmark's random population
+RANDOM_190 = TRS.of([RewriteRule(b, g(f(b, b))), RewriteRule(b, a), RewriteRule(b, b)])
 
 
 def test_rewrite_steps_multistep_family(benchmark):
@@ -80,3 +83,10 @@ def test_conversion_class_cl(benchmark):
 def test_disprove_search_cl(benchmark):
     # CL is UNC: every seed's class is built to the cap and no witness found
     assert benchmark.pedantic(disprove_search, args=(CL,), rounds=5, iterations=1) is None
+
+
+def test_parallel_closed_random_190(benchmark):
+    # its first pair <a, g(f(b,b))> never joins: a and g start no lhs
+    C = conditional_linearize(RANDOM_190)
+    report = benchmark.pedantic(parallel_closed_check, args=(C,), rounds=5, iterations=1)
+    assert report.failure == "unclosed critical pair {} => <a, g(f(b,b))> [overlay]"

@@ -37,11 +37,14 @@ from uncprover.ctrs import (
     conditional_linearize,
     lr_separated_linearize,
 )
+from uncprover.completion import rule_reverse_mapped
 from uncprover.cops import parse_cops
 from uncprover.criteria import (
     DEVELOPMENT_CLOSED,
+    PARALLEL_CLOSED,
     STRONGLY_CLOSED,
     SimState,
+    _joinable,
     conv1_remainders,
     eq_states,
     multiset,
@@ -160,16 +163,84 @@ def test_closure_checks_stop_at_the_deadline(check):
 
 
 @pytest.mark.parametrize("check", [parallel_closed_check, strongly_closed_check])
-def test_closure_checks_report_on_joins_deeper_than_the_stack(check):
-    # a -> f^100(a) and a -> b: 12 steps deep, the joins of <f^100(a), b>
-    # build terms over a thousand levels deep, past Python's recursion limit
+def test_closure_checks_report_on_joins_deeper_than_the_stack(check, monkeypatch):
+    # a -> f^100(a), a -> b and b -> c: 12 steps deep, the joins of
+    # <f^100(a), b> build terms over a thousand levels deep, past Python's
+    # recursion limit; b -> c makes b an lhs root, so the fixed tops f and b
+    # do not refute the pair
     deep = a
     for _ in range(MAX_DEPTH):
         deep = f(deep)
-    C = conditional_linearize(TRS.of([RewriteRule(a, deep), RewriteRule(a, b)]))
+    C = conditional_linearize(TRS.of([RewriteRule(a, deep), RewriteRule(a, b),
+                                      RewriteRule(b, c)]))
     report = check(C, Budgets(conv_depth=12, size_cap=0))
     assert (report.holds, report.truncated) == (False, True)
     assert report.failure.startswith("unclosed critical pair")
+    # without b -> c, f and b never change: refuted whole, without a search
+    calls = _count_reach(monkeypatch)
+    C = conditional_linearize(TRS.of([RewriteRule(a, deep), RewriteRule(a, b)]))
+    report = check(C, Budgets(conv_depth=12, size_cap=0))
+    assert (report.holds, report.truncated) == (False, False)
+    assert report.failure.startswith("unclosed critical pair")
+    assert calls["reach"] == 0
+
+
+def _count_reach(monkeypatch) -> Counter:
+    """Count the `trs.reach` calls of both modules that call it."""
+    calls = Counter()
+
+    def counting(*args, **kwargs):
+        calls["reach"] += 1
+        return reach(*args, **kwargs)
+    for module in (uncprover.criteria, uncprover.trs):
+        monkeypatch.setattr(module, "reach", counting)
+    return calls
+
+
+def test_closure_checks_refute_a_fixed_top_pair_without_a_search(monkeypatch):
+    # random-190 of the benchmark: <a, g(f(b,b))> never joins, as a and g
+    # start no lhs; a search for its join took 30 ms per check
+    R = TRS.of([RewriteRule(b, g(f(b, b))), RewriteRule(b, a), RewriteRule(b, b)])
+    C = conditional_linearize(R)
+    calls = _count_reach(monkeypatch)
+    for check in (parallel_closed_check, strongly_closed_check):
+        report = check(C)
+        assert (report.holds, report.truncated) == (False, False)
+        assert report.failure == "unclosed critical pair {} => <a, g(f(b,b))> [overlay]"
+    assert calls["reach"] == 0
+    # past the deadline the refuted pair is still answered; <b, g(f(b,b))>
+    # is searched, and raises
+    refuted, searched = critical_pairs(C)[:2]
+    assert searched.left == b
+    past = Budgets(deadline=time.monotonic() - 1)
+    for pred in (PARALLEL_CLOSED, STRONGLY_CLOSED):
+        assert pred.pair_closed(C, refuted, past) == (None, False)
+        with pytest.raises(TimeoutError):
+            pred.pair_closed(C, searched, past)
+
+
+def test_cap_refutes_only_pairs_without_a_common_reduct():
+    # critical pairs, random pairs and pairs of a term and its reducts, in
+    # plain, linearized and reversed random systems: a refuted pair has no
+    # common reduct within 3 steps
+    rnd = random.Random(30)
+    refuted = Counter()
+    for _ in range(150):
+        R = random_system(rnd)
+        for kind, S in (("plain", R), ("linearized", conditional_linearize(R)),
+                        ("reversed", rule_reverse_mapped(R)[0])):
+            pairs = [(cp.left, cp.right) for cp in critical_pairs(S)]
+            for _ in range(4):
+                u = random_term(rnd, depth=3)
+                pairs.append((u, random_term(rnd, depth=3)))
+                pairs += [(u, v) for v in reducts(S, u)] + [(v, u) for v in reducts(S, u)]
+            for u, v in pairs:
+                if _joinable(S, u, v):
+                    continue
+                refuted[kind] += 1
+                assert not (bounded_reducts(S, u, 3, size_cap=30)
+                            & bounded_reducts(S, v, 3, size_cap=30)), (S, u, v)
+    assert all(refuted[k] >= 90 for k in ("plain", "linearized", "reversed")), refuted
 
 
 def test_parallel_closed_semi_equational():
@@ -267,8 +338,14 @@ def test_strong_closure_gives_the_joins_of_the_two_search_oracle(rng):
                 holds = CongruenceClosure(cp.conditions).entails if S.conditional else None
                 for budgets in (Budgets(), Budgets(conv_depth=2, max_class=5)):
                     a, b, cut = _oracle_strong_joins(S, cp.left, cp.right, budgets, holds)
-                    want = None if a is None or b is None else f"joins at {a!r} / {b!r}"
-                    assert STRONGLY_CLOSED.pair_closed(S, cp, budgets) == (want, cut), (S, cp)
+                    got = STRONGLY_CLOSED.pair_closed(S, cp, budgets)
+                    if not _joinable(S, cp.left, cp.right):
+                        # refuted without a search: the oracle finds no join
+                        assert (a, b, got) == (None, None, (None, False)), (S, cp)
+                        seen["refuted"] += 1
+                    else:
+                        want = None if a is None or b is None else f"joins at {a!r} / {b!r}"
+                        assert got == (want, cut), (S, cp)
                     seen["cut" if cut else "whole"] += 1
                     seen["one side" if (a is None) != (b is None) else
                          "neither" if a is None else
@@ -276,6 +353,7 @@ def test_strong_closure_gives_the_joins_of_the_two_search_oracle(rng):
                     seen["conditional"] += S.conditional
     assert all(seen[k] >= 20 for k in (
         "cut", "whole", "one side", "neither", "same", "two joins", "conditional")), seen
+    assert seen["refuted"] >= 90, seen
 
 
 def plain_parallel_closed(R, budgets_depth=5):
