@@ -85,7 +85,7 @@ class CriterionReport:
 
 
 def strongly_non_overlapping(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """No conditional critical pair survives conditional linearization."""
+    """No critical pair survives the conditional linearization of unconditional `R`."""
     return not critical_pairs(conditional_linearize(R), budgets)
 
 
@@ -527,8 +527,8 @@ def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
 
 
 def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
-    """UNC via weight-decreasing joinability of the left-right separated
-    linearization; only applicable to non-duplicating systems.
+    """UNC of unconditional `R` via weight-decreasing joinability of its
+    left-right separated linearization; only for non-duplicating systems.
 
     The ranked conversion sets are finite, so the check is exact when it
     runs to the end.  Past the budget's deadline it stops and reports a

@@ -1,16 +1,22 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
 of the weight-decreasing check, of rule reversal, of the conversion
-classes of the disproof search and of a parallel-closure check.
+classes of the disproof search, of a parallel-closure check, and of the
+conditional layer: the two linearizations and congruence closure.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
 """
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from uncprover.completion import disprove_search, rule_reverse_mapped, unc_complete
 from uncprover.config import DEFAULT_BUDGETS
+from uncprover.cops import parse_cops
 from uncprover.criteria import DEVELOPMENT_CLOSED, parallel_closed_check, weight_decreasing_unc
-from uncprover.ctrs import conditional_linearize
+from uncprover.ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, conversion_class, critical_pairs, rewrite_steps
 
@@ -90,3 +96,45 @@ def test_parallel_closed_random_190(benchmark):
     C = conditional_linearize(RANDOM_190)
     report = benchmark.pedantic(parallel_closed_check, args=(C,), rounds=5, iterations=1)
     assert report.failure == "unclosed critical pair {} => <a, g(f(b,b))> [overlay]"
+
+
+@pytest.fixture(scope="module")
+def workload_systems():
+    """The 200 systems of the `random-portfolio` workload and the curated
+    systems of `direct-criteria`, read from `bench/` as the benchmark
+    builds them."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [item.text for item in workloads.build("random-portfolio")]
+    texts += dict.fromkeys(item.text for item in workloads.build("direct-criteria"))
+    return [parse_cops(text).trs for text in texts]
+
+
+def _linearize_all(systems):
+    return [(conditional_linearize(R), lr_separated_linearize(R)) for R in systems]
+
+
+def test_linearizations_of_workload_systems(benchmark, workload_systems):
+    linearized = benchmark.pedantic(_linearize_all, args=(workload_systems,), rounds=7,
+                                    iterations=1)
+    assert len(linearized) == 206
+
+
+def _close_all(pairs):
+    """Per pair, one closure of its conditions; every condition must hold
+    in it.  Returns the number of pairs whose sides it identifies."""
+    joined = 0
+    for cp in pairs:
+        cc = CongruenceClosure(cp.conditions)
+        assert all(cc.entails(e.lhs, e.rhs) for e in cp.conditions)
+        joined += cc.entails(cp.left, cp.right)
+    return joined
+
+
+def test_congruence_closure_of_workload_pairs(benchmark, workload_systems):
+    pairs = [cp for Cs in _linearize_all(workload_systems) for C in Cs
+             for cp in critical_pairs(C)]
+    joined = benchmark.pedantic(_close_all, args=(pairs,), rounds=7, iterations=1)
+    assert (len(pairs), joined) == (328, 2)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uncprover.criteria import strongly_non_overlapping, weight_decreasing_unc
 from uncprover.terms import (
     App,
     Var,
+    fresh_name,
     canonical_renaming,
     count_var,
     fn_subterms,
@@ -12,6 +16,7 @@ from uncprover.terms import (
     renaming_apart,
     replace_at,
     substitute,
+    var_occurrences,
     variables,
 )
 from uncprover.trs import TRS, RewriteRule, critical_pairs
@@ -24,7 +29,8 @@ from uncprover.ctrs import (
 )
 
 from conftest import (
-    AC, CL, a, b, c, d, f, g, h, c1, random_system, random_term, term_strategy, x, y,
+    AC, CL, a, b, c, d, f, g, h, c1, random_system, random_term, small_systems,
+    term_strategy, x, y,
 )
 
 
@@ -139,6 +145,140 @@ def test_lrs_invariants(lhs, rhs):
     assert C.lr_separated
     if R.non_duplicating:
         assert C.non_duplicating
+
+
+# --- the two linearizations against the two-walk oracles ---------------------
+
+
+def _oracle_conditional_linearize(R):
+    """The conditional linearization as it was written before both
+    linearizations shared one occurrence walk."""
+    out = []
+    symbols = R.symbols()
+    for rule in R.rules:
+        if rule.left_linear:
+            out.append(rule)
+            continue
+        used = variables(rule.lhs) | variables(rule.rhs) | symbols
+        occ_names = var_occurrences(rule.lhs)
+        copies = {}
+        new_names = []
+        for name in occ_names:
+            if occ_names.count(name) == 1:
+                copies.setdefault(name, [name])
+                new_names.append(name)
+            else:
+                fresh = fresh_name(name, used)
+                used.add(fresh)
+                copies.setdefault(name, []).append(fresh)
+                new_names.append(fresh)
+        lhs = _oracle_relabel_occurrences(rule.lhs, new_names)
+        first_copy = {name: Var(cs[0]) for name, cs in copies.items()}
+        rhs = substitute(rule.rhs, first_copy)
+        conds = []
+        for name in sorted(copies):
+            cs = copies[name]
+            conds.extend(Equation(Var(a_), Var(b_)) for a_, b_ in zip(cs, cs[1:]))
+        out.append(RewriteRule(lhs, rhs, tuple(conds)))
+    return TRS(tuple(out))
+
+
+def _oracle_lr_separated_linearize(R):
+    """The LR-separated linearization as it was written before both
+    linearizations shared one occurrence walk."""
+    out = []
+    symbols = R.symbols()
+    for rule in R.rules:
+        used = variables(rule.lhs) | variables(rule.rhs) | symbols
+        occ_names = var_occurrences(rule.lhs)
+        new_names = []
+        conds = []
+        for name in occ_names:
+            fresh = fresh_name(name, used)
+            used.add(fresh)
+            new_names.append(fresh)
+            conds.append(Equation(Var(fresh), Var(name)))
+        lhs = _oracle_relabel_occurrences(rule.lhs, new_names)
+        out.append(RewriteRule(lhs, rule.rhs, tuple(conds)))
+    return TRS(tuple(out))
+
+
+def _oracle_relabel_occurrences(t, names):
+    """Replace variable occurrences of `t` left to right by `names`."""
+    it = iter(names)
+
+    def go(u):
+        if isinstance(u, Var):
+            return Var(next(it))
+        return App(u.sym, tuple(go(a_) for a_ in u.args))
+
+    return go(t)
+
+
+def _assert_linearizations_match_oracles(R):
+    C = conditional_linearize(R)
+    assert C.rules == _oracle_conditional_linearize(R).rules
+    assert all(lin is rule for rule, lin in zip(R.rules, C.rules) if rule.left_linear)
+    assert lr_separated_linearize(R).rules == _oracle_lr_separated_linearize(R).rules
+
+
+def test_linearizations_match_oracles_on_random_systems(rng):
+    non_linear = 0
+    for _ in range(300):
+        R = random_system(rng)
+        non_linear += not R.left_linear
+        _assert_linearizations_match_oracles(R)
+    assert non_linear >= 10
+
+
+@given(small_systems())
+def test_linearizations_match_oracles_on_small_systems(R):
+    _assert_linearizations_match_oracles(R)
+
+
+def _colliding_term(rnd, depth):
+    """A term whose variables x, x1, y collide with the constants x1, x2 and
+    y1 and with the names the linearizations derive from x and y."""
+    if depth == 0 or rnd.random() < 0.3:
+        if rnd.random() < 0.6:
+            return Var(rnd.choice(["x", "x1", "y"]))
+        return App(rnd.choice(["x1", "x2", "y1"]))
+    return rnd.choice([lambda: f(_colliding_term(rnd, depth - 1),
+                                 _colliding_term(rnd, depth - 1)),
+                       lambda: g(_colliding_term(rnd, depth - 1))])()
+
+
+def test_linearizations_match_oracles_when_names_collide():
+    x1, x2 = Var("x1"), Var("x2")
+    fixed = [
+        TRS.of([RewriteRule(f(x, x), App("x1")), RewriteRule(g(App("x2")), a)]),
+        TRS.of([RewriteRule(f(x, f(x, x1)), g(x1)), RewriteRule(g(x1), x1)]),
+        TRS.of([RewriteRule(f(f(x, x1), f(x1, x)), f(x, x1)),
+                RewriteRule(f(x2, x2), App("x11"))]),
+    ]
+    for R in fixed:
+        _assert_linearizations_match_oracles(R)
+    rnd = random.Random(31)
+    rules_seen = 0
+    while rules_seen < 300:
+        lhs = _colliding_term(rnd, 3)
+        if isinstance(lhs, Var):
+            continue
+        rhs = _colliding_term(rnd, 2)
+        if variables(rhs) - variables(lhs):
+            rhs = App("x1")
+        R = TRS.of([RewriteRule(lhs, rhs), RewriteRule(f(x, x), App("x2"))])
+        _assert_linearizations_match_oracles(R)
+        rules_seen += 1
+
+
+def test_linearizations_refuse_a_conditional_system():
+    # f(x,x) -> a <= x = b: linearizing would drop the condition x = b
+    C = TRS.of([RewriteRule(f(x, x), a, (Equation(x, b),))])
+    for check in (conditional_linearize, lr_separated_linearize,
+                  strongly_non_overlapping, weight_decreasing_unc):
+        with pytest.raises(ValueError, match="unconditional"):
+            check(C)
 
 
 # --- one rule type -------------------------------------------------------------
