@@ -171,11 +171,12 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
         return Verdict(status, reason, witness, tuple(added), tuple(added_traces),
                        rounds)
 
+    # the keys of `current`'s rules and of this round's proposals
+    known = {canonical_key((r.lhs, r.rhs)) for r in R.rules}
     try:
         for round_no in range(1, max_rounds + 1):
             budgets.check()
             new_rules: list[tuple[RewriteRule, Trace]] = []
-            known = {canonical_key((r.lhs, r.rhs)) for r in current.rules}
             all_closed = True
             for cp in pair_stream(current, budgets):
                 budgets.check()

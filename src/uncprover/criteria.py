@@ -208,7 +208,8 @@ def _closure_report(name: str, C: TRS, budgets: Budgets,
                     ) -> CriterionReport:
     """`closed` run on every critical pair of `C`: the joins so far as
     details, the first unclosed pair as the failure, and past the budget's
-    deadline a truncated failure ("timeout")."""
+    deadline, or on terms too deep for Python's stack, a truncated failure
+    ("timeout", "stack depth")."""
     details = []
     try:
         for cp in critical_pairs(C, budgets):
@@ -218,9 +219,9 @@ def _closure_report(name: str, C: TRS, budgets: Budgets,
                                        failure=f"unclosed critical pair {cp!r}",
                                        truncated=cut)
             details.append(f"{cp!r}: {join}")
-    except TimeoutError:
-        return CriterionReport(name, False, tuple(details), failure="timeout",
-                               truncated=True)
+    except (TimeoutError, RecursionError) as cut:
+        cause = "timeout" if isinstance(cut, TimeoutError) else "stack depth"
+        return CriterionReport(name, False, tuple(details), failure=cause, truncated=True)
     return CriterionReport(name, True, tuple(details))
 
 

@@ -26,10 +26,11 @@ receives; it is checked here between methods, inside every method and in
 the reversal of a "rev+" tag.  `cp`, `pcl`, `scl`, `wd`, `sc` and `dc`
 catch their own clock cuts, and `_run_method` the others, which have no
 report to carry one; a cut answers MAYBE.  A search that builds terms too
-deep for Python's stack raises `RecursionError`; `_run_method` catches it
-too, so that method gives no answer and the portfolio goes on.  `pcl` and
-`scl` run a closure predicate of `criteria` on a linearization, and `sc`
-and `dc` run `completion.unc_complete` with one.
+deep for Python's stack raises `RecursionError`; `pcl`, `scl` and `wd`
+report it as a cut and `_run_method` catches it for the others, so that
+method gives no answer and the portfolio goes on.  `pcl` and `scl` run a
+closure predicate of `criteria` on a linearization, and `sc` and `dc` run
+`completion.unc_complete` with one.
 """
 from __future__ import annotations
 

@@ -290,34 +290,16 @@ def renaming_apart(names: Iterable[str], used: set[str]) -> dict[str, Term]:
     return out
 
 
-def canonical_renaming(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
-                       prefix: str = "V") -> dict[str, Term]:
-    """Renaming of the variables of `ts` (except `keep`) to V1, V2, ...
-
-    Numbering follows first occurrence over the term sequence, so terms
-    equal up to renaming of non-kept variables get equal images.
-    """
-    out: dict[str, Term] = {}
-    k = 0
-    for t in ts:
-        for name in var_occurrences(t):
-            if name in keep or name in out:
-                continue
-            k += 1
-            while f"{prefix}{k}" in keep:
-                k += 1
-            out[name] = Var(f"{prefix}{k}")
-    return out
-
-
 def canonical_walk(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
-                   ) -> tuple[str, int, set[str]]:
+                   ) -> tuple[str, int, dict[str, str]]:
     """Key identifying the sequence `ts` up to renaming of non-kept
     variables, its number of symbol and variable occurrences, and its
-    variable names, from one walk without recursion.
+    renaming, from one walk without recursion.
 
-    The key is the comma-joined reprs of `ts` under `canonical_renaming(ts,
-    keep, prefix="\x00v")`; the \x00 prefix keeps canonical names clear of
+    This is the one writer of canonical names.  The non-kept variables are
+    named \x00v1, \x00v2, ... by first occurrence, skipping kept names; the
+    key is the comma-joined reprs of `ts` under that renaming, which maps a
+    kept name to itself.  The \x00 prefix keeps canonical names clear of
     symbol and variable names.
     """
     names: dict[str, str] = {}
@@ -352,7 +334,7 @@ def canonical_walk(ts: Iterable[Term], keep: frozenset[str] = frozenset(),
             push(t.args[0])
         else:
             emit(t.sym)
-    return "".join(out), size, set(names)
+    return "".join(out), size, names
 
 
 def canonical_key(ts: Iterable[Term], keep: frozenset[str] = frozenset()) -> str:

@@ -37,7 +37,6 @@ from .terms import (
     Var,
     arities,
     canonical_key,
-    canonical_renaming,
     canonical_walk,
     check_depth,
     count_var,
@@ -485,19 +484,16 @@ def overlaps(rules: Sequence[RewriteRule], budgets: Budgets = DEFAULT_BUDGETS,
                 yield oi, ii, pos, renamed, sub
 
 
-def _conditions_key(left: Term, right: Term, conditions: tuple[Equation, ...],
+def _conditions_key(ren: dict[str, str], conditions: tuple[Equation, ...],
                     ) -> tuple[str, ...]:
-    """Condition part of a pair's identity up to renaming: the sides keep
-    their canonical names, condition-only variables are numbered in name
-    order, and condition order is ignored."""
-    # the \x00 prefixes keep canonical names clear of user variable names
-    ren = canonical_renaming([left, right], prefix="\x00v")
-    partial = [c.subst(ren) for c in conditions]
-    image = {v.name for v in ren.values()}
-    rest = {n for c in partial for n in variables(c.lhs) | variables(c.rhs)
-            if n not in image}
-    ren2 = {n: Var(f"\x00w{i}") for i, n in enumerate(sorted(rest), 1)}
-    return tuple(sorted(repr(c.subst(ren2)) for c in partial))
+    """Condition part of a pair's identity up to renaming, given the
+    renaming `ren` of the sides from `canonical_walk`: side variables take
+    their canonical names, condition-only variables are numbered \x00w1,
+    \x00w2, ... in name order, and condition order is ignored."""
+    sigma: dict[str, Term] = {n: Var(alias) for n, alias in ren.items()}
+    rest = {n for c in conditions for u in c for n in variables(u)} - ren.keys()
+    sigma.update((n, Var(f"\x00w{i}")) for i, n in enumerate(sorted(rest), 1))
+    return tuple(sorted(repr(c.subst(sigma)) for c in conditions))
 
 
 def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[CriticalPair]:
@@ -515,8 +511,8 @@ def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Critical
         left = replace_at(peak, pos, substitute(inner.rhs, sigma))
         right = substitute(outer.rhs, sigma)
         conds = tuple(c.subst(sigma) for c in inner.conditions + outer.conditions)
-        key = (pos == (), canonical_key((left, right)),
-               conds and _conditions_key(left, right, conds))
+        sides, _, ren = canonical_walk((left, right))
+        key = (pos == (), sides, conds and _conditions_key(ren, conds))
         if key in seen:
             continue
         seen.add(key)

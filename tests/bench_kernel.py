@@ -1,7 +1,8 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
 of the weight-decreasing check, of rule reversal, of the conversion
 classes of the disproof search, of a parallel-closure check, and of the
-conditional layer: the two linearizations and congruence closure.
+conditional layer: the two linearizations, their critical pairs and
+congruence closure.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -122,6 +123,17 @@ def test_linearizations_of_workload_systems(benchmark, workload_systems):
     assert len(linearized) == 206
 
 
+def _pairs_of_all(linearized):
+    return [cp for Cs in linearized for C in Cs for cp in critical_pairs(C)]
+
+
+def test_critical_pairs_of_workload_linearizations(benchmark, workload_systems):
+    # each pair is keyed up to renaming, from one walk of its sides
+    linearized = _linearize_all(workload_systems)
+    pairs = benchmark.pedantic(_pairs_of_all, args=(linearized,), rounds=25, iterations=1)
+    assert len(pairs) == 328
+
+
 def _close_all(pairs):
     """Per pair, one closure of its conditions; every condition must hold
     in it.  Returns the number of pairs whose sides it identifies."""
@@ -134,7 +146,6 @@ def _close_all(pairs):
 
 
 def test_congruence_closure_of_workload_pairs(benchmark, workload_systems):
-    pairs = [cp for Cs in _linearize_all(workload_systems) for C in Cs
-             for cp in critical_pairs(C)]
+    pairs = _pairs_of_all(_linearize_all(workload_systems))
     joined = benchmark.pedantic(_close_all, args=(pairs,), rounds=7, iterations=1)
     assert (len(pairs), joined) == (328, 2)

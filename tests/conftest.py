@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from uncprover.terms import App, Term, Var, variables
+from uncprover.terms import App, Term, Var, var_occurrences, variables
 from uncprover.trs import TRS, RewriteRule
 
 settings.register_profile(
@@ -113,3 +113,21 @@ def random_system(rnd: random.Random) -> TRS:
             rhs = App("a")
         rules.append(RewriteRule(lhs, rhs))
     return TRS.of(rules)
+
+
+def canonical_renaming(ts, keep=frozenset(), prefix="V") -> dict[str, Term]:
+    """Renaming of the variables of `ts` (except `keep`) to V1, V2, ...
+    numbered by first occurrence over the term sequence: the reference
+    for the canonical names of `terms.canonical_walk` (prefix "\x00v")
+    and for the key writers that it replaced."""
+    out: dict[str, Term] = {}
+    k = 0
+    for t in ts:
+        for name in var_occurrences(t):
+            if name in keep or name in out:
+                continue
+            k += 1
+            while f"{prefix}{k}" in keep:
+                k += 1
+            out[name] = Var(f"{prefix}{k}")
+    return out

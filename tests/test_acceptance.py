@@ -12,7 +12,7 @@ import pytest
 from uncprover.terms import (
     App,
     Var,
-    canonical_renaming,
+    canonical_key,
     replace_at,
     substitute,
     subterms,
@@ -55,7 +55,7 @@ from uncprover.completion import (
 )
 from uncprover.strategy import prove_unc
 
-from conftest import COPS_126, a, b, c, f, g, h, c1, random_term, x, y
+from conftest import COPS_126, a, b, c, f, g, h, c1, canonical_renaming, random_term, x, y
 
 RESULTS = []
 
@@ -276,8 +276,7 @@ def test_criterion_7_disproofs():
         w2 = disprove_search(R2)
         assert w2 is not None and validate_witness(R2, w2)
         # variable-escape route: the two witnesses are renamings
-        assert substitute(w2.s, canonical_renaming([w2.s])) \
-            == substitute(w2.t, canonical_renaming([w2.t]))
+        assert canonical_key((w2.s,)) == canonical_key((w2.t,))
         assert w2.s.sym == w2.t.sym == "g"
 
 
@@ -457,7 +456,7 @@ def test_criterion_9_metamorphic():
             for _ in range(4):
                 t = random_term(rnd, depth=2)
                 keep = frozenset(variables(t))
-                canon = lambda S: {substitute(u, canonical_renaming([u], keep))
+                canon = lambda S: {canonical_key((u,), keep)
                                    for u in conversion_class(S, t, 3, 30).reached}
                 if canon(R) != canon(Rp):
                     violations += 1

@@ -14,8 +14,7 @@ import uncprover.completion
 import uncprover.trs
 from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
-from uncprover.terms import (Var, canonical_key, canonical_renaming, substitute, term_size,
-                             variables)
+from uncprover.terms import Var, canonical_key, term_size, variables
 from uncprover.trs import (
     TRS,
     ConvStep,
@@ -100,8 +99,7 @@ def test_completion_variable_escape_exit():
     assert "variable" in verdict.reason
     assert validate_witness(R, verdict.witness)
     w = verdict.witness
-    assert substitute(w.s, canonical_renaming([w.s])) \
-        == substitute(w.t, canonical_renaming([w.t]))
+    assert canonical_key((w.s,)) == canonical_key((w.t,))
 
 
 def test_completion_added_rules_replay_over_original(rng):
@@ -400,7 +398,7 @@ def test_rule_reverse_preserves_conversions_and_normal_forms(rng):
         for _ in range(5):
             t = random_term(rng, depth=2)
             keep = frozenset(variables(t))
-            canon = lambda S: {substitute(u, canonical_renaming([u], keep))
+            canon = lambda S: {canonical_key((u,), keep)
                                for u in conversion_class(S, t, 3, size_cap=30).reached}
             if canon(R) != canon(Rp):
                 violations += 1
@@ -540,8 +538,7 @@ def test_disprove_variable_escape():
     assert validate_witness(R, w)
     # route: a normal form with an escaping variable, so the witnesses are
     # renamings of one another
-    assert substitute(w.s, canonical_renaming([w.s])) \
-        == substitute(w.t, canonical_renaming([w.t]))
+    assert canonical_key((w.s,)) == canonical_key((w.t,))
 
 
 def test_disprove_variable_escape_to_a_normal_form_found_late():

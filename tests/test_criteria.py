@@ -185,6 +185,23 @@ def test_closure_checks_report_on_joins_deeper_than_the_stack(check, monkeypatch
     assert calls["reach"] == 0
 
 
+@pytest.mark.parametrize("check, tag", [(parallel_closed_check, "pcl"),
+                                        (strongly_closed_check, "scl")])
+def test_closure_checks_report_equal_terms_deeper_than_the_stack(check, tag):
+    # with b -> b the joins of <f^100(a), b> meet at equal reducts over 500
+    # levels deep, and comparing them in `reach` overflows Python's stack
+    deep = a
+    for _ in range(MAX_DEPTH):
+        deep = f(deep)
+    R = TRS.of([RewriteRule(a, deep), RewriteRule(a, b), RewriteRule(b, b)])
+    budgets = Budgets(conv_depth=12, size_cap=0)
+    report = check(conditional_linearize(R), budgets)
+    assert (report.holds, report.failure, report.truncated) == (False, "stack depth", True)
+    res = prove_unc(R, StrategyConfig(methods=(tag,), budgets=budgets))
+    assert res.answer == "MAYBE"
+    assert "no method applied" in res.certificate
+
+
 def _count_reach(monkeypatch) -> Counter:
     """Count the `trs.reach` calls of both modules that call it."""
     calls = Counter()

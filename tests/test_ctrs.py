@@ -9,7 +9,6 @@ from uncprover.terms import (
     App,
     Var,
     fresh_name,
-    canonical_renaming,
     count_var,
     fn_subterms,
     mgu,
@@ -29,8 +28,8 @@ from uncprover.ctrs import (
 )
 
 from conftest import (
-    AC, CL, a, b, c, d, f, g, h, c1, random_system, random_term, small_systems,
-    term_strategy, x, y,
+    AC, CL, a, b, c, d, f, g, h, c1, canonical_renaming, random_system, random_term,
+    small_systems, term_strategy, x, y, z,
 )
 
 
@@ -452,7 +451,9 @@ def _oracle_conditional_critical_pairs(C):
 
 
 def _assert_same_ccps(R):
-    for C in (R, conditional_linearize(R), lr_separated_linearize(R)):
+    # the linearizations refuse a conditional system, so it goes in alone
+    linearized = () if R.conditional else (conditional_linearize(R), lr_separated_linearize(R))
+    for C in (R, *linearized):
         assert [(p.conditions, p.left, p.right, p.overlay, p.outer, p.inner, p.pos,
                  repr(p)) for p in conditional_critical_pairs(C)] \
             == _oracle_conditional_critical_pairs(C)
@@ -460,9 +461,21 @@ def _assert_same_ccps(R):
 
 NON_LINEAR = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(x, g(x)), b),
                      RewriteRule(c, g(c))])
+# two overlaps each give the pair x = a, x = g(_) => <f(b), x>, with the
+# conditions in either order and the condition-only variable named x1 or z,
+# and the overlays <b, b> have only condition-only variables; in the other
+# system the overlays in both orders meet as one pair
+SWAPPED_CONDITIONS = TRS.of([
+    RewriteRule(f(g(x)), x, (Equation(x, a),)),
+    RewriteRule(g(y), b, (Equation(y, g(x)),)),
+    RewriteRule(f(g(x)), x, (Equation(x, g(z)),)),
+    RewriteRule(g(y), b, (Equation(y, a),))])
+MIRRORED_CONDITIONS = TRS.of([RewriteRule(f(x, y), h(x, y), (Equation(x, g(z)),)),
+                              RewriteRule(f(x, y), h(y, x), (Equation(y, g(z)),))])
 
 
-@pytest.mark.parametrize("R", [CL, AC, NON_LINEAR], ids=["CL", "AC", "non-linear"])
+@pytest.mark.parametrize("R", [CL, AC, NON_LINEAR, SWAPPED_CONDITIONS, MIRRORED_CONDITIONS],
+                         ids=["CL", "AC", "non-linear", "swapped", "mirrored"])
 def test_ccps_match_overlap_loop_oracle(R):
     _assert_same_ccps(R)
 

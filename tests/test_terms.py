@@ -8,7 +8,6 @@ from uncprover.terms import (
     Var,
     arities,
     canonical_key,
-    canonical_renaming,
     canonical_walk,
     match,
     mgu,
@@ -22,7 +21,7 @@ from uncprover.terms import (
 )
 from uncprover.trs import TRS, RewriteRule
 
-from conftest import a, b, f, g, term_strategy, x, y, z
+from conftest import a, b, canonical_renaming, f, g, term_strategy, x, y, z
 
 XYZ = ("x", "y", "z")
 
@@ -268,11 +267,16 @@ WIDE_TERMS = st.recursive(
 @given(st.lists(WIDE_TERMS, max_size=4),
        st.frozensets(st.sampled_from(NAMES + ("\x00v3", "z"))))
 def test_canonical_walk_gives_the_recursive_key_size_and_variables(ts, keep):
-    key, size, names = canonical_walk(ts, keep)
+    key, size, ren = canonical_walk(ts, keep)
     assert key == _recursive_key(ts, keep) == canonical_key(ts, keep)
     assert size == sum(map(term_size, ts))
-    assert names == set().union(*map(variables, ts))
-    assert canonical_walk(iter(ts), keep) == (key, size, names)
+    assert ren.keys() == set().union(*map(variables, ts))
+    # the renaming is the oracle's \x00v image, and kept names map to themselves
+    image = canonical_renaming(ts, keep, prefix="\x00v")
+    assert {n: v for n, v in ren.items() if n not in keep} \
+        == {n: v.name for n, v in image.items()}
+    assert all(ren[n] == n for n in ren.keys() & keep)
+    assert canonical_walk(iter(ts), keep) == (key, size, ren)
 
 
 def test_canonical_key_of_a_term_deeper_than_the_stack():

@@ -17,7 +17,6 @@ from uncprover.terms import (
     Var,
     arities,
     canonical_key,
-    canonical_renaming,
     fn_subterms,
     match,
     mgu,
@@ -54,8 +53,8 @@ from uncprover.trs import (
 )
 
 from conftest import (
-    AC, COPS_126, CL, a, b, c, f, g, h, random_system, random_term, small_systems,
-    term_strategy, x, y,
+    AC, COPS_126, CL, a, b, c, f, g, h, canonical_renaming, random_system, random_term,
+    small_systems, term_strategy, x, y,
 )
 
 COPS_254 = TRS.of([RewriteRule(a, f(c)), RewriteRule(a, f(h(c))),
