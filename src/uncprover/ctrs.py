@@ -52,8 +52,11 @@ def conditional_linearize(R: TRS) -> TRS:
     Repeated variables get fresh distinct copies; the conditions are a
     minimal chain of variable equations identifying exactly the copies of
     one original variable, and the rhs keeps the first copy.  Left-linear
-    rules pass through as the same objects.
+    rules pass through as the same objects, and a left-linear `R` is
+    returned itself.
     """
+    if not R.conditional and R.left_linear:
+        return R
     out = []
     for rule, lhs, pairs in _separate(R, repeated=True):
         if not pairs:

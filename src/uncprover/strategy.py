@@ -30,7 +30,9 @@ deep for Python's stack raises `RecursionError`; `pcl`, `scl` and `wd`
 report it as a cut and `_run_method` catches it for the others, so that
 method gives no answer and the portfolio goes on.  `pcl` and `scl` run a
 closure predicate of `criteria` on a linearization, and `sc` and `dc` run
-`completion.unc_complete` with one.
+`completion.unc_complete` with one.  Each direct-sum component has its own
+pair memo (`trs.PAIR_MEMO`), so `sno`, `pcl`, `scl`, `wd` and `cp` build
+each pair list once per component; a list cut by the clock is not kept.
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ from .criteria import (
 )
 from .ctrs import conditional_linearize
 from .terms import check_depth
-from .trs import TRS
+from .trs import PAIR_MEMO, TRS
 
 CERTIFICATE_FORMAT = "1"
 
@@ -270,6 +272,7 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     tags: list[Optional[str]] = []
     for ci, comp in enumerate(components, 1):
         answer, tag = "MAYBE", None
+        opened = PAIR_MEMO.set({})
         try:
             outcome = _first_answer(comp, config, budgets)
         except TimeoutError:
@@ -282,6 +285,8 @@ def prove_unc(problem: Union[ProblemFile, TRS],
                 lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
                              f"{answer} via ({tag})")
                 lines.extend("  " + ln for ln in found)
+        finally:
+            PAIR_MEMO.reset(opened)
         answers.append(answer)
         tags.append(tag)
         if answer == "NO":

@@ -17,13 +17,17 @@ parallel step and the multistep.  `development_step_reducts` is that
 multistep on every system, left-linear or not, with a path of single steps
 per reduct for `replay_path`.
 
-All operations are pure; step budgets are per call, and the long searches
-call `config.Budgets.check`, so a clock cut raises `TimeoutError` and never
-returns a partial result.  Result sets are deduplicated literally except for
-critical pairs, which are identified up to renaming and condition order.
+All operations are pure, except that inside `strategy.prove_unc`
+`critical_pairs` keeps each list it finishes in the pair memo of the
+component at hand (`PAIR_MEMO`), which is read without the clock.  Step
+budgets are per call, and the long searches call `config.Budgets.check`, so
+a clock cut raises `TimeoutError` and never returns a partial result.
+Result sets are deduplicated literally except for critical pairs, which are
+identified up to renaming and condition order.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
@@ -488,11 +492,16 @@ def _conditions_key(ren: dict[str, str], conditions: tuple[Equation, ...],
                     ) -> tuple[str, ...]:
     """Condition part of a pair's identity up to renaming, given the
     renaming `ren` of the sides from `canonical_walk`: side variables take
-    their canonical names, condition-only variables are numbered \x00w1,
-    \x00w2, ... in name order, and condition order is ignored."""
+    their canonical names, condition-only ones by first occurrence in the
+    conditions sorted by repr with them masked; condition order is ignored."""
     sigma: dict[str, Term] = {n: Var(alias) for n, alias in ren.items()}
     rest = {n for c in conditions for u in c for n in variables(u)} - ren.keys()
-    sigma.update((n, Var(f"\x00w{i}")) for i, n in enumerate(sorted(rest), 1))
+    if rest:
+        mask = dict.fromkeys(rest, Var("\x00w"))
+        ordered = sorted((c.subst(sigma) for c in conditions),
+                         key=lambda c: repr(c.subst(mask)))
+        names = canonical_walk([u for c in ordered for u in c], frozenset(ren.values()))[2]
+        sigma.update((n, Var(names[n])) for n in rest)
     return tuple(sorted(repr(c.subst(sigma)) for c in conditions))
 
 
@@ -519,10 +528,22 @@ def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Critical
         yield CriticalPair(left, right, oi, ii, pos, peak, conds)
 
 
+#: The open pair memo, rule tuple -> finished `critical_pairs` tuple, or
+#: None when none is open; `strategy.prove_unc` opens one per component.
+PAIR_MEMO: ContextVar[Optional[dict]] = ContextVar("PAIR_MEMO", default=None)
+
+
 def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
     """All the pairs of `pair_stream`; a clock cut raises, so no caller sees
-    a partial list."""
-    return tuple(pair_stream(R, budgets))
+    a partial list.  With a memo open, a finished list is kept there and
+    returned again for the same rules."""
+    memo = PAIR_MEMO.get()
+    if memo is None:
+        return tuple(pair_stream(R, budgets))
+    pairs = memo.get(R.rules)
+    if pairs is None:
+        pairs = memo[R.rules] = tuple(pair_stream(R, budgets))
+    return pairs
 
 
 @dataclass(frozen=True)

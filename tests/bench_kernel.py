@@ -1,8 +1,9 @@
 """Microbenchmarks of the rewrite and unification kernel under completion,
 of the weight-decreasing check, of rule reversal, of the conversion
-classes of the disproof search, of a parallel-closure check, and of the
+classes of the disproof search, of a parallel-closure check, of the
 conditional layer: the two linearizations, their critical pairs and
-congruence closure.
+congruence closure, and of the default portfolio, whose methods share each
+component's pair lists.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -18,6 +19,7 @@ from uncprover.config import DEFAULT_BUDGETS
 from uncprover.cops import parse_cops
 from uncprover.criteria import DEVELOPMENT_CLOSED, parallel_closed_check, weight_decreasing_unc
 from uncprover.ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
+from uncprover.strategy import prove_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
 from uncprover.trs import TRS, RewriteRule, conversion_class, critical_pairs, rewrite_steps
 
@@ -149,3 +151,14 @@ def test_congruence_closure_of_workload_pairs(benchmark, workload_systems):
     pairs = _pairs_of_all(_linearize_all(workload_systems))
     joined = benchmark.pedantic(_close_all, args=(pairs,), rounds=7, iterations=1)
     assert (len(pairs), joined) == (328, 2)
+
+
+def _prove_all(systems):
+    return [prove_unc(R).answer for R in systems]
+
+
+def test_default_portfolio_on_random_portfolio_systems(benchmark, workload_systems):
+    # the default methods on the first 200 systems, those of `random-portfolio`
+    answers = benchmark.pedantic(_prove_all, args=(workload_systems[:200],), rounds=5,
+                                 iterations=1)
+    assert sum(answer != "MAYBE" for answer in answers) == 198

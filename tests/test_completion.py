@@ -16,6 +16,7 @@ from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, canonical_key, term_size, variables
 from uncprover.trs import (
+    PAIR_MEMO,
     TRS,
     ConvStep,
     RewriteRule,
@@ -172,6 +173,23 @@ def test_deadline_inside_critical_pairs_never_gives_unc():
         assert verdict.status == "MAYBE" and verdict.reason == "timeout"
     assert disprove_search(R) is not None
     assert disprove_search(R, _past_only_in("overlaps")) is None
+
+
+def test_a_pair_build_cut_under_a_memo_keeps_nothing():
+    R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
+    memo = {}
+    opened = PAIR_MEMO.set(memo)
+    try:
+        with pytest.raises(TimeoutError):
+            critical_pairs(R, _past_only_in("overlaps"))
+        assert memo == {}
+        pairs = critical_pairs(R)
+        assert memo == {R.rules: pairs}
+        # a kept list is read without the clock
+        assert critical_pairs(R, Budgets(deadline=time.monotonic() - 1)) is pairs
+    finally:
+        PAIR_MEMO.reset(opened)
+    assert pairs == critical_pairs(R) and len(pairs) == 2
 
 
 def test_completion_passes_its_deadline_to_the_pair_test():

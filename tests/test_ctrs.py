@@ -56,6 +56,14 @@ def test_linearize_left_linear_unchanged():
     assert C.rules[0] == RewriteRule(f(x, y), x, ())
 
 
+def test_linearize_returns_a_left_linear_system_itself():
+    # so the critical pairs of a left-linear system and of its linearization
+    # are one list under a pair memo
+    R = TRS.of([RewriteRule(f(x, y), x), RewriteRule(g(x), f(x, x))])
+    assert conditional_linearize(R) is R
+    assert conditional_linearize(NON_LINEAR) is not NON_LINEAR
+
+
 def test_linearize_triple_occurrence_chain():
     R = TRS.of([RewriteRule(App("t", (x, x, x)), x)])
     C = conditional_linearize(R)
@@ -404,7 +412,8 @@ def test_ccp_of_lifted_trs_matches_critical_pairs(lhs, rhs):
 def _ccp_key(conditions, left, right, overlay):
     """The identity of a conditional critical pair up to renaming, written
     apart from the builder: the sides renamed canonically, condition-only
-    variables numbered in name order, and the conditions sorted."""
+    variables numbered by first occurrence in the conditions sorted with
+    those variables masked, and the conditions sorted."""
     # the \x00 prefixes keep canonical names clear of user variable names
     ren = canonical_renaming([left, right], prefix="\x00v")
     left = substitute(left, ren)
@@ -413,7 +422,10 @@ def _ccp_key(conditions, left, right, overlay):
     image = {v.name for v in ren.values()}
     rest = {n for c_ in partial for n in variables(c_.lhs) | variables(c_.rhs)
             if n not in image}
-    ren2 = {n: Var(f"\x00w{i}") for i, n in enumerate(sorted(rest), 1)}
+    mask = {n: Var("\x00w") for n in rest}
+    partial.sort(key=lambda c_: repr(c_.subst(mask)))
+    ren2 = canonical_renaming([u for c_ in partial for u in (c_.lhs, c_.rhs)],
+                              keep=image, prefix="\x00w")
     conds = sorted(repr(c_.subst(ren2)) for c_ in partial)
     return (overlay, repr(left), repr(right), tuple(conds))
 
@@ -477,6 +489,17 @@ MIRRORED_CONDITIONS = TRS.of([RewriteRule(f(x, y), h(x, y), (Equation(x, g(z)),)
 @pytest.mark.parametrize("R", [CL, AC, NON_LINEAR, SWAPPED_CONDITIONS, MIRRORED_CONDITIONS],
                          ids=["CL", "AC", "non-linear", "swapped", "mirrored"])
 def test_ccps_match_overlap_loop_oracle(R):
+    _assert_same_ccps(R)
+
+
+def test_renamed_copies_of_one_conditional_pair_are_one_pair():
+    # the first and the third rule overlap both ways, giving
+    # x = g(y1), y1 = b, x = g(y) and x = g(y1), x = g(y), y = b => <a, a>,
+    # one pair up to renaming y <-> y1
+    R = TRS.of([RewriteRule(f(x), a, (Equation(x, g(y)),)),
+                RewriteRule(f(x), b, (Equation(x, h(y)),)),
+                RewriteRule(f(x), a, (Equation(x, g(y)), Equation(y, b)))])
+    assert [(p.left, p.right) for p in critical_pairs(R)].count((a, a)) == 1
     _assert_same_ccps(R)
 
 

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import uncprover.completion
+import uncprover.criteria
 import uncprover.strategy
+import uncprover.trs
 from uncprover.completion import Witness, direct_sum_decompose, rule_reverse_mapped
 from uncprover.cops import parse_cops
 from uncprover.strategy import (
@@ -19,9 +22,11 @@ from uncprover.strategy import (
     prove_unc,
 )
 from uncprover.terms import MAX_DEPTH, App, Var
-from uncprover.trs import TRS, Equation, RewriteRule
+from uncprover.trs import PAIR_MEMO, TRS, Equation, RewriteRule, critical_pairs
 
-from conftest import AC, AC_G, COPS_126, CL, a, b, c, d, ground_chain, random_system
+from conftest import (
+    AC, AC_G, COPS_126, CL, a, b, c, d, f, g, ground_chain, h, random_system, x,
+)
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
 ALL_TAGS = tuple(p + base for base in METHODS for p in ("", "rev+"))
@@ -347,3 +352,50 @@ def test_each_method_gives_only_the_answers_it_declares(base):
                 assert method.answers == {"NO"}, system
             elif found is not None:
                 assert method.answers == {"YES"}, system
+
+
+# pcl proves it after sno, both reading the pairs of the same rules
+LEFT_LINEAR = TRS.of([RewriteRule(f(x), a), RewriteRule(f(b), a)])
+# rev+sc disproves it after cp finds no witness; cp reads the pairs of the
+# rules, sno, pcl and scl those of the linearization, and wd those of the
+# separated one
+NOT_LEFT_LINEAR = TRS.of([RewriteRule(f(x, x), a), RewriteRule(f(x, g(x)), b),
+                          RewriteRule(c, g(c))])
+TWO_COMPONENTS = TRS.of(LEFT_LINEAR.rules + (RewriteRule(h(x), c), RewriteRule(h(d), c)))
+
+
+@pytest.mark.parametrize("R, components, reads, builds", [
+    (LEFT_LINEAR, 1, 2, 1), (NOT_LEFT_LINEAR, 1, 5, 3), (TWO_COMPONENTS, 2, 4, 2)],
+    ids=["left-linear", "not-left-linear", "two-components"])
+def test_each_pair_list_is_built_once_per_component(monkeypatch, R, components, reads,
+                                                     builds):
+    built, read = [], []
+
+    def counted_stream(S, budgets):
+        built.append((PAIR_MEMO.get(), S.rules))
+        return stream(S, budgets)
+
+    def counted_pairs(S, budgets):
+        read.append(S.rules)
+        return pairs(S, budgets)
+
+    stream, pairs = uncprover.trs.pair_stream, critical_pairs
+    monkeypatch.setattr(uncprover.trs, "pair_stream", counted_stream)
+    for module in (uncprover.criteria, uncprover.completion):
+        monkeypatch.setattr(module, "critical_pairs", counted_pairs)
+    prove_unc(R)
+    assert PAIR_MEMO.get() is None
+    assert (len(read), len(built)) == (reads, builds)
+    # one memo per component, each list built at most once in it
+    memos = list({id(memo): memo for memo, _ in built}.values())
+    assert len(memos) == components
+    for memo in memos:
+        keys = [rules for m, rules in built if m is memo]
+        assert len(keys) == len(set(keys)) == len(memo)
+    # the components share no list
+    assert len({rules for memo in memos for rules in memo}) == builds
+    # and a shared list is the one a fresh build gives
+    monkeypatch.undo()
+    for memo in memos:
+        for rules, cps in memo.items():
+            assert cps == critical_pairs(TRS(rules))
