@@ -163,13 +163,12 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
     """
     n_original = len(R.rules)
     current = R
-    added: list[RewriteRule] = []
     added_traces: list[Trace] = []
 
     def verdict(status: str, reason: str, rounds: int,
                 witness: Optional[Witness] = None) -> Verdict:
-        return Verdict(status, reason, witness, tuple(added), tuple(added_traces),
-                       rounds)
+        return Verdict(status, reason, witness, current.rules[n_original:],
+                       tuple(added_traces), rounds)
 
     # the keys of `current`'s rules and of this round's proposals
     known = {canonical_key((r.lhs, r.rhs)) for r in R.rules}
@@ -219,7 +218,6 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             for rule, trace in new_rules:
                 expanded = _expand_trace(trace, n_original, added_traces)
                 current = TRS(current.rules + (rule,))
-                added.append(rule)
                 added_traces.append(expanded)
     except TimeoutError:
         return verdict("MAYBE", "timeout", round_no - 1)

@@ -126,10 +126,10 @@ class ConfluencePredicate:
     pair_closed: Callable[[TRS, CriticalPair, Budgets], tuple[Optional[str], bool]]
 
 
-def _entails(S: TRS, cp: CriticalPair) -> Optional[Entails]:
+def _entails(S: TRS, cp: CriticalPair, budgets: Budgets) -> Optional[Entails]:
     # on a conditional system even a pair without conditions needs a test:
     # without one `redexes` reads no condition
-    return CongruenceClosure(cp.conditions).entails if S.conditional else None
+    return CongruenceClosure(cp.conditions, budgets).entails if S.conditional else None
 
 
 def _meet(S: TRS, holds: Optional[Entails], candidates: Iterable[Term], t: Term,
@@ -164,7 +164,7 @@ def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[s
     away meeting many steps from the other side."""
     if not _joinable(S, cp.left, cp.right):
         return None, False
-    holds = _entails(S, cp)
+    holds = _entails(S, cp, budgets)
     a, cut_a = _meet(S, holds, {cp.right} | reducts(S, cp.right, holds), cp.left, budgets)
     b, cut_b = _meet(S, holds, {cp.left} | reducts(S, cp.left, holds), cp.right, budgets)
     return (None if a is None or b is None else f"joins at {a!r} / {b!r}"), cut_a or cut_b
@@ -178,7 +178,7 @@ def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
                     ) -> tuple[Optional[str], bool]:
         if not _joinable(S, cp.left, cp.right):
             return None, False
-        holds = _entails(S, cp)
+        holds = _entails(S, cp, budgets)
         big, cut = big_step(S, cp.left, holds, budgets)
         if not cp.overlay:
             return (f"{label} {list(big[cp.right])}" if cp.right in big else None), cut

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .config import Budgets, DEFAULT_BUDGETS
 from .terms import (
     App, Term, Var, find, fresh_name, replace_at, subterms, substitute)
 from .trs import TRS, Equation, RewriteRule, critical_pairs
@@ -87,12 +88,13 @@ class CongruenceClosure:
     """Union-find over the subterm graph of an equation set, with
     congruence propagation; variables are opaque constants.
 
-    `CongruenceClosure(gamma).entails(s, t)` is the whole interface: the
-    constructor unions the sides of each equation, and `entails` adds its
-    two terms to the universe and closes it under congruence once before it
-    decides.  Instances are single-threaded."""
+    `CongruenceClosure(gamma, budgets).entails(s, t)` is the whole
+    interface: the constructor unions the sides of each equation, and
+    `entails` adds its two terms and closes the universe under congruence,
+    checking `budgets` once per pass.  Instances are single-threaded."""
 
-    def __init__(self, equations: Iterable[Equation] = ()):
+    def __init__(self, equations: Iterable[Equation] = (), budgets: Budgets = DEFAULT_BUDGETS):
+        self._budgets = budgets
         self._parent: dict[Term, Term] = {}
         self._apps: list[App] = []
         for eq in equations:
@@ -120,6 +122,7 @@ class CongruenceClosure:
         self._add(t)
         changed = True
         while changed:
+            self._budgets.check()
             changed = False
             canon: dict[tuple, Term] = {}
             for u in self._apps:

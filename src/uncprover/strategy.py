@@ -30,9 +30,9 @@ deep for Python's stack raises `RecursionError`; `pcl`, `scl` and `wd`
 report it as a cut and `_run_method` catches it for the others, so that
 method gives no answer and the portfolio goes on.  `pcl` and `scl` run a
 closure predicate of `criteria` on a linearization, and `sc` and `dc` run
-`completion.unc_complete` with one.  Each direct-sum component has its own
-pair memo (`trs.PAIR_MEMO`), so `sno`, `pcl`, `scl`, `wd` and `cp` build
-each pair list once per component; a list cut by the clock is not kept.
+`completion.unc_complete` with one.  The budgets of one call carry one
+pair memo (`Budgets.pairs`), so `sno`, `pcl`, `scl`, `wd` and `cp` build
+each pair list once per call; a list cut by the clock is not kept.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ from .criteria import (
 )
 from .ctrs import conditional_linearize
 from .terms import check_depth
-from .trs import PAIR_MEMO, TRS
+from .trs import TRS
 
 CERTIFICATE_FORMAT = "1"
 
@@ -257,13 +257,14 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     disproves the whole system, and all components must say YES for a YES.
     The methods read no conditions, so a rule with conditions is refused
     with `ValueError`; so is a rule side nested deeper than
-    `terms.MAX_DEPTH`, which would overflow the stack.
+    `terms.MAX_DEPTH`, which would overflow the stack.  The call's budgets
+    carry a fresh pair memo, in place of any that `config.budgets` holds.
     """
     R = problem.trs if isinstance(problem, ProblemFile) else problem
     if R.conditional:
         raise ValueError("prove_unc takes unconditional systems only")
     check_depth([t for r in R.rules for t in (r.lhs, r.rhs)])
-    budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout)
+    budgets = replace(config.budgets, deadline=time.monotonic() + config.timeout, pairs={})
     components = direct_sum_decompose(R)
     lines = [f"certificate-format: {CERTIFICATE_FORMAT}"]
     if len(components) > 1:
@@ -272,7 +273,6 @@ def prove_unc(problem: Union[ProblemFile, TRS],
     tags: list[Optional[str]] = []
     for ci, comp in enumerate(components, 1):
         answer, tag = "MAYBE", None
-        opened = PAIR_MEMO.set({})
         try:
             outcome = _first_answer(comp, config, budgets)
         except TimeoutError:
@@ -285,8 +285,6 @@ def prove_unc(problem: Union[ProblemFile, TRS],
                 lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
                              f"{answer} via ({tag})")
                 lines.extend("  " + ln for ln in found)
-        finally:
-            PAIR_MEMO.reset(opened)
         answers.append(answer)
         tags.append(tag)
         if answer == "NO":

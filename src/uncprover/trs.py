@@ -17,9 +17,9 @@ parallel step and the multistep.  `development_step_reducts` is that
 multistep on every system, left-linear or not, with a path of single steps
 per reduct for `replay_path`.
 
-All operations are pure, except that inside `strategy.prove_unc`
-`critical_pairs` keeps each list it finishes in the pair memo of the
-component at hand (`PAIR_MEMO`), which is read without the clock.  Step
+All operations are pure, except that `critical_pairs` keeps each list it
+finishes in the pair memo that its budgets carry (`Budgets.pairs`, one per
+`strategy.prove_unc` call), which is read without the clock.  Step
 budgets are per call, and the long searches call `config.Budgets.check`, so
 a clock cut raises `TimeoutError` and never returns a partial result.
 Result sets are deduplicated literally except for critical pairs, which are
@@ -27,7 +27,6 @@ identified up to renaming and condition order.
 """
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
@@ -528,16 +527,11 @@ def pair_stream(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Iterator[Critical
         yield CriticalPair(left, right, oi, ii, pos, peak, conds)
 
 
-#: The open pair memo, rule tuple -> finished `critical_pairs` tuple, or
-#: None when none is open; `strategy.prove_unc` opens one per component.
-PAIR_MEMO: ContextVar[Optional[dict]] = ContextVar("PAIR_MEMO", default=None)
-
-
 def critical_pairs(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[CriticalPair, ...]:
     """All the pairs of `pair_stream`; a clock cut raises, so no caller sees
-    a partial list.  With a memo open, a finished list is kept there and
-    returned again for the same rules."""
-    memo = PAIR_MEMO.get()
+    a partial list.  With a memo in `budgets.pairs`, a finished list is kept
+    there and returned again for the same rules."""
+    memo = budgets.pairs
     if memo is None:
         return tuple(pair_stream(R, budgets))
     pairs = memo.get(R.rules)

@@ -2,8 +2,8 @@
 of the weight-decreasing check, of rule reversal, of the conversion
 classes of the disproof search, of a parallel-closure check, of the
 conditional layer: the two linearizations, their critical pairs and
-congruence closure, and of the default portfolio, whose methods share each
-component's pair lists.
+congruence closure, also on a deep chain, and of the default portfolio,
+whose methods share each call's pair lists, also on a one-rule system.
 
 Run with `pytest tests/bench_kernel.py`; the file name is outside the
 `test_*.py` pattern, so the test suite does not collect it.
@@ -21,9 +21,10 @@ from uncprover.criteria import DEVELOPMENT_CLOSED, parallel_closed_check, weight
 from uncprover.ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
 from uncprover.strategy import prove_unc
 from uncprover.terms import App, Var, mgu, renaming_apart, subterm_at, variables
-from uncprover.trs import TRS, RewriteRule, conversion_class, critical_pairs, rewrite_steps
+from uncprover.trs import (
+    TRS, Equation, RewriteRule, conversion_class, critical_pairs, rewrite_steps)
 
-from conftest import CL, a, b, c, f, g, ground_chain, x, y, z
+from conftest import CL, a, b, c, f, g, g_tower, ground_chain, x, y, z
 
 COPS_126 = TRS.of([RewriteRule(f(f(x, y), z), f(f(x, z), f(y, z)))])
 AC = TRS.of([RewriteRule(f(f(x, y), z), f(x, f(y, z))), RewriteRule(f(x, y), f(y, x))])
@@ -151,6 +152,21 @@ def test_congruence_closure_of_workload_pairs(benchmark, workload_systems):
     pairs = _pairs_of_all(_linearize_all(workload_systems))
     joined = benchmark.pedantic(_close_all, args=(pairs,), rounds=7, iterations=1)
     assert (len(pairs), joined) == (328, 2)
+
+
+def test_congruence_closure_of_a_deep_chain(benchmark):
+    # g^99(a) = g^99(b) under a = b: one closure pass per level, and each
+    # pass hashes whole terms
+    deep_a, deep_b = g_tower(99, a), g_tower(99, b)
+    assert benchmark.pedantic(
+        lambda: CongruenceClosure([Equation(a, b)]).entails(deep_a, deep_b),
+        rounds=3, iterations=1)
+
+
+def test_default_portfolio_on_a_system_that_sno_decides(benchmark):
+    # the fixed cost of one prove_unc call: sno answers at once
+    result = benchmark(prove_unc, TRS.of([RewriteRule(f(x), a)]))
+    assert (result.answer, result.method) == ("YES", "sno")
 
 
 def _prove_all(systems):

@@ -30,6 +30,13 @@ def c1(*args):
     return App("c", args)
 
 
+def g_tower(n, t):
+    """g^n(t), built without recursion."""
+    for _ in range(n):
+        t = g(t)
+    return t
+
+
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b, c, d = App("a"), App("b"), App("c"), App("d")
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -16,7 +17,6 @@ from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
 from uncprover.terms import Var, canonical_key, term_size, variables
 from uncprover.trs import (
-    PAIR_MEMO,
     TRS,
     ConvStep,
     RewriteRule,
@@ -178,17 +178,13 @@ def test_deadline_inside_critical_pairs_never_gives_unc():
 def test_a_pair_build_cut_under_a_memo_keeps_nothing():
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
     memo = {}
-    opened = PAIR_MEMO.set(memo)
-    try:
-        with pytest.raises(TimeoutError):
-            critical_pairs(R, _past_only_in("overlaps"))
-        assert memo == {}
-        pairs = critical_pairs(R)
-        assert memo == {R.rules: pairs}
-        # a kept list is read without the clock
-        assert critical_pairs(R, Budgets(deadline=time.monotonic() - 1)) is pairs
-    finally:
-        PAIR_MEMO.reset(opened)
+    with pytest.raises(TimeoutError):
+        critical_pairs(R, replace(_past_only_in("overlaps"), pairs=memo))
+    assert memo == {}
+    pairs = critical_pairs(R, Budgets(pairs=memo))
+    assert memo == {R.rules: pairs}
+    # a kept list is read without the clock
+    assert critical_pairs(R, Budgets(deadline=time.monotonic() - 1, pairs=memo)) is pairs
     assert pairs == critical_pairs(R) and len(pairs) == 2
 
 

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uncprover.config import Budgets
 from uncprover.criteria import strongly_non_overlapping, weight_decreasing_unc
 from uncprover.terms import (
     App,
@@ -28,7 +30,7 @@ from uncprover.ctrs import (
 )
 
 from conftest import (
-    AC, CL, a, b, c, d, f, g, h, c1, canonical_renaming, random_system, random_term,
+    AC, CL, a, b, c, d, f, g, g_tower, h, c1, canonical_renaming, random_system, random_term,
     small_systems, term_strategy, x, y, z,
 )
 
@@ -539,6 +541,16 @@ def test_cc_lazy_query_extension():
     # query terms outside the original universe
     assert cc.entails(g(g(a)), g(g(b)))
     assert not cc.entails(g(a), g(g(b)))
+
+
+def test_cc_checks_its_budgets_once_per_closure_pass():
+    # g^300(a) = g^300(b) under a = b closes one level per pass: seconds
+    # of work without a clock
+    start = time.monotonic()
+    cc = CongruenceClosure([Equation(a, b)], Budgets(deadline=start + 0.05))
+    with pytest.raises(TimeoutError):
+        cc.entails(g_tower(300, a), g_tower(300, b))
+    assert time.monotonic() - start < 0.05 + 0.1
 
 
 def conversion_oracle(eqs, s, t, size_cap):

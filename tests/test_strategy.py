@@ -11,6 +11,7 @@ import uncprover.criteria
 import uncprover.strategy
 import uncprover.trs
 from uncprover.completion import Witness, direct_sum_decompose, rule_reverse_mapped
+from uncprover.config import Budgets
 from uncprover.cops import parse_cops
 from uncprover.strategy import (
     CERTIFICATE_FORMAT,
@@ -22,10 +23,10 @@ from uncprover.strategy import (
     prove_unc,
 )
 from uncprover.terms import MAX_DEPTH, App, Var
-from uncprover.trs import PAIR_MEMO, TRS, Equation, RewriteRule, critical_pairs
+from uncprover.trs import TRS, Equation, RewriteRule, critical_pairs
 
 from conftest import (
-    AC, AC_G, COPS_126, CL, a, b, c, d, f, g, ground_chain, h, random_system, x,
+    AC, AC_G, COPS_126, CL, a, b, c, d, f, g, g_tower, ground_chain, h, random_system, x,
 )
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
@@ -78,6 +79,18 @@ def test_multistep_enumeration_stops_at_the_deadline(tag):
     res, elapsed = _elapsed(multistep(12, True), (tag,), timeout)
     assert res.answer == "MAYBE"
     assert elapsed < timeout + 0.3
+
+
+@pytest.mark.parametrize("tag", ["pcl", "scl"])
+def test_congruence_closure_of_a_pair_condition_stops_at_the_deadline(tag):
+    # the linearization's pair under the condition a = b asks whether
+    # g^99(a) = g^99(b), which closes the universe once per level
+    R = TRS.of([RewriteRule(f(x, x), c),
+                RewriteRule(f(a, b), f(g_tower(99, a), g_tower(99, b)))])
+    timeout = 0.02
+    res, elapsed = _elapsed(R, (tag,), timeout)
+    assert res.answer == "MAYBE"
+    assert elapsed < timeout + 0.1
 
 
 @pytest.mark.parametrize("tag", ["rev+sno", "rev+sc", "rr"])
@@ -372,7 +385,7 @@ def test_each_pair_list_is_built_once_per_component(monkeypatch, R, components, 
     built, read = [], []
 
     def counted_stream(S, budgets):
-        built.append((PAIR_MEMO.get(), S.rules))
+        built.append((budgets.pairs, S.rules))
         return stream(S, budgets)
 
     def counted_pairs(S, budgets):
@@ -384,18 +397,51 @@ def test_each_pair_list_is_built_once_per_component(monkeypatch, R, components, 
     for module in (uncprover.criteria, uncprover.completion):
         monkeypatch.setattr(module, "critical_pairs", counted_pairs)
     prove_unc(R)
-    assert PAIR_MEMO.get() is None
     assert (len(read), len(built)) == (reads, builds)
-    # one memo per component, each list built at most once in it
+    # one memo for the whole call, each list built at most once in it
     memos = list({id(memo): memo for memo, _ in built}.values())
-    assert len(memos) == components
-    for memo in memos:
-        keys = [rules for m, rules in built if m is memo]
-        assert len(keys) == len(set(keys)) == len(memo)
-    # the components share no list
-    assert len({rules for memo in memos for rules in memo}) == builds
-    # and a shared list is the one a fresh build gives
+    assert len(memos) == 1
+    [memo] = memos
+    keys = [rules for _, rules in built]
+    assert len(keys) == len(set(keys)) == len(memo) == builds
+    # the components' lists are disjoint: each rule tuple has the lhs
+    # roots of one component only
+    roots = [{r.lhs.sym for r in C.rules} for C in direct_sum_decompose(R)]
+    assert len(roots) == components
+    for rules in memo:
+        assert sum({r.lhs.sym for r in rules} <= rs for rs in roots) == 1
+    # and a kept list is the one a fresh build gives
     monkeypatch.undo()
-    for memo in memos:
-        for rules, cps in memo.items():
-            assert cps == critical_pairs(TRS(rules))
+    for rules, cps in memo.items():
+        assert cps == critical_pairs(TRS(rules))
+
+
+def test_a_replaced_copy_of_budgets_shares_its_pair_memo():
+    budgets = Budgets(pairs={})
+    assert replace(budgets, deadline=time.monotonic()).pairs is budgets.pairs
+
+
+def test_the_pair_memo_takes_no_part_in_equality_hashing_or_repr():
+    budgets = Budgets(pairs={(): ()})
+    assert budgets == Budgets()
+    assert hash(budgets) == hash(Budgets())
+    assert repr(budgets) == repr(Budgets())
+
+
+def test_prove_unc_keeps_its_pairs_in_a_memo_of_its_own():
+    mine = {}
+    assert prove_unc(LEFT_LINEAR, StrategyConfig(budgets=Budgets(pairs=mine))).answer == "YES"
+    assert mine == {}
+
+
+def test_without_a_memo_every_pair_list_is_built_again(monkeypatch):
+    built = []
+
+    def counted_stream(S, budgets):
+        built.append(S.rules)
+        return stream(S, budgets)
+
+    stream = uncprover.trs.pair_stream
+    monkeypatch.setattr(uncprover.trs, "pair_stream", counted_stream)
+    assert critical_pairs(LEFT_LINEAR) == critical_pairs(LEFT_LINEAR)
+    assert built == [LEFT_LINEAR.rules] * 2
