@@ -215,10 +215,8 @@ def unc_complete(R: TRS, pred: ConfluencePredicate, max_rounds: int = 3,
             if not new_rules:
                 return verdict("MAYBE", "completion failed: no progress possible",
                                round_no)
-            for rule, trace in new_rules:
-                expanded = _expand_trace(trace, n_original, added_traces)
-                current = TRS(current.rules + (rule,))
-                added_traces.append(expanded)
+            added_traces += [_expand_trace(t, n_original, added_traces) for _, t in new_rules]
+            current = TRS(current.rules + tuple(r for r, _ in new_rules))
     except TimeoutError:
         return verdict("MAYBE", "timeout", round_no - 1)
     return verdict("MAYBE", f"round budget of {max_rounds} exhausted", max_rounds)
@@ -332,8 +330,7 @@ def disprove_search(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Witn
                 continue
             seen_keys.add(k)
             scan = _ClassScan(R, budgets)
-            conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                             budgets.max_class, budgets, scan.visit)
+            conversion_class(R, seed, budgets, scan.visit)
             if scan.witness is not None:
                 return scan.witness
     except TimeoutError:

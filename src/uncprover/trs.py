@@ -182,10 +182,6 @@ class TRS:
         return all(r.left_linear for r in self.rules)
 
     @property
-    def right_linear(self) -> bool:
-        return all(r.right_linear for r in self.rules)
-
-    @property
     def linear(self) -> bool:
         return all(r.linear for r in self.rules)
 
@@ -217,14 +213,7 @@ class TRS:
 
     def symbols(self) -> set[str]:
         """The function symbols of the rules, conditions included."""
-        out: set[str] = set()
-        stack = [t for r in self.rules for t in r.sides()]
-        while stack:
-            t = stack.pop()
-            if type(t) is App:
-                out.add(t.sym)
-                stack.extend(t.args)
-        return out
+        return {sub.sym for r in self.rules for t in r.sides() for _, sub in fn_subterms(t)}
 
 
 @dataclass(frozen=True)
@@ -654,14 +643,13 @@ class ConversionClass:
     cut: bool
 
 
-def conversion_class(R: TRS, seed: Term, depth: int,
-                     size_cap: int = DEFAULT_BUDGETS.size_cap,
-                     max_class: int = DEFAULT_BUDGETS.max_class,
-                     budgets: Budgets = DEFAULT_BUDGETS,
+def conversion_class(R: TRS, seed: Term, budgets: Budgets = DEFAULT_BUDGETS,
                      visit: Optional[Visit] = None) -> ConversionClass:
-    """Terms within `depth` conversion steps of `seed`, up to renaming of
-    the variables not in the seed; `max_class` and `visit` cut as `reach`'s
+    """Terms within `budgets.conv_depth` conversion steps of `seed`, up to
+    renaming of the variables not in the seed, none larger than
+    `budgets.size_cap`; `budgets.max_class` and `visit` cut as `reach`'s
     `max_terms` and `visit` do."""
-    reached, cut = reach(conversion_steps(R, seed, size_cap), seed, depth,
-                         max_terms=max_class, budgets=budgets, visit=visit)
+    reached, cut = reach(conversion_steps(R, seed, budgets.size_cap), seed,
+                         budgets.conv_depth, max_terms=budgets.max_class,
+                         budgets=budgets, visit=visit)
     return ConversionClass(list(reached), reached, cut)

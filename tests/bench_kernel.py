@@ -84,9 +84,8 @@ def test_rule_reverse_mapped_ground_chain(benchmark):
 def test_conversion_class_cl(benchmark):
     # the class of S's rhs, cut at `max_class` as under `cp`
     b_ = DEFAULT_BUDGETS
-    cls = benchmark.pedantic(conversion_class, args=(
-        CL, CL.rules[0].rhs, b_.conv_depth, b_.size_cap, b_.max_class), rounds=5,
-        iterations=1)
+    cls = benchmark.pedantic(conversion_class, args=(CL, CL.rules[0].rhs, b_),
+                             rounds=5, iterations=1)
     assert len(cls.members) == b_.max_class and cls.cut
 
 

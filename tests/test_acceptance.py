@@ -53,6 +53,7 @@ from uncprover.completion import (
     unc_complete,
     validate_witness,
 )
+from uncprover.config import Budgets
 from uncprover.strategy import prove_unc
 
 from conftest import COPS_126, a, b, c, f, g, h, c1, canonical_renaming, random_term, x, y
@@ -457,7 +458,7 @@ def test_criterion_9_metamorphic():
                 t = random_term(rnd, depth=2)
                 keep = frozenset(variables(t))
                 canon = lambda S: {canonical_key((u,), keep)
-                                   for u in conversion_class(S, t, 3, 30).reached}
+                                   for u in conversion_class(S, t, Budgets(3, 30)).reached}
                 if canon(R) != canon(Rp):
                     violations += 1
                 if is_normal_form(R, t) != is_normal_form(Rp, t):

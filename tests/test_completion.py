@@ -15,7 +15,7 @@ import uncprover.completion
 import uncprover.trs
 from uncprover.cops import parse_cops
 from uncprover.strategy import StrategyConfig, prove_unc
-from uncprover.terms import Var, canonical_key, term_size, variables
+from uncprover.terms import App, Var, canonical_key, term_size, variables
 from uncprover.trs import (
     TRS,
     ConvStep,
@@ -49,7 +49,7 @@ from uncprover.completion import (
 from uncprover.config import DEFAULT_BUDGETS, Budgets
 
 from conftest import (AC, AC_G, COPS_126, CL, a, b, c, d, f, g, h, random_system,
-                      random_term, small_systems, x, y)
+                      random_term, small_systems, x, y, z)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
@@ -101,6 +101,20 @@ def test_completion_variable_escape_exit():
     assert validate_witness(R, verdict.witness)
     w = verdict.witness
     assert canonical_key((w.s,)) == canonical_key((w.t,))
+
+
+def test_completion_without_a_join_makes_no_progress():
+    # the pair <f(x), f(y)> has no normal-form side, and its sides reach
+    # k(x) and k(y), which never meet, so the round proposes no rule
+    k = lambda t: App("k", (t,))
+    R = TRS.of([RewriteRule(h(x, y), f(x)), RewriteRule(h(x, y), f(y)),
+                RewriteRule(f(z), k(z))])
+    for pred in (STRONGLY_CLOSED, DEVELOPMENT_CLOSED):
+        verdict = unc_complete(R, pred)
+        assert (verdict.status, verdict.reason, verdict.rounds) == (
+            "MAYBE", "completion failed: no progress possible", 1)
+    result = prove_unc(R)
+    assert (result.answer, result.method) == ("NO", "cp")
 
 
 def test_completion_added_rules_replay_over_original(rng):
@@ -412,8 +426,8 @@ def test_rule_reverse_preserves_conversions_and_normal_forms(rng):
         for _ in range(5):
             t = random_term(rng, depth=2)
             keep = frozenset(variables(t))
-            canon = lambda S: {canonical_key((u,), keep)
-                               for u in conversion_class(S, t, 3, size_cap=30).reached}
+            canon = lambda S: {canonical_key((u,), keep) for u in conversion_class(
+                S, t, Budgets(conv_depth=3, size_cap=30)).reached}
             if canon(R) != canon(Rp):
                 violations += 1
             if is_normal_form(R, t) != is_normal_form(Rp, t):
@@ -654,8 +668,7 @@ def _full_class_disprove_search(R: TRS, budgets: Budgets) -> Optional[Witness]:
         if k in seen_keys:
             continue
         seen_keys.add(k)
-        cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                               budgets.max_class, budgets)
+        cls = conversion_class(R, seed, budgets)
         members = sorted(cls.members, key=repr)
         var_sets = [frozenset(variables(m)) for m in members]
         nf_at = [i for i, t in enumerate(members) if is_normal_form(R, t)]
@@ -713,8 +726,7 @@ def _scan_flags(R, budgets):
     rows = []
     for seed in _distinct_seeds(R):
         scan = _FlagScan(R, budgets)
-        cls = conversion_class(R, seed, budgets.conv_depth, budgets.size_cap,
-                               budgets.max_class, budgets, scan.visit)
+        cls = conversion_class(R, seed, budgets, scan.visit)
         assert list(scan.flags) == cls.members
         rows += [(scan.flags[m], is_normal_form(R, m),
                   cls.reached[m] is not None and cls.reached[m][1].forward)

@@ -309,6 +309,18 @@ def test_development_closed_admits_no_conditional_system():
     assert not DEVELOPMENT_CLOSED.guard(C)
 
 
+def test_development_closed_reports_only_its_meet_as_cut():
+    # the multistep from f(g(a,...,a)) has 3^8 = 6561 reducts, more than
+    # `development_step_reducts` flags, but it is complete and an
+    # inner-outer pair runs no meet
+    k = App("k")
+    R = TRS.of([RewriteRule(k, App("g", (a,) * 8)), RewriteRule(a, b), RewriteRule(a, c),
+                RewriteRule(f(k), d)])
+    cp, = [cp for cp in critical_pairs(R) if not cp.overlay]
+    assert repr(cp) == "{} => <f(g(a,a,a,a,a,a,a,a)), d> [inner-outer]"
+    assert DEVELOPMENT_CLOSED.pair_closed(R, cp, Budgets()) == (None, False)
+
+
 def test_strongly_closed_vacuous():
     C = TRS.of([RewriteRule(f(x, y), x)])
     assert strongly_closed_check(C).holds
@@ -692,8 +704,9 @@ def test_step1_with_condition_consumption():
     assert rems == {()}
     # one check's step memo keeps the two assumption sets apart
     W = uncprover.criteria._RankedSearch(C)
-    assert step1_remainders(W, [], f(x1, x1), b) == set()
-    assert step1_remainders(W, [Equation(x1, a)], f(x1, x1), b) == {()}
+    assert uncprover.criteria._step1_remainders(W, multiset([]), f(x1, x1), b) == set()
+    assert uncprover.criteria._step1_remainders(
+        W, multiset([Equation(x1, a)]), f(x1, x1), b) == {()}
 
 
 def test_step1_reducts_enumeration():
@@ -710,6 +723,36 @@ def test_wd_pair_examples():
     assert wd_ccp_satisfied(C, SEC4_GAMMA, SEC4_S, SEC4_T) == "rank-1 conversion"
     assert wd_ccp_satisfied(C, [], h(b, b), h(b, b)) == "rank-0 conversion"
     assert wd_ccp_satisfied(C, [], b, c) is None
+
+
+def _pair(C, text):
+    cp, = [cp for cp in critical_pairs(C) if repr(cp).startswith(text)]
+    return cp
+
+
+def test_wd_rank2_clauses():
+    R = TRS.of([RewriteRule(g(g(x)), g(f(x, a))), RewriteRule(b, b), RewriteRule(g(x), x)])
+    C = lr_separated_linearize(R)
+    cp = _pair(C, "x11 = x2, g(x11) = x => <g(g(f(x2,a))), g(f(x,a))>")
+    assert wd_ccp_satisfied(C, cp.conditions, cp.left, cp.right) == "rank-2 step"
+    C = lr_separated_linearize(TRS.of([RewriteRule(b, a), RewriteRule(a, g(a)),
+                                       RewriteRule(b, g(b))]))
+    cp = _pair(C, "{} => <g(b), a> [overlay]")
+    assert wd_ccp_satisfied(C, cp.conditions, cp.left, cp.right) \
+        == "step then conversion, both directions"
+
+
+def test_rank2_step_takes_its_values_from_the_rank1_pool(monkeypatch):
+    # the step g(g(b)) -> g(b) by g(g(x1)) -> g(b) <= x1 = x leaves x free;
+    # the one value that settles b = x, by the one rewrite step b -> a, is
+    # a, which only the rank-1 pool offers
+    R = TRS.of([RewriteRule(g(g(x)), g(b)), RewriteRule(a, b), RewriteRule(b, a)])
+    C = lr_separated_linearize(R)
+    cp = _pair(C, "x11 = x2, g(x11) = x => <g(g(b)), g(b)>")
+    want = {(Equation(g(Var("x11")), x), Equation(Var("x11"), Var("x2")))}
+    assert step2_remainders(C, cp.conditions, g(g(b)), g(b)) == want
+    monkeypatch.setattr(uncprover.criteria, "_sim1_pool", lambda W, gamma: None)
+    assert step2_remainders(C, cp.conditions, g(g(b)), g(b)) == set()
 
 
 def test_wd_reflexivity_property(rng):

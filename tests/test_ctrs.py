@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -238,6 +239,31 @@ def test_linearizations_match_oracles_on_random_systems(rng):
         non_linear += not R.left_linear
         _assert_linearizations_match_oracles(R)
     assert non_linear >= 10
+
+
+def _leafy_term(rnd, names, depth):
+    """A term over f/2, g/1 and a whose leaves are mostly variables of
+    `names`, so that variables repeat often."""
+    if depth == 0 or rnd.random() < 0.3:
+        return Var(rnd.choice(names)) if names and rnd.random() < 0.8 else a
+    if rnd.random() < 0.3:
+        return g(_leafy_term(rnd, names, depth - 1))
+    return f(_leafy_term(rnd, names, depth - 1), _leafy_term(rnd, names, depth - 1))
+
+
+def test_linearization_is_linear_exactly_on_a_right_linear_system(rng):
+    # so `STRONGLY_CLOSED`'s guard on the linearization is scl's one guard
+    seen = Counter()
+    for _ in range(300):
+        rules = []
+        for _ in range(rng.randint(1, 3)):
+            lhs = f(_leafy_term(rng, "xy", 2), _leafy_term(rng, "xy", 2))
+            rules.append(RewriteRule(lhs, _leafy_term(rng, sorted(variables(lhs)), 3)))
+        R = TRS.of(rules)
+        right_linear = all(r.right_linear for r in R.rules)
+        assert conditional_linearize(R).linear == right_linear, R
+        seen[R.left_linear, right_linear] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 @given(small_systems())

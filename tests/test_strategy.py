@@ -81,6 +81,13 @@ def test_multistep_enumeration_stops_at_the_deadline(tag):
     assert elapsed < timeout + 0.3
 
 
+def test_scl_on_a_system_that_is_not_right_linear_applies_no_method():
+    res = prove_unc(TRS.of([RewriteRule(f(x), g(x, x))]), StrategyConfig(methods=("scl",)))
+    assert (res.answer, res.method) == ("MAYBE", None)
+    assert res.certificate == f"certificate-format: {CERTIFICATE_FORMAT}\n" \
+        "component 1: no method applied\n"
+
+
 @pytest.mark.parametrize("tag", ["pcl", "scl"])
 def test_congruence_closure_of_a_pair_condition_stops_at_the_deadline(tag):
     # the linearization's pair under the condition a = b asks whether

@@ -473,23 +473,23 @@ def test_cut_searches_do_not_depend_on_the_hash_seed():
 
 
 def test_bounded_conversions_depth0():
-    assert set(conversion_class(COPS_254, f(c), 0).reached) == {f(c)}
+    assert set(conversion_class(COPS_254, f(c), Budgets(conv_depth=0)).reached) == {f(c)}
 
 
 def test_bounded_conversions_two_roots():
     R = TRS.of([RewriteRule(a, b), RewriteRule(a, c)])
-    assert set(conversion_class(R, b, 2).reached) == {b, a, c}
+    assert set(conversion_class(R, b, Budgets(conv_depth=2)).reached) == {b, a, c}
 
 
 def test_bounded_conversions_cops254():
-    assert f(h(c)) in conversion_class(COPS_254, f(c), 2).reached
+    assert f(h(c)) in conversion_class(COPS_254, f(c), Budgets(conv_depth=2)).reached
 
 
 def test_bounded_conversions_monotone(rng):
     for _ in range(40):
         t = random_term(rnd=rng, depth=2)
-        smaller = set(conversion_class(COPS_254, t, 2).reached)
-        bigger = set(conversion_class(COPS_254, t, 3).reached)
+        smaller = set(conversion_class(COPS_254, t, Budgets(conv_depth=2)).reached)
+        bigger = set(conversion_class(COPS_254, t, Budgets(conv_depth=3)).reached)
         assert t in smaller
         assert smaller <= bigger
 
@@ -579,7 +579,7 @@ def _seeds(R):
 
 
 def _assert_same_class(R, seed, depth, size_cap, max_class):
-    got = conversion_class(R, seed, depth, size_cap, max_class)
+    got = conversion_class(R, seed, Budgets(depth, size_cap, max_class))
     members, parent = _oracle_conversion_class(R, seed, depth, size_cap, max_class)
     assert got.members == members
     for m in members:
@@ -603,7 +603,7 @@ def test_conversion_class_paths_replay(R):
     # every member's path, not only those a witness uses, is a conversion
     # from the seed over the rules
     for seed in _seeds(R)[:3]:
-        cls = conversion_class(R, seed, 3, 20, 150)
+        cls = conversion_class(R, seed, Budgets(3, 20, 150))
         for m in cls.members:
             path = reach_path(cls.reached, m)
             if m == seed:
@@ -615,9 +615,9 @@ def test_conversion_class_paths_replay(R):
 
 def test_conversion_class_max_class_zero_is_no_cap():
     seed = CL.rules[0].rhs
-    uncapped = conversion_class(CL, seed, 3, 20, 10 ** 9)
+    uncapped = conversion_class(CL, seed, Budgets(3, 20, 10 ** 9))
     assert len(uncapped.members) > 2
-    assert conversion_class(CL, seed, 3, 20, 0) == uncapped
+    assert conversion_class(CL, seed, Budgets(3, 20, 0)) == uncapped
 
 
 def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
@@ -637,7 +637,7 @@ def test_conversion_class_variable_calls_grow_linearly(monkeypatch):
     counts = []
     for max_class in (500, 2000):
         calls = 0
-        cls = conversion_class(CL, seed, 5, 40, max_class)
+        cls = conversion_class(CL, seed, Budgets(5, 40, max_class))
         assert len(cls.members) == max_class
         counts.append(calls)
     # a pool rebuilt from every member per frontier node gives about 16
@@ -670,22 +670,23 @@ def test_reach_visit_sees_the_start_and_each_kept_node_in_found_order(rng):
 
 def test_reach_visit_true_stops_the_search_as_a_cut():
     seed = CL.rules[0].rhs
-    full = conversion_class(CL, seed, 3, 20, 0)
+    full = conversion_class(CL, seed, Budgets(3, 20, 0))
     stop = full.members[40]
-    cls = conversion_class(CL, seed, 3, 20, 0, visit=lambda node, reached: node == stop)
+    cls = conversion_class(CL, seed, Budgets(3, 20, 0),
+                           visit=lambda node, reached: node == stop)
     assert cls.cut and cls.members == full.members[:41]
     path = reach_path(cls.reached, stop)
     assert path[0].src == seed and path[-1].dst == stop
     assert trace_valid(CL, path)
-    at_start = conversion_class(CL, seed, 3, 20, 0, visit=lambda node, reached: True)
+    at_start = conversion_class(CL, seed, Budgets(3, 20, 0), visit=lambda node, reached: True)
     assert at_start.cut and at_start.members == [seed]
 
 
 def test_conversion_class_keeps_the_cut_flag():
     # a class whose frontier runs out inside the depth is complete
-    done = conversion_class(TRS.of([RewriteRule(a, b)]), b, 5)
+    done = conversion_class(TRS.of([RewriteRule(a, b)]), b, Budgets(conv_depth=5))
     assert done.members == [b, a] and not done.cut
-    capped = conversion_class(CL, CL.rules[0].rhs, 5, 40, 50)
+    capped = conversion_class(CL, CL.rules[0].rhs, Budgets(5, 40, 50))
     assert len(capped.members) == 50 and capped.cut
 
 
