@@ -73,7 +73,6 @@ class SimState(NamedTuple):
 
 @dataclass(frozen=True)
 class CriterionReport:
-    criterion: str
     holds: bool
     details: tuple[str, ...] = ()
     failure: Optional[str] = None
@@ -203,7 +202,7 @@ DEVELOPMENT_CLOSED = ConfluencePredicate(
                    lambda S, t, holds, b: development_step_reducts(S, t, budgets=b)[0]))
 
 
-def _closure_report(name: str, C: TRS, budgets: Budgets,
+def _closure_report(C: TRS, budgets: Budgets,
                     closed: Callable[[CriticalPair], tuple[Optional[str], bool]],
                     ) -> CriterionReport:
     """`closed` run on every critical pair of `C`: the joins so far as
@@ -215,21 +214,21 @@ def _closure_report(name: str, C: TRS, budgets: Budgets,
         for cp in critical_pairs(C, budgets):
             join, cut = closed(cp)
             if join is None:
-                return CriterionReport(name, False, tuple(details),
+                return CriterionReport(False, tuple(details),
                                        failure=f"unclosed critical pair {cp!r}",
                                        truncated=cut)
             details.append(f"{cp!r}: {join}")
     except (TimeoutError, RecursionError) as cut:
         cause = "timeout" if isinstance(cut, TimeoutError) else "stack depth"
-        return CriterionReport(name, False, tuple(details), failure=cause, truncated=True)
-    return CriterionReport(name, True, tuple(details))
+        return CriterionReport(False, tuple(details), failure=cause, truncated=True)
+    return CriterionReport(True, tuple(details))
 
 
 def _predicate_report(pred: ConfluencePredicate, misfit: str, C: TRS,
                       budgets: Budgets) -> CriterionReport:
     if not pred.guard(C):
-        return CriterionReport(pred.name, False, failure=misfit)
-    return _closure_report(pred.name, C, budgets, lambda cp: pred.pair_closed(C, cp, budgets))
+        return CriterionReport(False, failure=misfit)
+    return _closure_report(C, budgets, lambda cp: pred.pair_closed(C, cp, budgets))
 
 
 def parallel_closed_check(C: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> CriterionReport:
@@ -531,13 +530,12 @@ def weight_decreasing_unc(R: TRS, budgets: Budgets = DEFAULT_BUDGETS) -> Criteri
     runs to the end.  Past the budget's deadline it stops and reports a
     truncated failure ("timeout").  Its search state lives for this call
     only."""
-    name = "weight-decreasing"
     if not R.non_duplicating:
-        return CriterionReport(name, False, failure="TRS is duplicating")
+        return CriterionReport(False, failure="TRS is duplicating")
     C = lr_separated_linearize(R)
     W = _RankedSearch(C, budgets)
 
     def closed(cp: CriticalPair) -> tuple[Optional[str], bool]:
         budgets.check()
         return _wd_clause(W, multiset(cp.conditions), cp.left, cp.right), False
-    return _closure_report(name, C, budgets, closed)
+    return _closure_report(C, budgets, closed)

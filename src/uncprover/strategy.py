@@ -5,9 +5,10 @@ Method tags are the keys of the table `METHODS`; a "rev+" prefix runs the
 method on the rule-reversed system (sound either way, worthwhile for the
 completion methods).  An entry declares the answers its method gives and
 adapts one prover, looked up as a module global when it runs so that a
-tracer rebinding the global sees the call; `_run_method` reverses,
-translates a reversed witness back and replays every witness over the
-component's own rules, once for all methods.
+tracer rebinding the global sees the call; `_run_method` checks the
+clock, takes the slice below, reverses, translates a reversed witness back
+and replays every witness over the component's own rules, once for all
+methods.
 
 The order of `StrategyConfig.methods` sets which answer wins: the answer is
 that of the first method in the list that gives one.  Every method is sound,
@@ -174,14 +175,19 @@ METHODS = {
 }
 
 
-def _run_method(tag: str, R: TRS, config: StrategyConfig,
-                budgets: Budgets) -> Optional[tuple[str, list[str]]]:
-    """("YES" | "NO", certificate lines) of one method on `R`, or None.
+def _run_method(tag: str, R: TRS, config: StrategyConfig, budgets: Budgets,
+                cut_at: Optional[float] = None) -> Optional[tuple[str, str, list[str]]]:
+    """("YES" | "NO", tag, certificate lines) of one method on `R`, cut at
+    `cut_at` if given, or None; `TimeoutError` if the deadline of `budgets`
+    has passed before it starts.
 
     A witness found on the reversed system is translated back, and every
     witness is replayed over `R`'s own rules before it counts as a NO.  A
     clock cut that a prover does not catch itself, or a stack overflow,
     gives None; so does a cut reversal."""
+    budgets.check()
+    if cut_at is not None:
+        budgets = replace(budgets, deadline=cut_at)
     base = tag.removeprefix("rev+")
     try:
         system, origin = rule_reverse_mapped(R, budgets) if tag != base else (R, None)
@@ -189,10 +195,10 @@ def _run_method(tag: str, R: TRS, config: StrategyConfig,
     except (TimeoutError, RecursionError):
         return None
     if not isinstance(found, Witness):
-        return None if found is None else ("YES", found)
+        return None if found is None else ("YES", tag, found)
     if origin is not None:
         found = Witness(found.s, found.t, translate_trace(found.trace, origin))
-    return ("NO", _witness_lines(found)) if validate_witness(R, found) else None
+    return ("NO", tag, _witness_lines(found)) if validate_witness(R, found) else None
 
 
 def _first_answer(R: TRS, config: StrategyConfig, budgets: Budgets,
@@ -211,32 +217,21 @@ def _first_answer(R: TRS, config: StrategyConfig, budgets: Budgets,
             pending.append(tag)
             continue
         if "NO" not in answers or not pending:
-            found = _attempt(tag, R, config, budgets)
+            found = _run_method(tag, R, config, budgets)
             if found is not None:
                 return found
             continue
         cut_at = min(budgets.deadline, time.monotonic() + SLICE * config.timeout)
-        found = _attempt(tag, R, config, budgets, cut_at)
+        found = _run_method(tag, R, config, budgets, cut_at)
         if found is not None and found[0] == "YES":
             return found
         if found is None and time.monotonic() <= cut_at:
             continue
         found = (_disprove(pending, R, config, budgets) or found
-                 or _attempt(tag, R, config, budgets))
+                 or _run_method(tag, R, config, budgets))
         if found is not None:
             return found
     return _disprove(pending, R, config, budgets)
-
-
-def _attempt(tag: str, R: TRS, config: StrategyConfig, budgets: Budgets,
-             cut_at: Optional[float] = None) -> Optional[tuple[str, str, list[str]]]:
-    """`_run_method` as (answer, tag, certificate lines), cut at `cut_at` if
-    given; `TimeoutError` if the deadline of `budgets` has passed."""
-    budgets.check()
-    if cut_at is not None:
-        budgets = replace(budgets, deadline=cut_at)
-    outcome = _run_method(tag, R, config, budgets)
-    return None if outcome is None else (outcome[0], tag, outcome[1])
 
 
 def _disprove(pending: list[str], R: TRS, config: StrategyConfig, budgets: Budgets,
@@ -244,7 +239,7 @@ def _disprove(pending: list[str], R: TRS, config: StrategyConfig, budgets: Budge
     """The first answer of the `pending` disprovers, run in order, which
     leaves them run."""
     while pending:
-        found = _attempt(pending.pop(0), R, config, budgets)
+        found = _run_method(pending.pop(0), R, config, budgets)
         if found is not None:
             return found
     return None

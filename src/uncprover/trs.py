@@ -111,28 +111,6 @@ class RewriteRule:
         return self.all_variables() <= variables(self.lhs)
 
     @property
-    def lr_separated(self) -> bool:
-        """Linear lhs whose variables are exactly the condition lhs
-        variables, pairwise distinct and disjoint from the condition rhs
-        and rule rhs variables."""
-        if not self.left_linear:
-            return False
-        xs = [c.lhs for c in self.conditions]
-        if not all(isinstance(x, Var) for x in xs):
-            return False
-        names = [x.name for x in xs]
-        if len(names) != len(set(names)):
-            return False
-        if set(names) != variables(self.lhs):
-            return False
-        ys: set[str] = set()
-        for c in self.conditions:
-            ys |= variables(c.rhs)
-        if set(names) & ys:
-            return False
-        return variables(self.rhs) <= ys
-
-    @property
     def non_duplicating(self) -> bool:
         """Every rhs variable occurs at most as often as in the lhs and the
         condition rhs's together: the plain notion on a plain rule, and the
@@ -188,10 +166,6 @@ class TRS:
     @property
     def type1(self) -> bool:
         return all(r.type1 for r in self.rules)
-
-    @property
-    def lr_separated(self) -> bool:
-        return all(r.lr_separated for r in self.rules)
 
     @property
     def non_duplicating(self) -> bool:

@@ -68,6 +68,13 @@ def ground_chain(n: int) -> TRS:
         RewriteRule(h(c[i]), c[(i + 1) % n]), RewriteRule(c[i], h(c[7 * i % n])))))
 
 
+def unifier_free(n):
+    """f(k_i(x), y) -> g(y, k_i(x)) for i < n: no two lhs's unify, but the
+    overlap loop still meets n^2 ordered rule pairs."""
+    k = [App(f"k{i}", (x,)) for i in range(n)]
+    return TRS.of([RewriteRule(f(k[i], y), g(y, k[i])) for i in range(n)])
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

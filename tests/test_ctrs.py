@@ -119,6 +119,19 @@ def test_linearization_left_linear_type1_kernel(lhs):
 # --- LR-separated linearization ----------------------------------------------
 
 
+def _lr_separated(rule):
+    """Linear lhs whose variables are exactly the condition lhs variables,
+    pairwise distinct and disjoint from the condition rhs and rule rhs
+    variables, which the condition rhs's cover."""
+    xs = [c.lhs for c in rule.conditions]
+    if not rule.left_linear or not all(isinstance(v, Var) for v in xs):
+        return False
+    names = [v.name for v in xs]
+    ys = set().union(*(variables(c.rhs) for c in rule.conditions))
+    return (len(names) == len(set(names)) and set(names) == variables(rule.lhs)
+            and not set(names) & ys and variables(rule.rhs) <= ys)
+
+
 def test_lrs_example_rules():
     R = TRS.of([
         RewriteRule(f(x, x), h(x, f(x, b))),
@@ -133,7 +146,7 @@ def test_lrs_example_rules():
     assert C.rules[1] == RewriteRule(
         f(g(y1), y2), h(y, f(g(y), c1(b))), (Equation(y1, y), Equation(y2, y)))
     assert C.rules[3] == RewriteRule(c1(b), b, ())
-    assert C.lr_separated
+    assert all(map(_lr_separated, C.rules))
 
 
 def test_lrs_fresh_rhs_variable():
@@ -143,7 +156,7 @@ def test_lrs_fresh_rhs_variable():
     assert rule.lhs == f(Var("x1"), Var("y1"))
     assert rule.conditions == (Equation(Var("x1"), x), Equation(Var("y1"), y))
     assert rule.rhs == y
-    assert rule.lr_separated
+    assert _lr_separated(rule)
 
 
 @given(term_strategy(max_leaves=5), term_strategy(max_leaves=3))
@@ -152,7 +165,7 @@ def test_lrs_invariants(lhs, rhs):
         return
     R = TRS.of([RewriteRule(lhs, rhs)])
     C = lr_separated_linearize(R)
-    assert C.lr_separated
+    assert all(map(_lr_separated, C.rules))
     if R.non_duplicating:
         assert C.non_duplicating
 

@@ -1,5 +1,6 @@
 """Smoke tests of `scripts/`: each calls `strategy` and prints one row per
 problem."""
+import os
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from uncprover.strategy import METHODS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script, *args):
+def _run(script, *args, env=None):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def test_run_worked_examples():
@@ -47,7 +48,11 @@ def test_verdict_digest():
     assert len(digest) == 40 and set(digest) <= set("0123456789abcdef")
     assert _run("verdict_digest.py", "no-such-workload").returncode == 2
     # every non-probe verdict, method and certificate of all workloads, as
-    # pinned; a change that alters them on purpose regenerates the file
-    proc = _run("verdict_digest.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "tests" / "data" / "verdict_digest.txt").read_text()
+    # pinned, under the inherited hash seed and two fixed ones; a change
+    # that alters them on purpose regenerates the file
+    pinned = (ROOT / "tests" / "data" / "verdict_digest.txt").read_text()
+    for seed in (None, "0", "7"):
+        env = None if seed is None else {**os.environ, "PYTHONHASHSEED": seed}
+        proc = _run("verdict_digest.py", env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == pinned

@@ -26,7 +26,8 @@ from uncprover.terms import MAX_DEPTH, App, Var
 from uncprover.trs import TRS, Equation, RewriteRule, critical_pairs
 
 from conftest import (
-    AC, AC_G, COPS_126, CL, a, b, c, d, f, g, g_tower, ground_chain, h, random_system, x,
+    AC, AC_G, COPS_126, CL, a, b, c, d, f, g, g_tower, ground_chain, h, random_system,
+    unifier_free, x,
 )
 
 TAGS = ("sno", "omega", "rr", "pcl", "scl", "wd", "cp", "sc", "dc", "rev+sc", "rev+dc")
@@ -43,15 +44,6 @@ def multistep(n, b_to_c=False):
     extra = [RewriteRule(b, c)] if b_to_c else []
     return TRS.of([RewriteRule(a, b), RewriteRule(a, c), *extra,
                    RewriteRule(App("g", (a,) * n), d)])
-
-
-def unifier_free(n):
-    """f(k_i(x), y) -> g(y, k_i(x)) for i < n: no two lhs's unify, but the
-    overlap loop still meets n^2 ordered rule pairs."""
-    x, y = Var("x"), Var("y")
-    k = [App(f"k{i}", (x,)) for i in range(n)]
-    return TRS.of([RewriteRule(App("f", (k[i], y)), App("g", (y, k[i])))
-                   for i in range(n)])
 
 
 def _elapsed(R, methods, timeout):
@@ -248,7 +240,7 @@ def _list_order(R, config):
                 break
             outcome = _run_method(m, comp, config, budgets)
             if outcome is not None:
-                (answer, found), tag = outcome, m
+                answer, tag, found = outcome
                 lines.append(f"component {ci} ({len(comp.rules)} rule(s)): "
                              f"{answer} via ({m})")
                 lines.extend("  " + ln for ln in found)
